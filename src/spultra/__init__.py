@@ -19,7 +19,7 @@ from .spstats import (SpModel, SurrogateState, build_surrogate,
                       optimum_curvature, post_log_convert)
 from .ultra import (PatchConfig, SparseState, TransformUnion, extract_patches,
                     hard_threshold, learn_transforms, load_transforms,
-                    regularizer_gradient, regularizer_majorizer_diag,
-                    regularizer_value, save_transforms, sparse_code_and_cluster)
+                    regularizer_majorizer_diag, regularizer_value,
+                    save_transforms, sparse_code_and_cluster)
 
 __version__ = "0.1.0"

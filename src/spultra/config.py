@@ -286,6 +286,10 @@ def parse_config(path) -> ExperimentConfig:
         n_outer = s.get_int("N", minimum=0)
         n_inner = s.get_int("P", "4", minimum=1)
         n_sub = s.get_int("M", "1", minimum=1)
+        if None not in (n_sub, cfg.geometry) and n_sub > cfg.geometry.n_views:
+            errors.append(f"recon.M: must be <= geometry.n_views "
+                          f"({cfg.geometry.n_views}), got {n_sub}")
+            n_sub = None
         alpha = s.get_float("alpha", "1.999")
         x_max = s.get_float("x_max", "0.1", exclusive_min=0.0)
         v = s.get_int("v", None, minimum=1)

@@ -31,20 +31,26 @@ def write_spim(path, data: np.ndarray, spacing) -> None:
         fh.write(data.astype("<f8").tobytes())
 
 
+def read_exact(fh, n: int, what: str) -> bytes:
+    """The next ``n`` bytes of ``fh``; a short read means a truncated file."""
+    data = fh.read(n)
+    if len(data) != n:
+        raise ConfigurationError(f"{what} truncated: expected {n} bytes, got {len(data)}")
+    return data
+
+
 def read_spim(path) -> tuple[np.ndarray, tuple[float, ...]]:
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _SPIM_MAGIC:
             raise ConfigurationError(f"not a SPIM file: bad magic {magic!r}")
-        version, ndims = struct.unpack("<II", fh.read(8))
+        version, ndims = struct.unpack("<II", read_exact(fh, 8, "SPIM header"))
         if version != _SPIM_VERSION:
             raise ConfigurationError(f"unsupported SPIM version {version}")
-        dims = struct.unpack(f"<{ndims}I", fh.read(4 * ndims))
-        spacing = struct.unpack(f"<{ndims}d", fh.read(8 * ndims))
-        payload = fh.read(8 * int(np.prod(dims)))
+        dims = struct.unpack(f"<{ndims}I", read_exact(fh, 4 * ndims, "SPIM header"))
+        spacing = struct.unpack(f"<{ndims}d", read_exact(fh, 8 * ndims, "SPIM header"))
+        payload = read_exact(fh, 8 * int(np.prod(dims)), "SPIM payload")
     data = np.frombuffer(payload, dtype="<f8")
-    if data.size != int(np.prod(dims)):
-        raise ConfigurationError("SPIM payload truncated")
     return data.reshape(dims).astype(np.float64), spacing
 
 

@@ -45,10 +45,6 @@ def _method_slug(method: str) -> str:
     return method.replace("-", "_")
 
 
-def _artifact(out: Path, name: str) -> Path:
-    return out / name
-
-
 def _require(cfg, *sections):
     missing = [s for s in sections if getattr(cfg, s) is None]
     if missing:
@@ -74,20 +70,20 @@ def _export_pgm(path: Path, img: ImageGrid, cfg: ExperimentConfig):
 def stage_simulate(cfg: ExperimentConfig, out: Path, deterministic: bool) -> dict:
     _require(cfg, "geometry", "model", "phantom", "io")
     truth = make_phantom(cfg.phantom)
-    sio.write_spim(_artifact(out, "x_true.spim"), truth.data, truth.spacing)
-    _export_pgm(_artifact(out, "x_true.pgm"), truth, cfg)
+    sio.write_spim(out / "x_true.spim", truth.data, truth.spacing)
+    _export_pgm(out / "x_true.pgm", truth, cfg)
 
     sino = simulate_prelog(truth, cfg.model, cfg.geometry,
                            RngSpec(cfg.io.seed), deterministic=deterministic)
-    sio.write_spim(_artifact(out, "sino_raw.spim"), sino.data, _sino_spacing(cfg.geometry))
+    sio.write_spim(out / "sino_raw.spim", sino.data, _sino_spacing(cfg.geometry))
     log.info("non-positive fraction: %.4f%%", 100 * nonpositive_fraction(sino.data))
-    return {"x_true.spim": _artifact(out, "x_true.spim"),
-            "sino_raw.spim": _artifact(out, "sino_raw.spim")}
+    return {"x_true.spim": out / "x_true.spim",
+            "sino_raw.spim": out / "sino_raw.spim"}
 
 
 def stage_learn(cfg: ExperimentConfig, out: Path) -> dict:
     _require(cfg, "learning", "io")
-    truth = _load_image(_artifact(out, "x_true.spim"), "training image (run 'simulate' first)")
+    truth = _load_image(out / "x_true.spim", "training image (run 'simulate' first)")
     lc = cfg.learning
     side = int(round(np.sqrt(lc.v)))
     patches = extract_patches(truth, PatchConfig(side, lc.stride))
@@ -99,18 +95,18 @@ def stage_learn(cfg: ExperimentConfig, out: Path) -> dict:
         patches = patches[:, sel]
     union, trace = learn_transforms(patches, lc.k, lc.gamma_c, lc.lambda0,
                                     lc.iters, seed=cfg.io.seed)
-    save_transforms(_artifact(out, "transforms.ult"), union)
-    with open(_artifact(out, "learn_trace.csv"), "w", newline="") as fh:
+    save_transforms(out / "transforms.ult", union)
+    with open(out / "learn_trace.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["iter", "objective"])
         for i, val in enumerate(trace):
             wr.writerow([i + 1, f"{val:.17g}"])
-    return {"transforms.ult": _artifact(out, "transforms.ult")}
+    return {"transforms.ult": out / "transforms.ult"}
 
 
 def _ep_initializer(cfg: ExperimentConfig, out: Path, l_tilde, w_stat) -> ImageGrid:
     """PWLS-EP image used to start the transform-union methods; cached on disk."""
-    ep_path = _artifact(out, "x_pwls_ep.spim")
+    ep_path = out / "x_pwls_ep.spim"
     if ep_path.exists():
         return _load_image(ep_path, "edge-preserving initializer")
     return _reconstruct_ep(cfg, out, l_tilde, w_stat)
@@ -131,8 +127,8 @@ def _reconstruct_ep(cfg: ExperimentConfig, out: Path, l_tilde, w_stat) -> ImageG
         raise ConfigurationError("recon.beta_ep must be set to run the edge-preserving method")
     x0 = _fbp_or_zero_init(cfg, l_tilde)
     img = pwls_ep_reconstruct(l_tilde, w_stat, cfg.geometry, cfg.recon, x0)
-    sio.write_spim(_artifact(out, "x_pwls_ep.spim"), img.data, img.spacing)
-    _export_pgm(_artifact(out, "x_pwls_ep.pgm"), img, cfg)
+    sio.write_spim(out / "x_pwls_ep.spim", img.data, img.spacing)
+    _export_pgm(out / "x_pwls_ep.pgm", img, cfg)
     return img
 
 
@@ -140,7 +136,7 @@ def stage_reconstruct(cfg: ExperimentConfig, out: Path, method: str) -> dict:
     _require(cfg, "geometry", "model", "recon", "io")
     if method not in METHODS:
         raise ConfigurationError(f"unknown method {method!r}; choose from {METHODS}")
-    sino_path = _artifact(out, "sino_raw.spim")
+    sino_path = out / "sino_raw.spim"
     if not sino_path.exists():
         raise MissingArtifact(f"raw sinogram not found (run 'simulate' first): {sino_path}")
     raw, _ = sio.read_spim(sino_path)
@@ -149,7 +145,7 @@ def stage_reconstruct(cfg: ExperimentConfig, out: Path, method: str) -> dict:
     l_tilde, w_stat = post_log_convert(y_raw.ravel(), cfg.model)
 
     truth = None
-    truth_path = _artifact(out, "x_true.spim")
+    truth_path = out / "x_true.spim"
     if truth_path.exists():
         truth = _load_image(truth_path, "truth")
 
@@ -161,12 +157,16 @@ def stage_reconstruct(cfg: ExperimentConfig, out: Path, method: str) -> dict:
         img = fbp_reconstruct(sino_l, geom)
     elif method == "pwls-ep":
         img = _reconstruct_ep(cfg, out, l_tilde, w_stat)
-        artifacts["x_pwls_ep.spim"] = _artifact(out, "x_pwls_ep.spim")
+        artifacts["x_pwls_ep.spim"] = out / "x_pwls_ep.spim"
     else:
-        tr_path = _artifact(out, "transforms.ult")
+        tr_path = out / "transforms.ult"
         if not tr_path.exists():
             raise MissingArtifact(f"transform file not found (run 'learn' first): {tr_path}")
         union = load_transforms(tr_path)
+        if union.v != cfg.recon.patch.v:
+            raise ConfigurationError(
+                f"recon.v: {cfg.recon.patch.v} does not match the learned transforms "
+                f"(v = {union.v} in {tr_path})")
         x0 = _ep_initializer(cfg, out, l_tilde, w_stat)
         if method == "spultra":
             img, trace = spultra_reconstruct(y_raw, cfg.model, union, geom, cfg.recon,
@@ -175,12 +175,12 @@ def stage_reconstruct(cfg: ExperimentConfig, out: Path, method: str) -> dict:
             img, trace = pwls_ultra_reconstruct(l_tilde, w_stat, union, geom, cfg.recon,
                                                 x0, truth=truth,
                                                 mu_water=cfg.metrics.mu_water)
-        trace.to_csv(_artifact(out, f"trace_{slug}.csv"))
+        trace.to_csv(out / f"trace_{slug}.csv")
 
     if method != "pwls-ep":
-        sio.write_spim(_artifact(out, f"x_{slug}.spim"), img.data, img.spacing)
-        _export_pgm(_artifact(out, f"x_{slug}.pgm"), img, cfg)
-        artifacts[f"x_{slug}.spim"] = _artifact(out, f"x_{slug}.spim")
+        sio.write_spim(out / f"x_{slug}.spim", img.data, img.spacing)
+        _export_pgm(out / f"x_{slug}.pgm", img, cfg)
+        artifacts[f"x_{slug}.spim"] = out / f"x_{slug}.spim"
     return artifacts
 
 
@@ -193,7 +193,7 @@ def _eval_rois(cfg: ExperimentConfig, truth: ImageGrid) -> list[RoiMask]:
 
 def stage_evaluate(cfg: ExperimentConfig, out: Path) -> dict:
     _require(cfg, "io")
-    truth = _load_image(_artifact(out, "x_true.spim"), "truth (run 'simulate' first)")
+    truth = _load_image(out / "x_true.spim", "truth (run 'simulate' first)")
     rois = _eval_rois(cfg, truth)
     mu_water = cfg.metrics.mu_water
     run_id = f"{cfg.config_hash[:8]}-s{cfg.io.seed}"
@@ -202,7 +202,7 @@ def stage_evaluate(cfg: ExperimentConfig, out: Path) -> dict:
     found = False
     for method in METHODS:
         slug = _method_slug(method)
-        path = _artifact(out, f"x_{slug}.spim")
+        path = out / f"x_{slug}.spim"
         if not path.exists():
             continue
         found = True
@@ -219,7 +219,7 @@ def stage_evaluate(cfg: ExperimentConfig, out: Path) -> dict:
     if not found:
         raise MissingArtifact("no reconstructed images found (run 'reconstruct' first)")
 
-    path = _artifact(out, "metrics.csv")
+    path = out / "metrics.csv"
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["run_id", "method", "metric", "roi_label", "value"])

@@ -22,8 +22,9 @@ from .geometry import (ImageGrid, Sinogram, SystemGeometry, compute_kappa,
                        forward_project, system_matrix)
 from .spstats import SpModel, build_surrogate, neg_log_likelihood, post_log_convert
 from .ultra import (PatchConfig, SparseState, TransformUnion, accumulate_patches,
-                    extract_patches, patch_weights, regularizer_majorizer_diag,
-                    regularizer_value, sparse_code_and_cluster)
+                    classwise_apply, extract_patches, patch_weights,
+                    regularizer_majorizer_diag, regularizer_value,
+                    sparse_code_and_cluster)
 
 log = logging.getLogger(__name__)
 
@@ -122,19 +123,6 @@ class SubsetSystem:
         return self.m * (self.sub[s].T @ (w[rays] * r))
 
 
-@dataclass
-class OsLalmState:
-    """Auxiliary vectors of the relaxed OS-LALM recursion."""
-
-    x: np.ndarray
-    s: np.ndarray
-    g: np.ndarray
-    zeta: np.ndarray
-    eta: np.ndarray
-    rho: float = 1.0
-    t: int = 0
-
-
 class ZeroReg:
     """No regularization; used for plain weighted least squares."""
 
@@ -160,26 +148,24 @@ def os_lalm_image_update(x0: np.ndarray, system: SubsetSystem, w: np.ndarray,
 
     x = np.clip(x0, 0.0, cfg.x_max)
     zeta = system.subset_gradient(system.order[-1], x, w, y_tilde)
-    st = OsLalmState(x=x, s=np.zeros_like(x), g=zeta.copy(), zeta=zeta,
-                     eta=d_a * x - zeta)
+    g = zeta.copy()
+    eta = d_a * x - zeta
 
     for t in range(passes * m):
         rho = rho_schedule(t, cfg.alpha)
-        st.s = rho * (d_a * st.x - st.eta) + (1.0 - rho) * st.g
+        s = rho * (d_a * x - eta) + (1.0 - rho) * g
         denom = rho * d_a + d_r
-        step = (st.s + reg.grad(st.x)) / np.where(denom > 0, denom, 1.0)
-        st.x = np.clip(st.x - np.where(denom > 0, step, 0.0), 0.0, cfg.x_max)
+        step = (s + reg.grad(x)) / np.where(denom > 0, denom, 1.0)
+        x = np.clip(x - np.where(denom > 0, step, 0.0), 0.0, cfg.x_max)
         sub = system.order[t % m]
-        st.zeta = system.subset_gradient(sub, st.x, w, y_tilde)
-        st.g = (rho / (rho + 1.0)) * (cfg.alpha * st.zeta + (1.0 - cfg.alpha) * st.g) \
-            + st.g / (rho + 1.0)
-        st.eta = cfg.alpha * (d_a * st.x - st.zeta) + (1.0 - cfg.alpha) * st.eta
-        st.rho, st.t = rho, t + 1
-        for name, vec in (("s", st.s), ("x", st.x), ("zeta", st.zeta),
-                          ("g", st.g), ("eta", st.eta)):
+        zeta = system.subset_gradient(sub, x, w, y_tilde)
+        g = (rho / (rho + 1.0)) * (cfg.alpha * zeta + (1.0 - cfg.alpha) * g) \
+            + g / (rho + 1.0)
+        eta = cfg.alpha * (d_a * x - zeta) + (1.0 - cfg.alpha) * eta
+        for name, vec in (("s", s), ("x", x), ("zeta", zeta), ("g", g), ("eta", eta)):
             if not np.isfinite(vec).all():
                 raise NumericalError(name, t)
-    return st.x
+    return x
 
 
 class UltraQuadReg:
@@ -192,27 +178,18 @@ class UltraQuadReg:
 
     def __init__(self, union: TransformUnion, state: SparseState, beta: float,
                  patch: PatchConfig, dims, diag: np.ndarray):
-        self.union = union
         self.state = state
         self.beta = beta
         self.patch = patch
         self.dims = dims
         self.diag = diag
         self.grams = [union.transforms[k].T @ union.transforms[k] for k in range(union.k)]
-        back = np.empty_like(state.z)
-        for k in range(union.k):
-            sel = state.labels == k
-            if np.any(sel):
-                back[:, sel] = union.transforms[k].T @ state.z[:, sel]
-        self._code_back = back
+        self._code_back = classwise_apply(union.transforms.transpose(0, 2, 1),
+                                          state.labels, state.z)
 
     def grad(self, x_flat: np.ndarray) -> np.ndarray:
         p = extract_patches(ImageGrid(x_flat.reshape(self.dims)), self.patch)
-        out = np.empty_like(p)
-        for k in range(self.union.k):
-            sel = self.state.labels == k
-            if np.any(sel):
-                out[:, sel] = self.grams[k] @ p[:, sel]
+        out = classwise_apply(self.grams, self.state.labels, p)
         out -= self._code_back
         img = accumulate_patches(out * self.state.tau[None, :], self.dims, self.patch)
         return 2.0 * self.beta * img.reshape(-1)
@@ -339,23 +316,21 @@ def _tau_from_weights(geom, w_stat, patch) -> np.ndarray:
     return patch_weights(kappa, patch)
 
 
-def spultra_reconstruct(y_raw: Sinogram, model: SpModel, union: TransformUnion,
-                        geom: SystemGeometry, cfg: ReconConfig, x0: ImageGrid,
-                        truth: ImageGrid | None = None, mu_water: float = 0.02,
-                        ) -> tuple[ImageGrid, ConvergenceTrace]:
-    """Shifted-Poisson reconstruction with the transform-union regularizer.
+def _ultra_outer_loop(value, quadratic, system: SubsetSystem, w_stat: np.ndarray,
+                      union: TransformUnion, geom: SystemGeometry, cfg: ReconConfig,
+                      x0: ImageGrid, truth: ImageGrid | None, mu_water: float,
+                      ) -> tuple[ImageGrid, ConvergenceTrace]:
+    """Alternate image updates with sparse coding and clustering.
 
-    Raw counts are shifted by the electronic noise variance (and clamped at
-    zero). Every outer iteration builds a fresh quadratic surrogate at the
-    current image, runs one ordered-subsets image update, then re-codes and
-    re-clusters the patches once.
+    ``value(x)`` is the data term; ``quadratic(x)`` returns the weights,
+    targets and data diagonal ``(w, y_tilde, d_a)`` of the quadratic that
+    the image update minimizes from ``x``; ``w_stat`` sets the patch weights.
+    Every outer iteration runs one ordered-subsets image update at fixed codes
+    and labels, then re-codes and re-clusters the patches once. A numerical
+    abort carries the partial trace as ``err.trace``.
     """
-    counts = np.maximum(y_raw.ravel() + model.sigma2, 0.0)
-    _, w_stat = post_log_convert(y_raw.ravel(), model)
-    tau = _tau_from_weights(geom, w_stat, cfg.patch)
-    system = SubsetSystem(geom, cfg.n_subsets)
     dims = geom.image_dims
-
+    tau = _tau_from_weights(geom, w_stat, cfg.patch)
     x = np.clip(x0.data.reshape(-1), 0.0, cfg.x_max)
     state = sparse_code_and_cluster(ImageGrid(x.reshape(dims)), union,
                                     cfg.gamma_c, tau, cfg.patch)
@@ -367,7 +342,7 @@ def spultra_reconstruct(y_raw: Sinogram, model: SpModel, union: TransformUnion,
         return regularizer_value(ImageGrid(x_flat.reshape(dims)), st, union,
                                  cfg.beta, cfg.gamma_c, cfg.patch)
 
-    data = neg_log_likelihood(system.matrix @ x, counts, model)
+    data = value(x)
     reg = reg_term(x, state)
     rmse = None if truth is None else _rmse_hu(x.reshape(dims), truth.data, mu_water)
     trace.append(0, data + reg, data, reg, None, rmse, None)
@@ -375,12 +350,11 @@ def spultra_reconstruct(y_raw: Sinogram, model: SpModel, union: TransformUnion,
     try:
         for n in range(cfg.n_outer):
             t0 = time.perf_counter()
-            surr = build_surrogate(ImageGrid(x.reshape(dims)), counts, model, geom)
-            d_a = system.gram_diag(surr.w)
+            w, y_tilde, d_a = quadratic(x)
             quad = UltraQuadReg(union, state, cfg.beta, cfg.patch, dims, d_r)
-            x_new = os_lalm_image_update(x, system, surr.w, surr.y_tilde, d_a, quad, cfg)
+            x_new = os_lalm_image_update(x, system, w, y_tilde, d_a, quad, cfg)
             # the data term is unchanged by the coding step
-            data = neg_log_likelihood(system.matrix @ x_new, counts, model)
+            data = value(x_new)
             reg_pre = reg_term(x_new, state)
             state = sparse_code_and_cluster(ImageGrid(x_new.reshape(dims)), union,
                                             cfg.gamma_c, tau, cfg.patch)
@@ -400,9 +374,29 @@ def spultra_reconstruct(y_raw: Sinogram, model: SpModel, union: TransformUnion,
     return ImageGrid(x.reshape(dims), geom.pixel_spacing), trace
 
 
-def _pwls_data_term(x, system, w, l_tilde) -> float:
-    r = system.matrix @ x - l_tilde
-    return 0.5 * float(np.sum(w * r * r))
+def spultra_reconstruct(y_raw: Sinogram, model: SpModel, union: TransformUnion,
+                        geom: SystemGeometry, cfg: ReconConfig, x0: ImageGrid,
+                        truth: ImageGrid | None = None, mu_water: float = 0.02,
+                        ) -> tuple[ImageGrid, ConvergenceTrace]:
+    """Shifted-Poisson reconstruction with the transform-union regularizer.
+
+    Raw counts are shifted by the electronic noise variance (and clamped at
+    zero). Every outer iteration builds a fresh quadratic surrogate (and its
+    data diagonal) at the current image.
+    """
+    counts = np.maximum(y_raw.ravel() + model.sigma2, 0.0)
+    _, w_stat = post_log_convert(y_raw.ravel(), model)
+    system = SubsetSystem(geom, cfg.n_subsets)
+
+    def value(x):
+        return neg_log_likelihood(system.matrix @ x, counts, model)
+
+    def quadratic(x):
+        surr = build_surrogate(ImageGrid(x.reshape(geom.image_dims)), counts, model, geom)
+        return surr.w, surr.y_tilde, system.gram_diag(surr.w)
+
+    return _ultra_outer_loop(value, quadratic, system, w_stat, union, geom, cfg, x0,
+                             truth, mu_water)
 
 
 def pwls_ultra_reconstruct(l_tilde: np.ndarray, w_stat: np.ndarray,
@@ -414,44 +408,15 @@ def pwls_ultra_reconstruct(l_tilde: np.ndarray, w_stat: np.ndarray,
     so the weighted diagonal is computed once and no surrogate is rebuilt."""
     l_tilde = np.asarray(l_tilde, dtype=np.float64).reshape(-1)
     w_stat = np.asarray(w_stat, dtype=np.float64).reshape(-1)
-    tau = _tau_from_weights(geom, w_stat, cfg.patch)
     system = SubsetSystem(geom, cfg.n_subsets)
-    dims = geom.image_dims
-
-    x = np.clip(x0.data.reshape(-1), 0.0, cfg.x_max)
-    state = sparse_code_and_cluster(ImageGrid(x.reshape(dims)), union,
-                                    cfg.gamma_c, tau, cfg.patch)
-    d_r = regularizer_majorizer_diag(union, tau, cfg.beta, cfg.patch, dims).reshape(-1)
     d_a = system.gram_diag(w_stat)
 
-    trace = ConvergenceTrace()
+    def value(x):
+        r = system.matrix @ x - l_tilde
+        return 0.5 * float(np.sum(w_stat * r * r))
 
-    def reg_term(x_flat, st):
-        return regularizer_value(ImageGrid(x_flat.reshape(dims)), st, union,
-                                 cfg.beta, cfg.gamma_c, cfg.patch)
-
-    data = _pwls_data_term(x, system, w_stat, l_tilde)
-    reg = reg_term(x, state)
-    rmse = None if truth is None else _rmse_hu(x.reshape(dims), truth.data, mu_water)
-    trace.append(0, data + reg, data, reg, None, rmse, None)
-
-    for n in range(cfg.n_outer):
-        t0 = time.perf_counter()
-        quad = UltraQuadReg(union, state, cfg.beta, cfg.patch, dims, d_r)
-        x_new = os_lalm_image_update(x, system, w_stat, l_tilde, d_a, quad, cfg)
-        data = _pwls_data_term(x_new, system, w_stat, l_tilde)
-        reg_pre = reg_term(x_new, state)
-        state = sparse_code_and_cluster(ImageGrid(x_new.reshape(dims)), union,
-                                        cfg.gamma_c, tau, cfg.patch)
-        reg = reg_term(x_new, state)
-        ms = (time.perf_counter() - t0) * 1e3
-        rmse = None if truth is None else _rmse_hu(x_new.reshape(dims), truth.data, mu_water)
-        trace.append(n + 1, data + reg, data, reg,
-                     float(np.linalg.norm(x_new - x)), rmse, ms,
-                     pre=data + reg_pre)
-        x = x_new
-
-    return ImageGrid(x.reshape(dims), geom.pixel_spacing), trace
+    return _ultra_outer_loop(value, lambda x: (w_stat, l_tilde, d_a), system, w_stat,
+                             union, geom, cfg, x0, truth, mu_water)
 
 
 def pwls_ep_reconstruct(l_tilde: np.ndarray, w_stat: np.ndarray,

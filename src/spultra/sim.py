@@ -49,14 +49,11 @@ class PhantomSpec:
 
 @dataclass(frozen=True)
 class RngSpec:
-    """Seed plus the name of the counter-based generator algorithm."""
+    """Seed of the counter-based (Philox) generator."""
 
     seed: int
-    generator: str = "philox"
 
     def make(self) -> np.random.Generator:
-        if self.generator != "philox":
-            raise ValueError(f"unknown generator {self.generator!r}")
         return np.random.Generator(np.random.Philox(key=self.seed))
 
 

@@ -3,8 +3,8 @@
 A bank of K square matrices sparsifies image patches; each patch is assigned
 to the transform whose thresholded coefficients approximate it best. The
 module covers patch extraction and its adjoint, the joint sparse coding and
-clustering step, the regularizer value / gradient / diagonal majorizer used
-by the reconstruction solvers, and the alternating learning algorithm.
+clustering step, the regularizer value and diagonal majorizer used by the
+reconstruction solvers, and the alternating learning algorithm.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .geometry import ImageGrid
+from .io import read_exact
 
 _ULTR_MAGIC = b"ULTR"
 
@@ -60,8 +61,9 @@ class TransformUnion:
 
     def __post_init__(self):
         self.transforms = np.asarray(self.transforms, dtype=np.float64)
-        if self.transforms.ndim != 3 or self.transforms.shape[1] != self.transforms.shape[2]:
-            raise ConfigurationError("transforms must be (K, v, v)")
+        if self.transforms.ndim != 3 or self.transforms.shape[1] != self.transforms.shape[2] \
+                or self.transforms.shape[0] == 0:
+            raise ConfigurationError("transforms must be (K, v, v) with K >= 1")
         for k in range(self.k):
             sign, _ = np.linalg.slogdet(self.transforms[k])
             if sign == 0:
@@ -135,11 +137,34 @@ def hard_threshold(values: np.ndarray, gamma_c: float) -> np.ndarray:
     return np.where(np.abs(values) >= gamma_c, values, 0.0)
 
 
-def _coding_costs(patches: np.ndarray, omega: np.ndarray, gamma_c: float) -> np.ndarray:
-    t = omega @ patches
-    z = hard_threshold(t, gamma_c)
-    resid = t - z
-    return np.einsum("ij,ij->j", resid, resid) + gamma_c ** 2 * np.count_nonzero(z, axis=0)
+def classwise_apply(mats, labels: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Column j of the result is ``mats[labels[j]] @ cols[:, j]``, computed as
+    one matrix product per class."""
+    out = np.empty((mats[0].shape[0], cols.shape[1]))
+    for k in range(len(mats)):
+        sel = labels == k
+        if np.any(sel):
+            out[:, sel] = mats[k] @ cols[:, sel]
+    return out
+
+
+def _assign_labels(patches: np.ndarray, mats, gamma_c: float, penalty=None) -> np.ndarray:
+    """Cheapest class per patch under the coding cost (thresholding residual
+    plus gamma_c^2 times the support size) plus the optional per-class penalty
+    row ``penalty[k]``; ties go to the smallest class index."""
+    best = np.full(patches.shape[1], np.inf)
+    labels = np.zeros(patches.shape[1], dtype=np.int64)
+    for k in range(len(mats)):
+        t = mats[k] @ patches
+        z = hard_threshold(t, gamma_c)
+        resid = t - z
+        cost = np.einsum("ij,ij->j", resid, resid) + gamma_c ** 2 * np.count_nonzero(z, axis=0)
+        if penalty is not None:
+            cost = cost + penalty[k]
+        better = cost < best
+        labels[better] = k
+        best[better] = cost[better]
+    return labels
 
 
 def sparse_code_and_cluster(x: ImageGrid, union: TransformUnion, gamma_c: float,
@@ -151,19 +176,8 @@ def sparse_code_and_cluster(x: ImageGrid, union: TransformUnion, gamma_c: float,
     scale whole per-patch costs and therefore never change the argmin.
     """
     patches = extract_patches(x, cfg)
-    n = patches.shape[1]
-    best = np.full(n, np.inf)
-    labels = np.zeros(n, dtype=np.int64)
-    for k in range(union.k):
-        cost = _coding_costs(patches, union.transforms[k], gamma_c)
-        better = cost < best
-        labels[better] = k
-        best[better] = cost[better]
-    z = np.empty((union.v, n))
-    for k in range(union.k):
-        sel = labels == k
-        if np.any(sel):
-            z[:, sel] = hard_threshold(union.transforms[k] @ patches[:, sel], gamma_c)
+    labels = _assign_labels(patches, union.transforms, gamma_c)
+    z = hard_threshold(classwise_apply(union.transforms, labels, patches), gamma_c)
     tau = np.asarray(tau, dtype=np.float64).reshape(-1)
     return SparseState(z=z, labels=labels, tau=tau)
 
@@ -182,21 +196,6 @@ def regularizer_value(x: ImageGrid, state: SparseState, union: TransformUnion,
             + gamma_c ** 2 * np.count_nonzero(state.z[:, sel], axis=0)
         total += float(np.sum(state.tau[sel] * per_patch))
     return beta * total
-
-
-def regularizer_gradient(x: ImageGrid, state: SparseState, union: TransformUnion,
-                         beta: float, cfg: PatchConfig) -> np.ndarray:
-    """Exact gradient of the quadratic part of the regularizer at fixed codes."""
-    patches = extract_patches(x, cfg)
-    contrib = np.zeros_like(patches)
-    for k in range(union.k):
-        sel = state.labels == k
-        if not np.any(sel):
-            continue
-        omega = union.transforms[k]
-        resid = omega @ patches[:, sel] - state.z[:, sel]
-        contrib[:, sel] = omega.T @ resid
-    return 2.0 * beta * accumulate_patches(contrib * state.tau[None, :], x.dims, cfg)
 
 
 def spectral_norm_gram(omega: np.ndarray, tol: float = 1e-10, max_iter: int = 50000) -> float:
@@ -305,11 +304,7 @@ def learn_transforms(patches: np.ndarray, k: int, gamma_c: float, lambda0: float
     trace = np.empty(iters)
     for it in range(iters):
         # code at fixed labels, then update transforms per class
-        z = np.empty((v, n))
-        for kk in range(k):
-            sel = labels == kk
-            if np.any(sel):
-                z[:, sel] = hard_threshold(omegas[kk] @ patches[:, sel], gamma_c)
+        z = hard_threshold(classwise_apply(omegas, labels, patches), gamma_c)
         for kk in range(k):
             sel = labels == kk
             if not np.any(sel):
@@ -322,16 +317,9 @@ def learn_transforms(patches: np.ndarray, k: int, gamma_c: float, lambda0: float
 
         # reassign: coding cost plus the patch's share of the regularizer
         q_vals = np.array([_regularizer_q(omegas[kk]) for kk in range(k)])
-        best = np.full(n, np.inf)
-        for kk in range(k):
-            cost = _coding_costs(patches, omegas[kk], gamma_c) + lambda0 * energies * q_vals[kk]
-            better = cost < best
-            labels[better] = kk
-            best[better] = cost[better]
-        for kk in range(k):
-            sel = labels == kk
-            if np.any(sel):
-                z[:, sel] = hard_threshold(omegas[kk] @ patches[:, sel], gamma_c)
+        labels = _assign_labels(patches, omegas, gamma_c,
+                               penalty=q_vals[:, None] * (lambda0 * energies)[None, :])
+        z = hard_threshold(classwise_apply(omegas, labels, patches), gamma_c)
 
         trace[it] = learning_objective(patches, TransformUnion(omegas.copy()), z,
                                        labels, gamma_c, lambda0)
@@ -352,8 +340,6 @@ def load_transforms(path) -> TransformUnion:
         magic = fh.read(4)
         if magic != _ULTR_MAGIC:
             raise ConfigurationError(f"not a transform file: bad magic {magic!r}")
-        k, v = struct.unpack("<II", fh.read(8))
-        data = np.frombuffer(fh.read(8 * k * v * v), dtype="<f8")
-        if data.size != k * v * v:
-            raise ConfigurationError("transform file truncated")
+        k, v = struct.unpack("<II", read_exact(fh, 8, "transform file header"))
+        data = np.frombuffer(read_exact(fh, 8 * k * v * v, "transform file"), dtype="<f8")
     return TransformUnion(data.reshape(k, v, v).astype(np.float64))

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s`. The two reconstruction
-criteria share module-scoped runs; the full module takes on the order of
-ten minutes on a small machine.
+criteria share module-scoped runs; the full module takes about four
+minutes on a 2-core machine.
 """
 
 import itertools
@@ -17,7 +17,7 @@ from spultra.geometry import (ImageGrid, Sinogram, SystemGeometry, back_project,
                               compute_kappa, forward_project, weighted_gram_diag)
 from spultra.metrics import RoiMask, rmse_roi, ssim, to_hu
 from spultra.pipeline import EXIT_OK, run_pipeline
-from spultra.recon import (EpParams, ReconConfig, fbp_reconstruct,
+from spultra.recon import (EpParams, ReconConfig, UltraQuadReg, fbp_reconstruct,
                            pwls_ep_reconstruct, pwls_ultra_reconstruct,
                            rho_schedule, spultra_reconstruct)
 from spultra.sim import (Ellipse, PhantomSpec, RngSpec, make_phantom,
@@ -26,8 +26,7 @@ from spultra.spstats import (SpModel, SurrogateState, likelihood_gradient,
                              neg_log_likelihood, optimum_curvature,
                              post_log_convert, surrogate_gap)
 from spultra.ultra import (PatchConfig, TransformUnion, extract_patches,
-                           hard_threshold, learn_transforms,
-                           regularizer_gradient, sparse_code_and_cluster)
+                           hard_threshold, learn_transforms, sparse_code_and_cluster)
 
 from conftest import dense_system, small_fan, small_parallel
 from test_metrics import brute_force_ssim
@@ -152,7 +151,8 @@ def test_criterion_04_gradient_checks():
         tau = r2.uniform(0.2, 2.0, n)
         state = sparse_code_and_cluster(img, union, 0.6, tau, cfg_patch)
         beta = 1.2
-        g = regularizer_gradient(img, state, union, beta, cfg_patch)
+        reg = UltraQuadReg(union, state, beta, cfg_patch, dims, 0.0)
+        g = reg.grad(img.data.reshape(-1)).reshape(dims)
 
         def quad(x):
             val = 0.0

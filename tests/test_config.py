@@ -190,3 +190,13 @@ def test_overrides(tmp_path):
     cfg2 = cfg.with_overrides(out_dir="elsewhere", seed=99)
     assert cfg2.io.out_dir == "elsewhere" and cfg2.io.seed == 99
     assert cfg.io.out_dir == "out" and cfg.io.seed == 0
+
+
+def test_more_subsets_than_views_rejected(tmp_path):
+    # MINIMAL has 8 views; 9 subsets would leave one of them empty
+    recon = "\n[recon]\nbeta = 1\ngamma_c = 0.05\nN = 3\nv = 16\nM = {}\n"
+    with pytest.raises(ValidationError) as err:
+        parse_config(write(tmp_path, MINIMAL + recon.format(9)))
+    assert any(e.startswith("recon.M:") and "n_views" in e for e in err.value.errors)
+    cfg = parse_config(write(tmp_path, MINIMAL + recon.format(8)))
+    assert cfg.recon.n_subsets == 8

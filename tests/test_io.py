@@ -2,10 +2,13 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spultra.errors import ConfigurationError
 from spultra.io import (read_manifest, read_spim, sha256_file, verify_manifest,
                         write_manifest, write_pgm, write_spim)
+from spultra.ultra import TransformUnion, load_transforms, save_transforms
 
 
 def test_spim_round_trip(tmp_path):
@@ -76,3 +79,19 @@ def test_manifest_round_trip_and_verify(tmp_path):
     assert verify_manifest(manifest, "cafe", 7, {"artifact.bin": "0" * 64}) == ["artifact.bin"]
     # different run identity: nothing to compare against
     assert verify_manifest(manifest, "beef", 7, {"artifact.bin": "0" * 64}) == []
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_every_truncated_prefix_rejected(tmp_path_factory, data):
+    tmp = tmp_path_factory.mktemp("trunc")
+    spim, ultr = tmp / "img.spim", tmp / "t.ult"
+    write_spim(spim, np.arange(12.0).reshape(3, 4), (0.5, 1.5))
+    save_transforms(ultr, TransformUnion(np.stack([np.eye(4), 2 * np.eye(4)])))
+    for path, reader in ((spim, read_spim), (ultr, load_transforms)):
+        raw = path.read_bytes()
+        cut = data.draw(st.integers(0, len(raw) - 1), label=path.suffix)
+        short = tmp / ("short" + path.suffix)
+        short.write_bytes(raw[:cut])
+        with pytest.raises(ConfigurationError):
+            reader(short)

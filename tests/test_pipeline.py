@@ -5,7 +5,7 @@ import numpy as np
 
 from spultra.config import parse_config
 from spultra.io import read_manifest, read_spim
-from spultra.pipeline import (EXIT_MISSING_INPUT, EXIT_OK, run_pipeline)
+from spultra.pipeline import EXIT_ERROR, EXIT_MISSING_INPUT, EXIT_OK, run_pipeline
 
 CONFIG = """
 [geometry]
@@ -202,3 +202,19 @@ def test_cli_out_and_seed_override(tmp_path):
     assert not out.exists()
     manifest = read_manifest(override / "manifest.json")
     assert manifest["seed"] == 99
+
+
+def test_recon_v_mismatch_with_transforms_exits_1(tmp_path, caplog):
+    out = tmp_path / "vmis"
+    cfg = parse_config(write_config(tmp_path, out))
+    assert run_pipeline(cfg, "simulate") == EXIT_OK
+    assert run_pipeline(cfg, "learn") == EXIT_OK  # learns v = 16
+    p = tmp_path / "v9.ini"
+    p.write_text(CONFIG.replace("PLACEHOLDER", str(out))
+                 .replace("[recon]\n", "[recon]\nv = 9\n"))
+    cfg9 = parse_config(p)
+    assert cfg9.recon.patch.v == 9
+    with caplog.at_level("ERROR"):
+        assert run_pipeline(cfg9, "reconstruct", method="pwls-ultra") == EXIT_ERROR
+    assert any("recon.v" in r.message for r in caplog.records)
+    assert not (out / "x_pwls_ultra.spim").exists()

@@ -385,3 +385,44 @@ def test_trace_csv_round_trip(tmp_path):
     assert lines[0] == "iter,objective,data_term,reg_term,step_norm,rmse_vs_truth,wall_ms"
     assert lines[1].startswith("0,10,8,2,,")
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("method", ["spultra", "pwls-ultra"])
+def test_ultra_abort_carries_partial_trace(monkeypatch, method):
+    geom, model, truth, sino, union, cfg = _tiny_setup(seed=5)
+    real = SubsetSystem.subset_gradient
+    calls = []
+
+    def poisoned(self, s, x, w, y_tilde):
+        calls.append(s)
+        out = real(self, s, x, w, y_tilde)
+        # the first outer iteration completes; the second one hits NaN
+        return np.full_like(out, np.nan) if len(calls) > 6 else out
+
+    monkeypatch.setattr(SubsetSystem, "subset_gradient", poisoned)
+    x0 = ImageGrid(np.full((16, 16), 0.015))
+    with pytest.raises(NumericalError) as err:
+        if method == "spultra":
+            spultra_reconstruct(sino, model, union, geom, cfg, x0)
+        else:
+            l_t, w_t = post_log_convert(sino.ravel(), model)
+            pwls_ultra_reconstruct(l_t, w_t, union, geom, cfg, x0)
+    trace = err.value.trace
+    assert trace.iters == [0, 1]
+
+
+def test_spultra_initial_objective_is_reference_objective():
+    geom, model, truth, sino, union, cfg = _tiny_setup(seed=3)
+    cfg0 = ReconConfig(beta=cfg.beta, gamma_c=cfg.gamma_c, n_outer=0,
+                       n_inner=cfg.n_inner, n_subsets=cfg.n_subsets,
+                       x_max=cfg.x_max, patch=cfg.patch)
+    # x0 leaves the box on both sides, so the start point is the clipped image
+    x0 = ImageGrid(truth.data * 6.0 - 0.02)
+    _, trace = spultra_reconstruct(sino, model, union, geom, cfg0, x0)
+
+    from spultra.recon import _tau_from_weights
+    _, w_t = post_log_convert(sino.ravel(), model)
+    tau = _tau_from_weights(geom, w_t, cfg.patch)
+    x = ImageGrid(np.clip(x0.data, 0.0, cfg.x_max))
+    state = sparse_code_and_cluster(x, union, cfg.gamma_c, tau, cfg.patch)
+    assert trace.objective[0] == objective_value(x, state, sino, model, union, cfg, geom)

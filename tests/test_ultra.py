@@ -5,10 +5,11 @@ import pytest
 
 from spultra.errors import ConfigurationError
 from spultra.geometry import ImageGrid
+from spultra.recon import UltraQuadReg
 from spultra.ultra import (PatchConfig, SparseState, TransformUnion,
                            accumulate_patches, extract_patches, hard_threshold,
                            initial_transform, learn_transforms,
-                           load_transforms, patch_coverage, regularizer_gradient,
+                           load_transforms, patch_coverage,
                            regularizer_majorizer_diag, regularizer_value,
                            save_transforms, sparse_code_and_cluster,
                            spectral_norm_gram)
@@ -209,6 +210,12 @@ def test_coding_minimizes_regularizer_value():
         assert best <= regularizer_value(img, challenger, union, 1.0, gamma, cfg) + 1e-12
 
 
+def regularizer_gradient(img, state, union, beta, cfg):
+    """Gradient of the quadratic regularizer part, as the solvers evaluate it."""
+    reg = UltraQuadReg(union, state, beta, cfg, img.dims, 0.0)
+    return reg.grad(img.data.reshape(-1)).reshape(img.dims)
+
+
 def test_regularizer_gradient_zero_at_exact_codes():
     rng = np.random.default_rng(8)
     cfg = PatchConfig(2, 1)
@@ -390,6 +397,15 @@ def test_transform_file_round_trip(tmp_path):
 def test_transform_file_bad_magic(tmp_path):
     path = tmp_path / "bad.ult"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
+    with pytest.raises(ConfigurationError):
+        load_transforms(path)
+
+
+def test_transform_file_without_transforms_rejected(tmp_path):
+    # K = 0 would leave every patch labelled with a class that does not exist
+    import struct
+    path = tmp_path / "empty.ult"
+    path.write_bytes(b"ULTR" + struct.pack("<II", 0, 4))
     with pytest.raises(ConfigurationError):
         load_transforms(path)
 
