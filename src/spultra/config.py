@@ -156,6 +156,21 @@ class _Section:
                 self.errors.append(f"{self.name}.{key}: unknown key")
 
 
+def _patch_fits(section: str, v: int, stride: int, geometry, errors: list) -> bool:
+    """Record why patches of side sqrt(v) stepped by ``stride`` cannot tile the
+    image of ``geometry`` (skipped when None); True when they can."""
+    side = int(round(np.sqrt(v)))
+    fits = True
+    if stride > side:
+        errors.append(f"{section}.stride: must be <= the patch side ({side}), got {stride}")
+        fits = False
+    if geometry is not None and side > min(geometry.image_dims):
+        errors.append(f"{section}.v: patch side {side} exceeds geometry.image_dims "
+                      f"{geometry.image_dims}")
+        fits = False
+    return fits
+
+
 _KNOWN_SECTIONS = ("geometry", "model", "phantom", "learning", "recon", "metrics", "io")
 
 
@@ -239,6 +254,7 @@ def parse_config(path) -> ExperimentConfig:
                                           spacing=cfg.geometry.pixel_spacing,
                                           shapes=tuple(shapes))
 
+    learning_v = None
     if parser.has_section("learning"):
         s = _Section("learning", parser["learning"], errors)
         k = s.get_int("K", minimum=1)
@@ -251,6 +267,10 @@ def parse_config(path) -> ExperimentConfig:
         s.finish()
         if v is not None and int(round(np.sqrt(v))) ** 2 != v:
             errors.append(f"learning.v: must be a perfect square (side^2), got {v}")
+            v = None
+        learning_v = v
+        if None not in (v, stride) and not _patch_fits("learning", v, stride, cfg.geometry,
+                                                       errors):
             v = None
         if None not in (k, v, stride, gamma_c, lambda0, iters, n_patches):
             cfg.learning = LearningConfig(k=k, v=v, gamma_c=gamma_c, lambda0=lambda0,
@@ -302,12 +322,16 @@ def parse_config(path) -> ExperimentConfig:
         if alpha is not None and not (1.0 <= float(alpha) < 2.0):
             errors.append(f"recon.alpha: must satisfy 1 <= alpha < 2, got {alpha}")
             alpha = None
-        if v is None and cfg.learning is not None:
-            v = cfg.learning.v
+        # a v taken from [learning] was already checked against the image there
+        v_geometry = cfg.geometry if v is not None else None
+        if v is None:
+            v = learning_v
         if v is None:
             errors.append("recon.v: required (or provide [learning].v)")
         elif int(round(np.sqrt(v))) ** 2 != v:
             errors.append(f"recon.v: must be a perfect square (side^2), got {v}")
+            v = None
+        if None not in (v, stride) and not _patch_fits("recon", v, stride, v_geometry, errors):
             v = None
         if None not in (beta, gamma_c, n_outer, n_inner, n_sub, alpha, x_max, v,
                         stride, delta, potential, ep_iters):

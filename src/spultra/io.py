@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .errors import ConfigurationError
 
@@ -75,9 +77,22 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
+def run_environment() -> dict:
+    """What the artifact bytes depend on besides the config and seed: the
+    BLAS/OpenMP thread variables (None when unset), which change the
+    summation order, and the numpy and scipy versions."""
+    env = {name: os.environ.get(name)
+           for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["numpy"] = np.__version__
+    env["scipy"] = scipy.__version__
+    return env
+
+
 def write_manifest(path, config_hash: str, seed: int, artifacts: dict) -> None:
-    """Record the run identity plus checksums of its deterministic artifacts."""
+    """Record the run identity, the environment of :func:`run_environment` and
+    checksums of the run's deterministic artifacts."""
     payload = {"config_hash": config_hash, "seed": seed,
+               "environment": run_environment(),
                "artifacts": dict(sorted(artifacts.items()))}
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 

@@ -251,7 +251,11 @@ def run_pipeline(cfg: ExperimentConfig, subcommand: str, method: str | None = No
         elif subcommand == "all":
             artifacts.update(stage_simulate(cfg, out, deterministic))
             artifacts.update(stage_learn(cfg, out))
-            for m in ([method] if method else METHODS):
+            methods = [method] if method else list(METHODS)
+            if not method and cfg.geometry.beam_kind == "fan":
+                log.info("skipping fbp: filtered backprojection needs parallel-beam data")
+                methods.remove("fbp")
+            for m in methods:
                 artifacts.update(stage_reconstruct(cfg, out, m))
             artifacts.update(stage_evaluate(cfg, out))
         else:
@@ -283,6 +287,13 @@ def _update_manifest(cfg: ExperimentConfig, out: Path, artifacts: dict):
         old = sio.read_manifest(manifest_path)
         if old.get("config_hash") == cfg.config_hash and old.get("seed") == cfg.io.seed:
             digests.update(old.get("artifacts", {}))
+            recorded = old.get("environment", {})
+            changed = [f"{key} ({recorded[key]} -> {val})"
+                       for key, val in sio.run_environment().items()
+                       if key in recorded and recorded[key] != val]
+            if changed:
+                log.warning("environment differs from the previous identical run, so "
+                            "artifacts may differ: %s", ", ".join(changed))
     new_digests = {name: sio.sha256_file(path) for name, path in artifacts.items()}
     stale = sio.verify_manifest(manifest_path, cfg.config_hash, cfg.io.seed, new_digests)
     for name in stale:

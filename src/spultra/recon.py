@@ -16,6 +16,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import dia_matrix
 
 from .errors import ConfigurationError, NumericalError
 from .geometry import (ImageGrid, Sinogram, SystemGeometry, compute_kappa,
@@ -168,26 +169,107 @@ def os_lalm_image_update(x0: np.ndarray, system: SubsetSystem, w: np.ndarray,
     return x
 
 
+def gram_bands(union: TransformUnion, patch: PatchConfig, dims):
+    """Gram entries gathered per image-domain offset for the banded operator
+    of :class:`UltraQuadReg`; ``None`` at stride >= 2, where it is not used.
+
+    Returns ``(offsets, gathered)``: the distinct flat pixel offsets
+    ``di * cols + dj`` with ``|di|, |dj| < patch_side``, and one row per
+    offset whose column ``(k, a, b)`` is ``G_k[(a, b), (a + di, b + dj)]``
+    (zero when that partner lies outside the patch). On images narrower than
+    twice the patch side two 2D offsets can share a flat offset; their rows
+    are summed, since no pixel pair is coupled by both. The transforms are
+    fixed during a reconstruction, so this is computed once per run.
+    """
+    if patch.stride != 1:
+        return None
+    s = patch.patch_side
+    grams = np.stack([t.T @ t for t in union.transforms]).reshape(union.k, s, s, s, s)
+    d = np.arange(1 - s, s)
+    di, dj = d[:, None, None, None], d[None, :, None, None]
+    a, b = np.arange(s)[None, None, :, None], np.arange(s)[None, None, None, :]
+    a2, b2 = a + di, b + dj
+    inside = (a2 >= 0) & (a2 < s) & (b2 >= 0) & (b2 < s)
+    vals = grams[:, a, b, np.clip(a2, 0, s - 1), np.clip(b2, 0, s - 1)] * inside
+    rows = vals.transpose(1, 2, 0, 3, 4).reshape(d.size * d.size, union.k * patch.v)
+    offsets, which = np.unique((d[:, None] * dims[1] + d[None, :]).ravel(),
+                               return_inverse=True)
+    gathered = np.zeros((offsets.size, rows.shape[1]))
+    np.add.at(gathered, which, rows)
+    return offsets, gathered
+
+
+def _band_operator(bands, state: SparseState, patch: PatchConfig, dims):
+    """H = sum_j tau_j P_j^T G_kj P_j as a DIA matrix (stride-1 patches).
+
+    The coefficient of offset o at pixel p sums, over the patch positions
+    (a, b) of p, the gathered Gram entry times tau of the patch at p - (a, b)
+    if that patch has the entry's class: one product of the gathered Grams
+    with the class maps of tau shifted over the patch positions.
+    """
+    offsets, gathered = bands
+    s = patch.patch_side
+    rows, cols = dims
+    nr, nc = patch.grid(dims)
+    k = gathered.shape[1] // patch.v
+    maps = np.zeros((k, nr, nc))
+    maps[state.labels.reshape(nr, nc), np.arange(nr)[:, None], np.arange(nc)] = \
+        state.tau.reshape(nr, nc)
+    shifted = np.zeros((k, s, s, rows, cols))
+    for a in range(s):
+        for b in range(s):
+            shifted[:, a, b, a:a + nr, b:b + nc] = maps
+    # the offsets are symmetric about offsets[m] == 0 and H is symmetric, so
+    # only the offsets o >= 0 are computed: upper[i, p] = H[p, p + o]
+    m = offsets.size // 2
+    upper = gathered[m:] @ shifted.reshape(k * patch.v, rows * cols)
+    n = rows * cols
+    # DIA storage is column-indexed, data[i, q] = H[q - offsets[i], q]:
+    # offset -o holds H[q + o, q] = upper[., q], offset o holds upper[., q - o]
+    data = np.zeros((offsets.size, n))
+    data[m::-1] = upper
+    for i, o in enumerate(offsets[m + 1:], start=1):
+        data[m + i, o:] = upper[i, :n - o]
+    return dia_matrix((data, offsets), shape=(n, n))
+
+
 class UltraQuadReg:
     """Quadratic part of the transform-union regularizer at fixed codes and labels.
 
-    Precomputes per-class Gram matrices and the code backprojection so each
-    gradient evaluation inside the inner loop needs one Gram multiply per
-    class plus a patch scatter-add.
+    Its gradient is ``2 beta (H x - b)`` with the image-domain operator
+    ``H = sum_j tau_j P_j^T O_kj^T O_kj P_j`` and the code backprojection
+    ``b = sum_j tau_j P_j^T O_kj^T z_j``, both fixed while the codes and
+    labels are. At patch stride 1, H is built once as a banded matrix with
+    (2 side - 1)^2 diagonals from ``bands`` (:func:`gram_bands`, computed
+    here when not given), so a gradient costs one banded multiply instead of
+    the per-class patch products. At stride >= 2 the patches overlap less and
+    those products measured faster than the band (whose build costs more), so
+    each gradient extracts the patches, applies the per-class Gram matrices
+    and scatter-adds them back.
     """
 
     def __init__(self, union: TransformUnion, state: SparseState, beta: float,
-                 patch: PatchConfig, dims, diag: np.ndarray):
+                 patch: PatchConfig, dims, diag: np.ndarray, bands=None):
         self.state = state
         self.beta = beta
         self.patch = patch
         self.dims = dims
         self.diag = diag
-        self.grams = [union.transforms[k].T @ union.transforms[k] for k in range(union.k)]
         self._code_back = classwise_apply(union.transforms.transpose(0, 2, 1),
                                           state.labels, state.z)
+        bands = gram_bands(union, patch, dims) if bands is None else bands
+        self._band = None
+        if bands is not None:
+            self._band = _band_operator(bands, state, patch, dims)
+            self._b = accumulate_patches(self._code_back * state.tau[None, :],
+                                         dims, patch).reshape(-1)
+        else:
+            self.grams = [union.transforms[k].T @ union.transforms[k]
+                          for k in range(union.k)]
 
     def grad(self, x_flat: np.ndarray) -> np.ndarray:
+        if self._band is not None:
+            return 2.0 * self.beta * (self._band @ x_flat - self._b)
         p = extract_patches(ImageGrid(x_flat.reshape(self.dims)), self.patch)
         out = classwise_apply(self.grams, self.state.labels, p)
         out -= self._code_back
@@ -335,6 +417,7 @@ def _ultra_outer_loop(value, quadratic, system: SubsetSystem, w_stat: np.ndarray
     state = sparse_code_and_cluster(ImageGrid(x.reshape(dims)), union,
                                     cfg.gamma_c, tau, cfg.patch)
     d_r = regularizer_majorizer_diag(union, tau, cfg.beta, cfg.patch, dims).reshape(-1)
+    bands = gram_bands(union, cfg.patch, dims)
 
     trace = ConvergenceTrace()
 
@@ -351,7 +434,7 @@ def _ultra_outer_loop(value, quadratic, system: SubsetSystem, w_stat: np.ndarray
         for n in range(cfg.n_outer):
             t0 = time.perf_counter()
             w, y_tilde, d_a = quadratic(x)
-            quad = UltraQuadReg(union, state, cfg.beta, cfg.patch, dims, d_r)
+            quad = UltraQuadReg(union, state, cfg.beta, cfg.patch, dims, d_r, bands)
             x_new = os_lalm_image_update(x, system, w, y_tilde, d_a, quad, cfg)
             # the data term is unchanged by the coding step
             data = value(x_new)

@@ -200,3 +200,32 @@ def test_more_subsets_than_views_rejected(tmp_path):
     assert any(e.startswith("recon.M:") and "n_views" in e for e in err.value.errors)
     cfg = parse_config(write(tmp_path, MINIMAL + recon.format(8)))
     assert cfg.recon.n_subsets == 8
+
+
+LEARNING = "\n[learning]\nK = 2\nv = 16\nstride = {}\ngamma_c = 0.1\nlambda0 = 0.1\n"
+
+
+def test_stride_longer_than_patch_side_rejected(tmp_path):
+    with pytest.raises(ValidationError) as err:
+        parse_config(write(tmp_path, MINIMAL + LEARNING.format(5)))
+    assert [e for e in err.value.errors if e.startswith("learning.")] \
+        == ["learning.stride: must be <= the patch side (4), got 5"]
+    recon = "\n[recon]\nbeta = 1\ngamma_c = 0.05\nN = 3\nstride = 5\n"
+    with pytest.raises(ValidationError) as err:
+        parse_config(write(tmp_path, MINIMAL + LEARNING.format(1) + recon))
+    assert err.value.errors == ["recon.stride: must be <= the patch side (4), got 5"]
+    cfg = parse_config(write(tmp_path, MINIMAL + LEARNING.format(4)))
+    assert cfg.learning.stride == 4
+
+
+def test_patch_larger_than_image_rejected(tmp_path):
+    small = MINIMAL.replace("image_dims = 8 8", "image_dims = 3 6")
+    with pytest.raises(ValidationError) as err:
+        parse_config(write(tmp_path, small + LEARNING.format(1)))
+    assert err.value.errors == ["learning.v: patch side 4 exceeds geometry.image_dims (3, 6)"]
+    recon = "\n[recon]\nbeta = 1\ngamma_c = 0.05\nN = 3\nv = 16\n"
+    with pytest.raises(ValidationError) as err:
+        parse_config(write(tmp_path, small + recon))
+    assert err.value.errors == ["recon.v: patch side 4 exceeds geometry.image_dims (3, 6)"]
+    cfg = parse_config(write(tmp_path, small + recon.replace("v = 16", "v = 9")))
+    assert cfg.recon.patch.patch_side == 3

@@ -218,3 +218,54 @@ def test_recon_v_mismatch_with_transforms_exits_1(tmp_path, caplog):
         assert run_pipeline(cfg9, "reconstruct", method="pwls-ultra") == EXIT_ERROR
     assert any("recon.v" in r.message for r in caplog.records)
     assert not (out / "x_pwls_ultra.spim").exists()
+
+
+def test_rerun_in_other_environment_warns(tmp_path, caplog, monkeypatch):
+    out = tmp_path / "env"
+    cfg = parse_config(write_config(tmp_path, out))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    assert run_pipeline(cfg, "simulate") == EXIT_OK
+    env = read_manifest(out / "manifest.json")["environment"]
+    assert env["OPENBLAS_NUM_THREADS"] == "1" and env["MKL_NUM_THREADS"] is None
+    assert env["numpy"] == np.__version__
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    with caplog.at_level("WARNING"):
+        assert run_pipeline(cfg, "simulate") == EXIT_OK
+    warned = [r.message for r in caplog.records if "environment differs" in r.message]
+    assert len(warned) == 1 and "OPENBLAS_NUM_THREADS (1 -> 2)" in warned[0]
+    assert "OMP_NUM_THREADS" not in warned[0] and "numpy" not in warned[0]
+
+
+FAN = """
+[geometry]
+beam = fan
+n_detectors = 40
+n_views = 36
+detector_spacing = 2.0
+angular_range = 6.283185307179586
+image_dims = 16 16
+pixel_spacing = 3.0 3.0
+source_to_iso = 200
+source_to_detector = 300
+"""
+
+
+def test_all_on_fan_beam_skips_fbp(tmp_path, caplog):
+    out = tmp_path / "fan"
+    text = CONFIG.replace("PLACEHOLDER", str(out)).replace("N = 4", "N = 1")
+    p = tmp_path / "fan.ini"
+    p.write_text(FAN + text[text.index("[model]"):])
+    cfg = parse_config(p)
+    assert cfg.geometry.beam_kind == "fan" and cfg.recon.n_outer == 1
+    with caplog.at_level("INFO"):
+        assert run_pipeline(cfg, "all") == EXIT_OK
+    assert sum("skipping fbp" in r.message for r in caplog.records) == 1
+    assert not (out / "x_fbp.spim").exists()
+    text = (out / "metrics.csv").read_text()
+    assert ",fbp," not in text
+    for method in ("pwls-ep", "pwls-ultra", "spultra"):
+        assert f",{method},rmse_hu," in text
+    with caplog.at_level("ERROR"):
+        assert run_pipeline(cfg, "all", method="fbp") == EXIT_ERROR
+    assert any("parallel-beam" in r.message for r in caplog.records)

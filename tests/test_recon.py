@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spultra.errors import ConfigurationError, NumericalError
 from spultra.geometry import ImageGrid, Sinogram, SystemGeometry, forward_project, system_matrix
 from spultra.recon import (ConvergenceTrace, EdgePreservingReg, EpParams,
-                           ReconConfig, SubsetSystem, ZeroReg, bit_reversal_order,
-                           ep_potential, ep_potential_dot, fbp_reconstruct,
-                           objective_value, os_lalm_image_update,
-                           pwls_ep_reconstruct, pwls_ultra_reconstruct,
-                           rho_schedule, spultra_reconstruct)
+                           ReconConfig, SubsetSystem, UltraQuadReg, ZeroReg,
+                           bit_reversal_order, ep_potential, ep_potential_dot,
+                           fbp_reconstruct, gram_bands, objective_value,
+                           os_lalm_image_update, pwls_ep_reconstruct,
+                           pwls_ultra_reconstruct, rho_schedule, spultra_reconstruct)
 from spultra.sim import Ellipse, PhantomSpec, RngSpec, make_phantom, simulate_prelog
 from spultra.spstats import SpModel, post_log_convert
-from spultra.ultra import PatchConfig, TransformUnion, initial_transform, sparse_code_and_cluster
+from spultra.ultra import (PatchConfig, SparseState, TransformUnion, accumulate_patches,
+                           extract_patches, initial_transform, regularizer_value,
+                           sparse_code_and_cluster)
 
 from conftest import small_parallel
 
@@ -426,3 +430,81 @@ def test_spultra_initial_objective_is_reference_objective():
     x = ImageGrid(np.clip(x0.data, 0.0, cfg.x_max))
     state = sparse_code_and_cluster(x, union, cfg.gamma_c, tau, cfg.patch)
     assert trace.objective[0] == objective_value(x, state, sino, model, union, cfg, geom)
+
+
+def _random_reg_problem(rng, k, side, stride, dims):
+    """Well-conditioned transforms, random codes, labels, weights and image."""
+    v = side * side
+    union = TransformUnion(np.stack([np.eye(v) * 2 + 0.3 * rng.standard_normal((v, v))
+                                     for _ in range(k)]))
+    patch = PatchConfig(side, stride)
+    n = patch.n_patches(dims)
+    state = SparseState(z=rng.standard_normal((v, n)), labels=rng.integers(0, k, n),
+                        tau=rng.uniform(0.2, 2.0, n))
+    return union, patch, state, rng.standard_normal(dims[0] * dims[1])
+
+
+def _patch_gradient(union, state, beta, patch, dims, x):
+    """Reference: 2 beta sum_j tau_j P_j^T O_kj^T (O_kj P_j x - z_j), class by class."""
+    p = extract_patches(ImageGrid(x.reshape(dims)), patch)
+    out = np.zeros_like(p)
+    for k in range(union.k):
+        sel = state.labels == k
+        om = union.transforms[k]
+        out[:, sel] = om.T @ (om @ p[:, sel] - state.z[:, sel])
+    return 2.0 * beta * accumulate_patches(out * state.tau, dims, patch).reshape(-1)
+
+
+@settings(deadline=None, max_examples=60)
+@given(side=st.integers(1, 5), k=st.integers(1, 4), extra_rows=st.integers(0, 9),
+       extra_cols=st.integers(0, 9), seed=st.integers(0, 2 ** 32 - 1))
+def test_banded_gradient_matches_patch_gradient(side, k, extra_rows, extra_cols, seed):
+    # images down to one patch side per axis, so flat band offsets can coincide
+    dims = (side + extra_rows, side + extra_cols)
+    rng = np.random.default_rng(seed)
+    union, patch, state, x = _random_reg_problem(rng, k, side, 1, dims)
+    reg = UltraQuadReg(union, state, 1.7, patch, dims, 0.0)
+    assert reg._band is not None
+    got = reg.grad(x)
+    ref = _patch_gradient(union, state, 1.7, patch, dims, x)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # the bands gathered once per reconstruction give the same operator
+    shared = UltraQuadReg(union, state, 1.7, patch, dims, 0.0, gram_bands(union, patch, dims))
+    assert np.array_equal(shared.grad(x), got)
+
+
+def test_stride2_gradient_matches_finite_differences():
+    rng = np.random.default_rng(21)
+    dims = (7, 8)
+    union, patch, state, x = _random_reg_problem(rng, 3, 3, 2, dims)
+    assert gram_bands(union, patch, dims) is None
+    beta, gamma = 0.8, 0.5
+    g = UltraQuadReg(union, state, beta, patch, dims, 0.0).grad(x)
+
+    def value(x_flat):
+        return regularizer_value(ImageGrid(x_flat.reshape(dims)), state, union, beta,
+                                 gamma, patch)
+
+    eps = 1e-6
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = eps
+        fd = (value(x + e) - value(x - e)) / (2 * eps)
+        assert abs(g[i] - fd) <= 1e-6 * max(abs(fd), 1e-3), i
+    # stride-2 patches leave the last column uncovered: zero gradient there
+    assert np.all(g.reshape(dims)[:, -1] == 0.0)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_ultra_gradient_zero_at_exact_codes(stride):
+    rng = np.random.default_rng(30 + stride)
+    dims = (9, 7)
+    union, patch, state, x = _random_reg_problem(rng, 3, 3, stride, dims)
+    p = extract_patches(ImageGrid(x.reshape(dims)), patch)
+    for k in range(union.k):
+        sel = state.labels == k
+        state.z[:, sel] = union.transforms[k] @ p[:, sel]
+    reg = UltraQuadReg(union, state, 1.3, patch, dims, 0.0)
+    assert (reg._band is not None) == (stride == 1)
+    scale = np.max(np.abs(_patch_gradient(union, state, 1.3, patch, dims, np.zeros_like(x))))
+    assert np.max(np.abs(reg.grad(x))) <= 1e-12 * scale
