@@ -4,11 +4,18 @@ The system model is assembled once per geometry as a sparse matrix whose
 entries are exact ray/pixel intersection lengths (Siddon-style tracing).
 Forward and back projection share the same matrix, so the pair is an exact
 adjoint by construction, which the iterative solvers rely on.
+
+Assembly writes the CSR arrays directly: rays are traced in chunks, each
+chunk's entries are sorted by pixel within their ray and repeated
+(ray, pixel) pairs are summed, so the result equals ``coo_matrix.tocsr()``
+of the traced triplets while the assembly peaks below twice the matrix.
 """
 
 from __future__ import annotations
 
 import functools
+import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,8 +23,16 @@ import scipy.sparse as sp
 
 from .errors import ConfigurationError
 
-# views are traced in chunks to bound the memory of the vectorized tracer
-_CHUNK_RAYS = 8192
+log = logging.getLogger(__name__)
+
+# Rays are traced in chunks of about this many (ray, grid edge) elements
+# (8192 rays at 64x64) to bound the memory of the vectorized tracer. Do not
+# shrink it much: glibc's mmap threshold follows the largest block freed, and
+# the tracer's temporaries (~8.5 MB each) keep it above the solvers' largest
+# per-iteration arrays, which are then reused from the heap instead of being
+# mapped and faulted in afresh every outer iteration.
+_CHUNK_ELEMENTS = 8192 * 130
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 @dataclass(frozen=True)
@@ -143,9 +158,11 @@ def _ray_endpoints(geom: SystemGeometry) -> tuple[np.ndarray, np.ndarray]:
 def _trace_chunk(src, dst, geom: SystemGeometry):
     """Exact intersection lengths for one batch of rays.
 
-    Returns (ray_local_idx, pixel_idx, length) arrays. The grid crossing
-    parameters along each ray are sorted, and every inter-crossing segment
-    is attributed to the pixel containing its midpoint.
+    Returns (ray_local_idx, pixel_idx, length) arrays, ray by ray in tracing
+    order. The grid crossing parameters along each ray are sorted, and every
+    inter-crossing segment is attributed to the pixel containing its
+    midpoint. The (ray, edge) temporaries are updated in place to keep few
+    of them alive at once.
     """
     rows, cols = geom.image_dims
     dx, dy = geom.pixel_spacing
@@ -157,47 +174,83 @@ def _trace_chunk(src, dst, geom: SystemGeometry):
     d = dst - src
     length = np.hypot(d[:, 0], d[:, 1])
 
+    alpha = np.empty((src.shape[0], cols + rows + 2))
+    ax, ay = alpha[:, :cols + 1], alpha[:, cols + 1:]
     with np.errstate(divide="ignore", invalid="ignore"):
-        ax = (x_edges[None, :] - src[:, 0:1]) / d[:, 0:1]
-        ay = (y_edges[None, :] - src[:, 1:2]) / d[:, 1:2]
+        np.subtract(x_edges, src[:, 0:1], out=ax)
+        ax /= d[:, 0:1]
+        np.subtract(y_edges, src[:, 1:2], out=ay)
+        ay /= d[:, 1:2]
     # rays parallel to an axis never cross that family of edges
-    ax[~np.isfinite(ax)] = -1.0
-    ay[~np.isfinite(ay)] = -1.0
-
-    alpha = np.concatenate([ax, ay], axis=1)
+    alpha[~np.isfinite(alpha)] = -1.0
     np.clip(alpha, 0.0, 1.0, out=alpha)
     alpha.sort(axis=1)
 
     seg = np.diff(alpha, axis=1)
-    mid = alpha[:, :-1] + 0.5 * seg
-    mx = src[:, 0:1] + mid * d[:, 0:1]
-    my = src[:, 1:2] + mid * d[:, 1:2]
-
-    col = np.floor((mx - x_left) / dx).astype(np.int64)
-    row = np.floor((y_top - my) / dy).astype(np.int64)
+    mid = 0.5 * seg
+    mid += alpha[:, :-1]
+    del alpha, ax, ay
+    # floor((x_mid - x_left) / dx) and floor((y_top - y_mid) / dy)
+    col = mid * d[:, 0:1]
+    col += src[:, 0:1]
+    col -= x_left
+    col /= dx
+    np.floor(col, out=col)
+    row = np.multiply(mid, d[:, 1:2], out=mid)
+    row += src[:, 1:2]
+    np.subtract(y_top, row, out=row)
+    row /= dy
+    np.floor(row, out=row)
     ok = (seg > 0) & (col >= 0) & (col < cols) & (row >= 0) & (row < rows)
 
-    ray_idx, _ = np.nonzero(ok)
-    pix = (row * cols + col)[ok]
-    w = (seg * length[:, None])[ok]
+    ray_idx = np.repeat(np.arange(src.shape[0]), np.count_nonzero(ok, axis=1))
+    pix = row[ok].astype(np.int64) * cols + col[ok].astype(np.int64)
+    w = seg[ok] * length[ray_idx]
     return ray_idx, pix, w
 
 
+def _csr_rows(ray, pix, w, n_rays: int, n_pixels: int):
+    """One traced chunk in CSR order: per-ray entry counts, pixel indices and
+    lengths. Each ray's entries are sorted by pixel and repeated (ray, pixel)
+    pairs are summed, as ``coo_matrix.tocsr()`` does; a pair traced twice
+    (the only repeat seen) sums to the same bits in either order."""
+    # ray is nondecreasing, so this stable sort leaves it in place
+    order = np.argsort(ray * n_pixels + pix, kind="stable")
+    pix, w = pix[order], w[order]
+    first = np.ones(pix.size, dtype=bool)
+    first[1:] = (pix[1:] != pix[:-1]) | (ray[1:] != ray[:-1])
+    if not first.all():
+        starts = np.flatnonzero(first)
+        ray, pix, w = ray[starts], pix[starts], np.add.reduceat(w, starts)
+    counts = np.bincount(ray, minlength=n_rays)
+    return counts, pix.astype(np.int32 if n_pixels <= _INT32_MAX else np.int64), w
+
+
 def _build_matrix(geom: SystemGeometry) -> sp.csr_matrix:
+    t0 = time.perf_counter()
     src, dst = _ray_endpoints(geom)
-    n_rays = src.shape[0]
-    parts_r, parts_c, parts_w = [], [], []
-    for start in range(0, n_rays, _CHUNK_RAYS):
-        stop = min(start + _CHUNK_RAYS, n_rays)
-        r, c, w = _trace_chunk(src[start:stop], dst[start:stop], geom)
-        parts_r.append(r + start)
-        parts_c.append(c)
+    n_rays, n_pixels = geom.n_rays, geom.n_pixels
+    chunk = max(1, _CHUNK_ELEMENTS // (sum(geom.image_dims) + 2))
+    indptr = np.zeros(n_rays + 1, dtype=np.int64)
+    parts_c, parts_w = [], []
+    for start in range(0, n_rays, chunk):
+        stop = min(start + chunk, n_rays)
+        counts, pix, w = _csr_rows(*_trace_chunk(src[start:stop], dst[start:stop], geom),
+                                   stop - start, n_pixels)
+        indptr[start + 1:stop + 1] = counts
+        parts_c.append(pix)
         parts_w.append(w)
-    rows = np.concatenate(parts_r)
-    cols = np.concatenate(parts_c)
-    vals = np.concatenate(parts_w)
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(n_rays, geom.n_pixels))
-    return mat.tocsr()
+    np.cumsum(indptr, out=indptr)
+    nnz = int(indptr[-1])
+    idx_dtype = np.int32 if max(nnz, n_rays, n_pixels) <= _INT32_MAX else np.int64
+    indices = np.concatenate(parts_c, dtype=idx_dtype)
+    del parts_c
+    data = np.concatenate(parts_w)
+    mat = sp.csr_matrix((data, indices, indptr.astype(idx_dtype)), shape=(n_rays, n_pixels))
+    mib = (data.nbytes + indices.nbytes + mat.indptr.nbytes) / 2**20
+    log.info("system matrix: %d nonzeros, %.1f MiB, built in %.2f s",
+             nnz, mib, time.perf_counter() - t0)
+    return mat
 
 
 @functools.lru_cache(maxsize=8)

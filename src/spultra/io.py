@@ -94,11 +94,27 @@ def write_manifest(path, config_hash: str, seed: int, artifacts: dict) -> None:
     payload = {"config_hash": config_hash, "seed": seed,
                "environment": run_environment(),
                "artifacts": dict(sorted(artifacts.items()))}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    # write beside it and rename, so an interrupted run cannot truncate it
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(payload, indent=2) + "\n")
+    os.replace(tmp, path)
 
 
 def read_manifest(path) -> dict:
-    return json.loads(Path(path).read_text())
+    """The manifest at ``path``; anything but a JSON object whose
+    ``environment`` and ``artifacts``, when present, are objects raises
+    ConfigurationError."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except ValueError as err:  # JSONDecodeError or UnicodeDecodeError
+        raise ConfigurationError(f"manifest {path} is not valid JSON: {err}") from None
+    if not isinstance(payload, dict):
+        raise ConfigurationError(f"manifest {path} is not a JSON object")
+    for key in ("environment", "artifacts"):
+        if not isinstance(payload.get(key, {}), dict):
+            raise ConfigurationError(f"manifest {path}: {key!r} is not a JSON object")
+    return payload
 
 
 def verify_manifest(path, config_hash: str, seed: int, artifacts: dict) -> list[str]:

@@ -235,7 +235,11 @@ def run_pipeline(cfg: ExperimentConfig, subcommand: str, method: str | None = No
         log.error("config has no [io] section")
         return EXIT_ERROR
     out = Path(cfg.io.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        log.error("io.out_dir: cannot create %s: %s", out, err.strerror or err)
+        return EXIT_ERROR
 
     try:
         artifacts = {}
@@ -283,19 +287,24 @@ def run_pipeline(cfg: ExperimentConfig, subcommand: str, method: str | None = No
 def _update_manifest(cfg: ExperimentConfig, out: Path, artifacts: dict):
     manifest_path = out / "manifest.json"
     digests = {}
+    old = {}
     if manifest_path.exists():
-        old = sio.read_manifest(manifest_path)
-        if old.get("config_hash") == cfg.config_hash and old.get("seed") == cfg.io.seed:
-            digests.update(old.get("artifacts", {}))
-            recorded = old.get("environment", {})
-            changed = [f"{key} ({recorded[key]} -> {val})"
-                       for key, val in sio.run_environment().items()
-                       if key in recorded and recorded[key] != val]
-            if changed:
-                log.warning("environment differs from the previous identical run, so "
-                            "artifacts may differ: %s", ", ".join(changed))
+        try:
+            old = sio.read_manifest(manifest_path)
+        except ConfigurationError as err:
+            log.warning("%s; writing a fresh manifest", err)
+    if old.get("config_hash") == cfg.config_hash and old.get("seed") == cfg.io.seed:
+        digests.update(old.get("artifacts", {}))
+        recorded = old.get("environment", {})
+        changed = [f"{key} ({recorded[key]} -> {val})"
+                   for key, val in sio.run_environment().items()
+                   if key in recorded and recorded[key] != val]
+        if changed:
+            log.warning("environment differs from the previous identical run, so "
+                        "artifacts may differ: %s", ", ".join(changed))
     new_digests = {name: sio.sha256_file(path) for name, path in artifacts.items()}
-    stale = sio.verify_manifest(manifest_path, cfg.config_hash, cfg.io.seed, new_digests)
+    stale = (sio.verify_manifest(manifest_path, cfg.config_hash, cfg.io.seed, new_digests)
+             if old else [])
     for name in stale:
         log.warning("artifact %s differs from the manifest of a previous identical run", name)
     digests.update(new_digests)

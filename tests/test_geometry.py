@@ -1,6 +1,17 @@
+import logging
+import re
+import tracemalloc
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spultra import geometry
+from spultra.config import parse_config
 from spultra.errors import ConfigurationError
 from spultra.geometry import (ImageGrid, Sinogram, SystemGeometry, back_project,
                               compute_kappa, forward_project, system_matrix,
@@ -175,3 +186,118 @@ def test_fan_matches_parallel_in_the_limit():
     a = forward_project(img, par).data
     b = forward_project(img, fan).data
     assert np.max(np.abs(a - b)) < 1e-3 * max(1.0, np.max(np.abs(a)))
+
+
+def _coo_reference(geom):
+    """The former assembly, kept as the reference for the direct CSR build:
+    trace the rays in chunks of 8192 into (ray, pixel, length) triplets and
+    let ``coo_matrix.tocsr()`` sort them and sum repeated pairs. Returns the
+    matrix and the number of triplets."""
+    src, dst = geometry._ray_endpoints(geom)
+    rows, cols = geom.image_dims
+    dx, dy = geom.pixel_spacing
+    x_left = -0.5 * cols * dx
+    y_top = 0.5 * rows * dy
+    x_edges = x_left + np.arange(cols + 1) * dx
+    y_edges = y_top - np.arange(rows + 1) * dy
+    parts_r, parts_c, parts_w = [], [], []
+    for start in range(0, geom.n_rays, 8192):
+        s, e = src[start:start + 8192], dst[start:start + 8192]
+        d = e - s
+        length = np.hypot(d[:, 0], d[:, 1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ax = (x_edges[None, :] - s[:, 0:1]) / d[:, 0:1]
+            ay = (y_edges[None, :] - s[:, 1:2]) / d[:, 1:2]
+        ax[~np.isfinite(ax)] = -1.0
+        ay[~np.isfinite(ay)] = -1.0
+        alpha = np.concatenate([ax, ay], axis=1)
+        np.clip(alpha, 0.0, 1.0, out=alpha)
+        alpha.sort(axis=1)
+        seg = np.diff(alpha, axis=1)
+        mid = alpha[:, :-1] + 0.5 * seg
+        mx = s[:, 0:1] + mid * d[:, 0:1]
+        my = s[:, 1:2] + mid * d[:, 1:2]
+        col = np.floor((mx - x_left) / dx).astype(np.int64)
+        row = np.floor((y_top - my) / dy).astype(np.int64)
+        ok = (seg > 0) & (col >= 0) & (col < cols) & (row >= 0) & (row < rows)
+        ray, _ = np.nonzero(ok)
+        parts_r.append(ray + start)
+        parts_c.append((row * cols + col)[ok])
+        parts_w.append((seg * length[:, None])[ok])
+    vals = np.concatenate(parts_w)
+    coo = sp.coo_matrix((vals, (np.concatenate(parts_r), np.concatenate(parts_c))),
+                        shape=(geom.n_rays, geom.n_pixels))
+    return coo.tocsr(), vals.size
+
+
+def _assert_same_csr(got, ref):
+    assert isinstance(got, sp.csr_matrix) and got.shape == ref.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.has_canonical_format
+
+
+_spacing = st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.3, 3.0)
+
+
+@st.composite
+def _small_geometries(draw):
+    kind = draw(st.sampled_from(["parallel", "fan"]))
+    fan = {}
+    if kind == "fan":
+        dso = draw(st.floats(20.0, 80.0))
+        fan = {"source_to_iso": dso, "source_to_detector": dso * draw(st.floats(1.2, 3.0))}
+    return SystemGeometry(
+        kind, n_detectors=draw(st.integers(1, 24)), n_views=draw(st.integers(1, 16)),
+        detector_spacing=draw(_spacing),
+        angular_range=draw(st.sampled_from([np.pi, 2 * np.pi]) | st.floats(0.1, 7.0)),
+        image_dims=(draw(st.integers(1, 12)), draw(st.integers(1, 12))),
+        pixel_spacing=(draw(_spacing), draw(_spacing)), **fan)
+
+
+@settings(deadline=None, max_examples=80)
+@given(geom=_small_geometries(), chunk_elements=st.integers(1, 400))
+def test_direct_csr_assembly_matches_coo_reference(geom, chunk_elements):
+    # small chunks put chunk boundaries inside and between views
+    with mock.patch.object(geometry, "_CHUNK_ELEMENTS", chunk_elements):
+        got = geometry._build_matrix(geom)
+    _assert_same_csr(got, _coo_reference(geom)[0])
+
+
+def test_direct_csr_assembly_merges_repeated_pairs():
+    cfg = parse_config(Path(__file__).resolve().parents[1] / "configs" / "waterdisk64.ini")
+    ref, n_triplets = _coo_reference(cfg.geometry)
+    got = geometry._build_matrix(cfg.geometry)
+    assert n_triplets > got.nnz  # some (ray, pixel) pairs are traced twice
+    _assert_same_csr(got, ref)
+
+
+def test_assembly_peak_memory_under_twice_the_matrix():
+    geom = SystemGeometry("parallel", n_detectors=160, n_views=360, detector_spacing=2.2,
+                          angular_range=np.pi, image_dims=(128, 128),
+                          pixel_spacing=(2.7, 2.7))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        mat = geometry._build_matrix(geom)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    size = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+    assert peak <= 2 * size, f"assembly peak {peak / size:.2f}x the matrix"
+
+
+def test_matrix_build_logged_once_per_geometry(caplog):
+    # a geometry no other test uses, so the cache does not hold it yet
+    geom = SystemGeometry("parallel", n_detectors=9, n_views=5, detector_spacing=1.3,
+                          angular_range=np.pi, image_dims=(5, 7), pixel_spacing=(1.1, 0.9))
+    with caplog.at_level(logging.INFO, logger="spultra.geometry"):
+        mat = system_matrix(geom)
+        system_matrix(geom)
+    msgs = [r.getMessage() for r in caplog.records if r.name == "spultra.geometry"]
+    assert len(msgs) == 1
+    assert re.fullmatch(rf"system matrix: {mat.nnz} nonzeros, \d+\.\d MiB, built in "
+                        rf"\d+\.\d\d s", msgs[0]), msgs[0]

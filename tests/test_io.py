@@ -1,4 +1,5 @@
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,6 +80,48 @@ def test_manifest_round_trip_and_verify(tmp_path):
     assert verify_manifest(manifest, "cafe", 7, {"artifact.bin": "0" * 64}) == ["artifact.bin"]
     # different run identity: nothing to compare against
     assert verify_manifest(manifest, "beef", 7, {"artifact.bin": "0" * 64}) == []
+
+
+@pytest.mark.parametrize("text", [
+    '{"config_hash": "x", "se',        # truncated
+    "",                                # empty
+    '["config_hash", "x"]',            # JSON, but not an object
+    '"manifest"',
+    "null",
+    '{"config_hash": "x", "seed": 1, "environment": ["numpy"]}',
+    '{"config_hash": "x", "seed": 1, "artifacts": "x.spim"}',
+    '{"config_hash": "x", "seed": 1, "artifacts": null}',
+])
+def test_malformed_manifest_rejected(tmp_path, text):
+    path = tmp_path / "manifest.json"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError, match="manifest"):
+        read_manifest(path)
+
+
+def test_binary_manifest_rejected(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_bytes(b"\xff\xfe\x00garbage")
+    with pytest.raises(ConfigurationError, match="manifest"):
+        read_manifest(path)
+
+
+def test_interrupted_manifest_write_keeps_previous_manifest(tmp_path, monkeypatch):
+    path = tmp_path / "manifest.json"
+    write_manifest(path, "cafe", 7, {"a.spim": "0" * 64})
+    before = path.read_text()
+    write_text = Path.write_text
+
+    def write_half_then_stop(self, text, *args, **kwargs):
+        write_text(self, text[:len(text) // 2], *args, **kwargs)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(Path, "write_text", write_half_then_stop)
+    with pytest.raises(KeyboardInterrupt):
+        write_manifest(path, "beef", 8, {"b.spim": "1" * 64})
+    monkeypatch.undo()
+    assert path.read_text() == before
+    assert read_manifest(path)["config_hash"] == "cafe"
 
 
 @settings(deadline=None)

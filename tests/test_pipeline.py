@@ -2,6 +2,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from spultra.config import parse_config
 from spultra.io import read_manifest, read_spim
@@ -235,6 +236,34 @@ def test_rerun_in_other_environment_warns(tmp_path, caplog, monkeypatch):
     warned = [r.message for r in caplog.records if "environment differs" in r.message]
     assert len(warned) == 1 and "OPENBLAS_NUM_THREADS (1 -> 2)" in warned[0]
     assert "OMP_NUM_THREADS" not in warned[0] and "numpy" not in warned[0]
+
+
+@pytest.mark.parametrize("text", ['{"config_hash": "x", "se', '[1, 2]',
+                                  '{"artifacts": ["x_true.spim"]}'])
+def test_corrupt_manifest_is_replaced(tmp_path, caplog, text):
+    out = tmp_path / "corrupt"
+    out.mkdir()
+    (out / "manifest.json").write_text(text)
+    cfg = parse_config(write_config(tmp_path, out))
+    with caplog.at_level("WARNING"):
+        assert run_pipeline(cfg, "simulate") == EXIT_OK
+    warned = [r.message for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warned) == 1 and str(out / "manifest.json") in warned[0]
+    manifest = read_manifest(out / "manifest.json")
+    assert manifest["config_hash"] == cfg.config_hash
+    assert sorted(manifest["artifacts"]) == ["sino_raw.spim", "x_true.spim"]
+
+
+def test_cli_out_dir_that_is_a_file_exits_1(tmp_path):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory")
+    cfg_path = write_config(tmp_path, tmp_path / "unused")
+    r = subprocess.run([sys.executable, "-m", "spultra.cli", "simulate",
+                        "--config", str(cfg_path), "--out", str(blocker)],
+                       capture_output=True, text=True)
+    assert r.returncode == EXIT_ERROR
+    assert f"io.out_dir: cannot create {blocker}: " in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 FAN = """
