@@ -41,8 +41,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config)
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
+    except OSError as err:
+        print(f"error: cannot read config {args.config}: {err.strerror or err}",
+              file=sys.stderr)
+        return EXIT_ERROR
+    except UnicodeDecodeError as err:
+        print(f"error: cannot read config {args.config}: not UTF-8 text ({err})",
+              file=sys.stderr)
         return EXIT_ERROR
     except ValidationError as err:
         print(f"error: {err}", file=sys.stderr)

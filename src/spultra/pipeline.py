@@ -265,6 +265,7 @@ def run_pipeline(cfg: ExperimentConfig, subcommand: str, method: str | None = No
         else:
             log.error("unknown subcommand %r", subcommand)
             return EXIT_ERROR
+        _update_manifest(cfg, out, artifacts)
     except MissingArtifact as err:
         log.error("%s", err)
         return EXIT_MISSING_INPUT
@@ -279,8 +280,9 @@ def run_pipeline(cfg: ExperimentConfig, subcommand: str, method: str | None = No
     except ConfigurationError as err:
         log.error("%s", err)
         return EXIT_ERROR
-
-    _update_manifest(cfg, out, artifacts)
+    except OSError as err:
+        log.error("io.out_dir: cannot write %s: %s", err.filename or out, err.strerror or err)
+        return EXIT_ERROR
     return EXIT_OK
 
 

@@ -21,7 +21,9 @@ from scipy.sparse import dia_matrix
 from .errors import ConfigurationError, NumericalError
 from .geometry import (ImageGrid, Sinogram, SystemGeometry, compute_kappa,
                        forward_project, system_matrix)
-from .spstats import SpModel, build_surrogate, neg_log_likelihood, post_log_convert
+from .spstats import SpModel, neg_log_likelihood, post_log_convert, surrogate_at
+# kept importable as recon.build_surrogate: the benchmark's tracer wraps it there
+from .spstats import build_surrogate  # noqa: F401
 from .ultra import (PatchConfig, SparseState, TransformUnion, accumulate_patches,
                     classwise_apply, extract_patches, patch_weights,
                     regularizer_majorizer_diag, regularizer_value,
@@ -359,11 +361,16 @@ class ConvergenceTrace:
     step_norm: list = field(default_factory=list)
     rmse_vs_truth: list = field(default_factory=list)
     wall_ms: list = field(default_factory=list)
+    # patches whose class changed in this iteration's coding step, and the
+    # fraction of nonzero code entries after it; None at iteration 0
+    labels_changed: list = field(default_factory=list)
+    nonzero_frac: list = field(default_factory=list)
     # objective right after the image update, before re-coding; used by the
     # monotonicity checks, not written to disk
     objective_pre_coding: list = field(default_factory=list)
 
-    def append(self, n, obj, data, reg, step, rmse, ms, pre=None):
+    def append(self, n, obj, data, reg, step, rmse, ms, pre=None,
+               labels_changed=None, nonzero_frac=None):
         self.iters.append(n)
         self.objective.append(obj)
         self.data_term.append(data)
@@ -371,6 +378,8 @@ class ConvergenceTrace:
         self.step_norm.append(step)
         self.rmse_vs_truth.append(rmse)
         self.wall_ms.append(ms)
+        self.labels_changed.append(labels_changed)
+        self.nonzero_frac.append(nonzero_frac)
         if pre is not None:
             self.objective_pre_coding.append(pre)
 
@@ -381,11 +390,13 @@ class ConvergenceTrace:
         with open(path, "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["iter", "objective", "data_term", "reg_term",
-                         "step_norm", "rmse_vs_truth", "wall_ms"])
+                         "step_norm", "rmse_vs_truth", "wall_ms", "labels_changed",
+                         "nonzero_frac"])
             for i in range(len(self.iters)):
                 wr.writerow([self.iters[i], fmt(self.objective[i]), fmt(self.data_term[i]),
                              fmt(self.reg_term[i]), fmt(self.step_norm[i]),
-                             fmt(self.rmse_vs_truth[i]), fmt(self.wall_ms[i])])
+                             fmt(self.rmse_vs_truth[i]), fmt(self.wall_ms[i]),
+                             fmt(self.labels_changed[i]), fmt(self.nonzero_frac[i])])
 
 
 def _rmse_hu(x: np.ndarray, truth: np.ndarray, mu_water: float) -> float:
@@ -404,12 +415,14 @@ def _ultra_outer_loop(value, quadratic, system: SubsetSystem, w_stat: np.ndarray
                       ) -> tuple[ImageGrid, ConvergenceTrace]:
     """Alternate image updates with sparse coding and clustering.
 
-    ``value(x)`` is the data term; ``quadratic(x)`` returns the weights,
-    targets and data diagonal ``(w, y_tilde, d_a)`` of the quadratic that
-    the image update minimizes from ``x``; ``w_stat`` sets the patch weights.
-    Every outer iteration runs one ordered-subsets image update at fixed codes
-    and labels, then re-codes and re-clusters the patches once. A numerical
-    abort carries the partial trace as ``err.trace``.
+    ``value(l)`` is the data term at the projection ``l = A x`` of the image;
+    ``quadratic(l)`` returns the weights, targets and data diagonal
+    ``(w, y_tilde, d_a)`` of the quadratic that the image update minimizes
+    from that image; ``w_stat`` sets the patch weights. Every outer iteration
+    projects the image once, runs one ordered-subsets image update at fixed
+    codes and labels, then re-codes and re-clusters the patches in one pass
+    that also scores the codes before and after (the regularizer terms of
+    the trace). A numerical abort carries the partial trace as ``err.trace``.
     """
     dims = geom.image_dims
     tau = _tau_from_weights(geom, w_stat, cfg.patch)
@@ -420,33 +433,31 @@ def _ultra_outer_loop(value, quadratic, system: SubsetSystem, w_stat: np.ndarray
     bands = gram_bands(union, cfg.patch, dims)
 
     trace = ConvergenceTrace()
-
-    def reg_term(x_flat, st):
-        return regularizer_value(ImageGrid(x_flat.reshape(dims)), st, union,
-                                 cfg.beta, cfg.gamma_c, cfg.patch)
-
-    data = value(x)
-    reg = reg_term(x, state)
+    l = system.matrix @ x
+    data = value(l)
+    reg = cfg.beta * float(np.sum(state.tau * state.cost))
     rmse = None if truth is None else _rmse_hu(x.reshape(dims), truth.data, mu_water)
     trace.append(0, data + reg, data, reg, None, rmse, None)
 
     try:
         for n in range(cfg.n_outer):
             t0 = time.perf_counter()
-            w, y_tilde, d_a = quadratic(x)
+            w, y_tilde, d_a = quadratic(l)
             quad = UltraQuadReg(union, state, cfg.beta, cfg.patch, dims, d_r, bands)
             x_new = os_lalm_image_update(x, system, w, y_tilde, d_a, quad, cfg)
             # the data term is unchanged by the coding step
-            data = value(x_new)
-            reg_pre = reg_term(x_new, state)
+            l = system.matrix @ x_new
+            data = value(l)
             state = sparse_code_and_cluster(ImageGrid(x_new.reshape(dims)), union,
-                                            cfg.gamma_c, tau, cfg.patch)
-            reg = reg_term(x_new, state)
+                                            cfg.gamma_c, tau, cfg.patch, prev=state)
+            reg_pre = cfg.beta * float(np.sum(state.tau * state.prev_cost))
+            reg = cfg.beta * float(np.sum(state.tau * state.cost))
             ms = (time.perf_counter() - t0) * 1e3
             rmse = None if truth is None else _rmse_hu(x_new.reshape(dims), truth.data, mu_water)
             trace.append(n + 1, data + reg, data, reg,
                          float(np.linalg.norm(x_new - x)), rmse, ms,
-                         pre=data + reg_pre)
+                         pre=data + reg_pre, labels_changed=state.labels_changed,
+                         nonzero_frac=state.nonzero_frac)
             x = x_new
     except NumericalError as err:
         # keep the partial trace reachable so callers can flush it
@@ -465,17 +476,18 @@ def spultra_reconstruct(y_raw: Sinogram, model: SpModel, union: TransformUnion,
 
     Raw counts are shifted by the electronic noise variance (and clamped at
     zero). Every outer iteration builds a fresh quadratic surrogate (and its
-    data diagonal) at the current image.
+    data diagonal) at the current image, from the projection the data term
+    was evaluated at.
     """
     counts = np.maximum(y_raw.ravel() + model.sigma2, 0.0)
     _, w_stat = post_log_convert(y_raw.ravel(), model)
     system = SubsetSystem(geom, cfg.n_subsets)
 
-    def value(x):
-        return neg_log_likelihood(system.matrix @ x, counts, model)
+    def value(l):
+        return neg_log_likelihood(l, counts, model)
 
-    def quadratic(x):
-        surr = build_surrogate(ImageGrid(x.reshape(geom.image_dims)), counts, model, geom)
+    def quadratic(l):
+        surr = surrogate_at(l, counts, model)
         return surr.w, surr.y_tilde, system.gram_diag(surr.w)
 
     return _ultra_outer_loop(value, quadratic, system, w_stat, union, geom, cfg, x0,
@@ -494,11 +506,11 @@ def pwls_ultra_reconstruct(l_tilde: np.ndarray, w_stat: np.ndarray,
     system = SubsetSystem(geom, cfg.n_subsets)
     d_a = system.gram_diag(w_stat)
 
-    def value(x):
-        r = system.matrix @ x - l_tilde
+    def value(l):
+        r = l - l_tilde
         return 0.5 * float(np.sum(w_stat * r * r))
 
-    return _ultra_outer_loop(value, lambda x: (w_stat, l_tilde, d_a), system, w_stat,
+    return _ultra_outer_loop(value, lambda l: (w_stat, l_tilde, d_a), system, w_stat,
                              union, geom, cfg, x0, truth, mu_water)
 
 

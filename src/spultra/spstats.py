@@ -141,13 +141,18 @@ def optimum_curvature(l_n, counts, model: SpModel) -> np.ndarray:
 
 
 def build_surrogate(x_n: ImageGrid, counts, model: SpModel, geom: SystemGeometry) -> SurrogateState:
-    """Quadratic surrogate of the likelihood at the current image.
+    """Quadratic surrogate of the likelihood at the current image."""
+    return surrogate_at(forward_project(x_n, geom).ravel(), counts, model)
+
+
+def surrogate_at(l_n, counts, model: SpModel) -> SurrogateState:
+    """Quadratic surrogate of the likelihood at the line integrals ``l_n``.
 
     Tangency and gradient match at the expansion point hold by construction:
     the surrogate's gradient in l at l_n is w * (l_n - y_tilde) = d_h.
     """
     counts = _as_rays(counts)
-    l_n = forward_project(x_n, geom).ravel()
+    l_n = _as_rays(l_n)
     w = optimum_curvature(l_n, counts, model)
     d_h = likelihood_gradient(l_n, counts, model)
     y_tilde = l_n - d_h / w

@@ -5,6 +5,12 @@ to the transform whose thresholded coefficients approximate it best. The
 module covers patch extraction and its adjoint, the joint sparse coding and
 clustering step, the regularizer value and diagonal majorizer used by the
 reconstruction solvers, and the alternating learning algorithm.
+
+The coding step is the only pass over the patches in a reconstruction's
+outer iteration: it forms each class's transform products once and returns,
+with the new codes and labels, the per-patch costs that make up the
+regularizer value before and after re-coding. :func:`regularizer_value`
+computes the same costs the same way and stays as the reference.
 """
 
 from __future__ import annotations
@@ -80,11 +86,24 @@ class TransformUnion:
 
 @dataclass
 class SparseState:
-    """Sparse codes (v, N), class labels (N,) in 0..K-1, and patch weights (N,)."""
+    """Sparse codes (v, N), class labels (N,) in 0..K-1, and patch weights (N,).
+
+    The coding pass also records, per patch, the coding cost of these codes
+    at the image they were coded from (``cost``), the cost of the previous
+    state's codes at that same image (``prev_cost``), how many labels differ
+    from the previous state's (``labels_changed``) and the fraction of
+    nonzero code entries (``nonzero_frac``). ``prev_cost`` and
+    ``labels_changed`` are ``None`` without a previous state; all four are
+    ``None`` on a state built by hand.
+    """
 
     z: np.ndarray
     labels: np.ndarray
     tau: np.ndarray
+    cost: np.ndarray | None = None
+    prev_cost: np.ndarray | None = None
+    labels_changed: int | None = None
+    nonzero_frac: float | None = None
 
 
 def extract_patches(img: ImageGrid, cfg: PatchConfig) -> np.ndarray:
@@ -148,10 +167,11 @@ def classwise_apply(mats, labels: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def _assign_labels(patches: np.ndarray, mats, gamma_c: float, penalty=None) -> np.ndarray:
+def _assign_labels(patches: np.ndarray, mats, gamma_c: float, penalty) -> np.ndarray:
     """Cheapest class per patch under the coding cost (thresholding residual
-    plus gamma_c^2 times the support size) plus the optional per-class penalty
-    row ``penalty[k]``; ties go to the smallest class index."""
+    plus gamma_c^2 times the support size) plus the per-class penalty row
+    ``penalty[k]``; ties go to the smallest class index. Used by learning,
+    whose penalty is each patch's share of the transform regularizer."""
     best = np.full(patches.shape[1], np.inf)
     labels = np.zeros(patches.shape[1], dtype=np.int64)
     for k in range(len(mats)):
@@ -159,43 +179,99 @@ def _assign_labels(patches: np.ndarray, mats, gamma_c: float, penalty=None) -> n
         z = hard_threshold(t, gamma_c)
         resid = t - z
         cost = np.einsum("ij,ij->j", resid, resid) + gamma_c ** 2 * np.count_nonzero(z, axis=0)
-        if penalty is not None:
-            cost = cost + penalty[k]
+        cost = cost + penalty[k]
         better = cost < best
         labels[better] = k
         best[better] = cost[better]
     return labels
 
 
+def _code_cost(t: np.ndarray, z: np.ndarray, gamma_c: float) -> np.ndarray:
+    """Per-patch coding cost ||t_j - z_j||^2 + gamma_c^2 ||z_j||_0 of the
+    codes ``z`` for the transform products ``t``, which it overwrites.
+
+    Formed element by element, so that for z = hard_threshold(t) it equals
+    ``np.minimum(t * t, gamma_c ** 2).sum(axis=0)`` bit for bit.
+    """
+    np.subtract(t, z, out=t)
+    np.multiply(t, t, out=t)
+    np.add(t, gamma_c ** 2, out=t, where=z != 0)
+    return t.sum(axis=0)
+
+
+def _cheapest_class(patches: np.ndarray, mats, gamma_c: float, prev_labels=None):
+    """Products of each patch with its cheapest class under the coding cost
+    ``sum min(t^2, gamma_c^2)`` (ties to the smallest class index).
+
+    Returns ``(labels, t, cost, prev_t)``: the labels, the chosen classes'
+    products, their per-patch costs and, when ``prev_labels`` is given, the
+    products with those classes instead (else ``None``). Each class's
+    products are formed once and carried by masked copies; the scratch
+    arrays are freed on return, before the caller thresholds.
+    """
+    g2 = gamma_c ** 2
+    labels = np.zeros(patches.shape[1], dtype=np.int64)
+    t, sq = np.empty_like(patches), np.empty_like(patches)
+    prev_t = None if prev_labels is None else np.empty_like(patches)
+    for k in range(len(mats)):
+        np.matmul(mats[k], patches, out=t)
+        if prev_t is not None:
+            np.copyto(prev_t, t, where=prev_labels == k)
+        np.multiply(t, t, out=sq)
+        cost = np.minimum(sq, g2, out=sq).sum(axis=0)
+        if k == 0:
+            best_t, best_cost = t, cost
+            t = np.empty_like(patches)
+        else:
+            better = cost < best_cost
+            labels[better] = k
+            np.copyto(best_cost, cost, where=better)
+            np.copyto(best_t, t, where=better)
+    return labels, best_t, best_cost, prev_t
+
+
 def sparse_code_and_cluster(x: ImageGrid, union: TransformUnion, gamma_c: float,
-                            tau: np.ndarray, cfg: PatchConfig) -> SparseState:
+                            tau: np.ndarray, cfg: PatchConfig,
+                            prev: SparseState | None = None) -> SparseState:
     """Jointly assign each patch to its best transform and hard-threshold it.
 
-    The per-patch cost is the thresholding residual plus gamma_c^2 times the
-    support size; ties go to the smallest class index. The patch weights tau
-    scale whole per-patch costs and therefore never change the argmin.
+    One pass over the patches: each class's transform products are formed
+    once, and the per-patch cost of a class is the thresholding residual
+    plus gamma_c^2 times the support size, ``sum min(t^2, gamma_c^2)``; ties
+    go to the smallest class index. The patch weights tau scale whole
+    per-patch costs and therefore never change the argmin. Given ``prev``,
+    the same products also give the cost of its codes and labels at ``x``
+    (``prev_cost``), so that the regularizer both before and after
+    re-coding comes from this pass.
     """
-    patches = extract_patches(x, cfg)
-    labels = _assign_labels(patches, union.transforms, gamma_c)
-    z = hard_threshold(classwise_apply(union.transforms, labels, patches), gamma_c)
+    labels, t, cost, prev_t = _cheapest_class(
+        extract_patches(x, cfg), union.transforms, gamma_c,
+        None if prev is None else prev.labels)
+    z = hard_threshold(t, gamma_c)
     tau = np.asarray(tau, dtype=np.float64).reshape(-1)
-    return SparseState(z=z, labels=labels, tau=tau)
+    state = SparseState(z=z, labels=labels, tau=tau, cost=cost,
+                        nonzero_frac=float(np.count_nonzero(z) / z.size))
+    if prev is not None:
+        state.prev_cost = _code_cost(prev_t, prev.z, gamma_c)
+        state.labels_changed = int(np.count_nonzero(labels != prev.labels))
+    return state
 
 
 def regularizer_value(x: ImageGrid, state: SparseState, union: TransformUnion,
                       beta: float, gamma_c: float, cfg: PatchConfig) -> float:
-    """beta * sum_j tau_j (|| O_kj P_j x - z_j ||^2 + gamma_c^2 ||z_j||_0)."""
+    """beta * sum_j tau_j (|| O_kj P_j x - z_j ||^2 + gamma_c^2 ||z_j||_0).
+
+    Forms every class's full transform products, as the coding pass does, so
+    it reproduces the ``cost`` and ``prev_cost`` of
+    :func:`sparse_code_and_cluster` bit for bit.
+    """
     patches = extract_patches(x, cfg)
-    total = 0.0
+    cost = np.zeros(patches.shape[1])
     for k in range(union.k):
         sel = state.labels == k
-        if not np.any(sel):
-            continue
-        resid = union.transforms[k] @ patches[:, sel] - state.z[:, sel]
-        per_patch = np.einsum("ij,ij->j", resid, resid) \
-            + gamma_c ** 2 * np.count_nonzero(state.z[:, sel], axis=0)
-        total += float(np.sum(state.tau[sel] * per_patch))
-    return beta * total
+        if np.any(sel):
+            cost[sel] = _code_cost(union.transforms[k] @ patches, state.z, gamma_c)[sel]
+    return beta * float(np.sum(state.tau * cost))
 
 
 def spectral_norm_gram(omega: np.ndarray, tol: float = 1e-10, max_iter: int = 50000) -> float:

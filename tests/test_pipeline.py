@@ -266,6 +266,33 @@ def test_cli_out_dir_that_is_a_file_exits_1(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+def test_cli_unreadable_config_exits_1(tmp_path, kind):
+    if kind == "directory":
+        cfg_path = tmp_path / "conf.d"
+        cfg_path.mkdir()
+    else:
+        cfg_path = tmp_path / "latin1.ini"
+        cfg_path.write_bytes("[io]\nout_dir = caf\xe9\n".encode("latin-1"))
+    r = subprocess.run([sys.executable, "-m", "spultra.cli", "simulate",
+                        "--config", str(cfg_path)], capture_output=True, text=True)
+    assert r.returncode == EXIT_ERROR
+    assert f"error: cannot read config {cfg_path}: " in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_cli_artifact_write_error_exits_1(tmp_path):
+    out = tmp_path / "blocked"
+    (out / "x_true.spim").mkdir(parents=True)
+    cfg_path = write_config(tmp_path, out)
+    r = subprocess.run([sys.executable, "-m", "spultra.cli", "simulate",
+                        "--config", str(cfg_path)], capture_output=True, text=True)
+    assert r.returncode == EXIT_ERROR
+    assert f"io.out_dir: cannot write {out / 'x_true.spim'}: " in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (out / "manifest.json").exists()
+
+
 FAN = """
 [geometry]
 beam = fan

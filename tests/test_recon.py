@@ -270,6 +270,29 @@ def test_spultra_monotone_objective_and_box():
     assert len(trace.rmse_vs_truth) == len(obj) and trace.rmse_vs_truth[1] is not None
 
 
+@pytest.mark.parametrize("method", ["spultra", "pwls-ultra"])
+def test_trace_records_clustering_diagnostics(tmp_path, method):
+    geom, model, truth, sino, union, cfg = _tiny_setup(seed=3)
+    x0 = ImageGrid(np.full((16, 16), 0.015))
+    if method == "spultra":
+        _, trace = spultra_reconstruct(sino, model, union, geom, cfg, x0)
+    else:
+        l_t, w_t = post_log_convert(sino.ravel(), model)
+        _, trace = pwls_ultra_reconstruct(l_t, w_t, union, geom, cfg, x0)
+    n_patches = cfg.patch.n_patches(geom.image_dims)
+    assert trace.labels_changed[0] is None and trace.nonzero_frac[0] is None
+    assert len(trace.labels_changed) == len(trace.nonzero_frac) == cfg.n_outer + 1
+    assert all(isinstance(c, int) and 0 <= c <= n_patches for c in trace.labels_changed[1:])
+    assert all(0.0 <= f <= 1.0 for f in trace.nonzero_frac[1:])
+    path = tmp_path / "trace.csv"
+    trace.to_csv(path)
+    rows = path.read_text().strip().splitlines()
+    assert rows[1].endswith(",,")
+    last = rows[-1].split(",")
+    assert int(last[-2]) == trace.labels_changed[-1]
+    assert float(last[-1]) == trace.nonzero_frac[-1]
+
+
 def test_pwls_ultra_monotone_objective():
     geom, model, truth, sino, union, cfg = _tiny_setup(seed=4)
     l_t, w_t = post_log_convert(sino.ravel(), model)
@@ -382,12 +405,15 @@ def test_objective_lower_bound():
 def test_trace_csv_round_trip(tmp_path):
     trace = ConvergenceTrace()
     trace.append(0, 10.0, 8.0, 2.0, None, None, None)
-    trace.append(1, 9.0, 7.5, 1.5, 0.3, 41.0, 12.5)
+    trace.append(1, 9.0, 7.5, 1.5, 0.3, 41.0, 12.5, labels_changed=7, nonzero_frac=0.25)
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "iter,objective,data_term,reg_term,step_norm,rmse_vs_truth,wall_ms"
+    assert lines[0] == ("iter,objective,data_term,reg_term,step_norm,rmse_vs_truth,wall_ms,"
+                        "labels_changed,nonzero_frac")
     assert lines[1].startswith("0,10,8,2,,")
+    assert lines[1].endswith(",,")
+    assert lines[2].endswith(",12.5,7,0.25")
     assert len(lines) == 3
 
 

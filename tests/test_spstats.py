@@ -6,7 +6,7 @@ from spultra.geometry import ImageGrid
 from spultra.spstats import (SpModel, build_surrogate, likelihood_gradient,
                              neg_log_likelihood, optimum_curvature,
                              post_log_convert, second_derivative_at_zero,
-                             surrogate_gap)
+                             surrogate_at, surrogate_gap)
 
 from conftest import small_parallel
 
@@ -143,6 +143,22 @@ def test_build_surrogate_zero_shift_at_stationary_ray():
     counts = model.mean_counts(l_n)  # every ray stationary
     surr = build_surrogate(x, counts, model, geom)
     assert np.allclose(surr.y_tilde, l_n, atol=1e-12)
+
+
+@pytest.mark.parametrize("s2", [0.0, 0.05])
+def test_surrogate_at_projection_matches_build_surrogate(s2):
+    from spultra.geometry import system_matrix
+    geom = small_parallel(rows=6, cols=7, n_det=10, n_views=9)
+    model = SpModel(i0=300.0, sigma2=16.0, s2=s2)
+    rng = np.random.default_rng(13)
+    x = rng.uniform(0, 0.03, geom.n_pixels)
+    counts = np.maximum(model.mean_counts(np.zeros(geom.n_rays))
+                        + rng.normal(0, 30, geom.n_rays), 0.0)
+    ref = build_surrogate(ImageGrid(x.reshape(geom.image_dims), geom.pixel_spacing),
+                          counts, model, geom)
+    surr = surrogate_at(system_matrix(geom) @ x, counts, model)
+    for name in ("w", "d_h", "y_tilde", "l_n"):
+        assert getattr(surr, name).tobytes() == getattr(ref, name).tobytes(), name
 
 
 def test_build_surrogate_gradient_matches_likelihood():

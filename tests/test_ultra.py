@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spultra.errors import ConfigurationError
 from spultra.geometry import ImageGrid
@@ -208,6 +210,129 @@ def test_coding_minimizes_regularizer_value():
         labels = r2.integers(0, union.k, n)
         challenger = SparseState(z=z, labels=labels, tau=tau)
         assert best <= regularizer_value(img, challenger, union, 1.0, gamma, cfg) + 1e-12
+
+
+def _two_pass_labels(patches, mats, gamma_c):
+    """The former coding step's class choice, kept as the reference: every
+    class's products, hard-thresholded, scored as residual plus gamma_c^2
+    times the support size; ties to the smallest class index. Returns the
+    labels and the (K, N) cost table."""
+    costs = []
+    for om in mats:
+        t = om @ patches
+        z = hard_threshold(t, gamma_c)
+        resid = t - z
+        costs.append(np.einsum("ij,ij->j", resid, resid)
+                     + gamma_c ** 2 * np.count_nonzero(z, axis=0))
+    costs = np.array(costs)
+    labels = np.zeros(patches.shape[1], dtype=np.int64)
+    best = np.full(patches.shape[1], np.inf)
+    for k, cost in enumerate(costs):
+        better = cost < best
+        labels[better] = k
+        best[better] = cost[better]
+    return labels, costs
+
+
+def _coding_problem(seed, k, side, stride, rows, cols, on_boundary):
+    """Random image and transforms; with ``on_boundary``, gamma_c equals the
+    magnitude of one of the transform products, so the threshold is hit exactly."""
+    rng = np.random.default_rng(seed)
+    v = side * side
+    union = TransformUnion(np.stack([np.eye(v) + 0.5 * rng.standard_normal((v, v))
+                                     for _ in range(k)]))
+    cfg = PatchConfig(side, stride)
+    img = ImageGrid(rng.standard_normal((rows, cols)))
+    gamma = float(rng.uniform(0.2, 1.5))
+    if on_boundary:
+        t = union.transforms[rng.integers(k)] @ extract_patches(img, cfg)
+        gamma = float(np.abs(t.flat[rng.integers(t.size)])) or gamma
+    tau = rng.uniform(0.1, 3.0, cfg.n_patches(img.dims))
+    return union, cfg, img, gamma, tau
+
+
+@settings(deadline=None, max_examples=80)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 4), side=st.integers(1, 4),
+       stride=st.integers(1, 4), extra=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+       on_boundary=st.booleans())
+def test_one_pass_coding_matches_two_pass_reference(seed, k, side, stride, extra,
+                                                    on_boundary):
+    stride = min(stride, side)
+    union, cfg, img, gamma, tau = _coding_problem(seed, k, side, stride, side + extra[0],
+                                                  side + extra[1], on_boundary)
+    state = sparse_code_and_cluster(img, union, gamma, tau, cfg)
+    patches = extract_patches(img, cfg)
+    labels, costs = _two_pass_labels(patches, union.transforms, gamma)
+    cols = np.arange(patches.shape[1])
+    # the two cost forms differ only by roundoff, so labels may differ at near-ties
+    differ = state.labels != labels
+    gap = np.abs(costs[state.labels, cols] - costs[labels, cols])
+    assert np.all(gap[differ] <= 1e-12 * np.maximum(1.0, costs[labels, cols][differ]))
+    for kk in range(k):
+        t = union.transforms[kk] @ patches
+        sel = state.labels == kk
+        assert np.array_equal(state.z[:, sel], hard_threshold(t, gamma)[:, sel])
+        assert np.array_equal(state.cost[sel],
+                              np.minimum(t * t, gamma ** 2).sum(axis=0)[sel])
+    assert state.prev_cost is None and state.labels_changed is None
+    assert state.nonzero_frac == np.count_nonzero(state.z) / state.z.size
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 4), side=st.integers(1, 4),
+       extra=st.tuples(st.integers(0, 6), st.integers(0, 6)), on_boundary=st.booleans(),
+       beta=st.floats(1e-3, 1e5))
+def test_regularizer_value_reproduces_pass_costs(seed, k, side, extra, on_boundary, beta):
+    union, cfg, img, gamma, tau = _coding_problem(seed, k, side, 1, side + extra[0],
+                                                  side + extra[1], on_boundary)
+    prev = sparse_code_and_cluster(img, union, gamma, tau, cfg)
+    assert regularizer_value(img, prev, union, beta, gamma, cfg) \
+        == beta * float(np.sum(tau * prev.cost))
+    moved = ImageGrid(img.data + 0.3 * np.random.default_rng(seed).standard_normal(img.dims))
+    state = sparse_code_and_cluster(moved, union, gamma, tau, cfg, prev=prev)
+    assert regularizer_value(moved, prev, union, beta, gamma, cfg) \
+        == beta * float(np.sum(tau * state.prev_cost))
+    assert regularizer_value(moved, state, union, beta, gamma, cfg) \
+        == beta * float(np.sum(tau * state.cost))
+    assert state.labels_changed == np.count_nonzero(state.labels != prev.labels)
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 4), side=st.integers(1, 4),
+       stride=st.integers(1, 4), on_boundary=st.booleans(), hand_made=st.booleans())
+def test_recoding_never_raises_the_cost(seed, k, side, stride, on_boundary, hand_made):
+    stride = min(stride, side)
+    union, cfg, img, gamma, tau = _coding_problem(seed, k, side, stride, side + 3,
+                                                  side + 4, on_boundary)
+    rng = np.random.default_rng(seed + 1)
+    if hand_made:  # any codes and labels, not only those of an earlier pass
+        n = cfg.n_patches(img.dims)
+        prev = SparseState(z=hard_threshold(rng.standard_normal((cfg.v, n)), gamma),
+                           labels=rng.integers(0, k, n), tau=tau)
+    else:
+        prev = sparse_code_and_cluster(
+            ImageGrid(img.data + 0.2 * rng.standard_normal(img.dims)), union, gamma, tau, cfg)
+    state = sparse_code_and_cluster(img, union, gamma, tau, cfg, prev=prev)
+    assert np.all(state.cost <= state.prev_cost)
+    assert float(np.sum(tau * state.cost)) <= float(np.sum(tau * state.prev_cost))
+
+
+def test_cost_ties_go_to_the_smallest_class_index():
+    union, cfg, img, gamma, tau = _coding_problem(8, 2, 3, 1, 8, 9, False)
+    a, b = union.transforms
+    tied = TransformUnion(np.stack([b, a, a, b]))  # classes 1, 2 and 0, 3 cost the same
+    state = sparse_code_and_cluster(img, tied, gamma, tau, cfg)
+    assert set(np.unique(state.labels)) == {0, 1}
+
+
+def test_recoding_at_the_same_image_keeps_codes_and_cost():
+    union, cfg, img, gamma, tau = _coding_problem(4, 3, 3, 1, 9, 8, True)
+    first = sparse_code_and_cluster(img, union, gamma, tau, cfg)
+    again = sparse_code_and_cluster(img, union, gamma, tau, cfg, prev=first)
+    assert again.labels_changed == 0
+    assert np.array_equal(again.z, first.z)
+    assert np.array_equal(again.prev_cost, first.cost)
+    assert np.array_equal(again.cost, first.cost)
 
 
 def regularizer_gradient(img, state, union, beta, cfg):
