@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ValidationError
 from .geometry import SystemGeometry
+from .metrics import circle_mask
 from .recon import EpParams, ReconConfig
 from .sim import Ellipse, PhantomSpec
 from .spstats import SpModel
@@ -284,6 +285,9 @@ def parse_config(path) -> ExperimentConfig:
         window = s.get_pair("window", float, "800 1200")
         roi_lines = s.get_multiline("rois", None)
         s.finish()
+        if window is not None and not window[1] > window[0]:
+            errors.append(f"metrics.window: must satisfy hi > lo, got {window[0]} {window[1]}")
+            window = None
         rois = []
         for line in roi_lines or []:
             parts = line.split()
@@ -291,9 +295,21 @@ def parse_config(path) -> ExperimentConfig:
                 errors.append(f"metrics.rois: expected 'label cx cy radius', got {line!r}")
                 continue
             try:
-                rois.append((parts[0], float(parts[1]), float(parts[2]), float(parts[3])))
+                roi = (parts[0], float(parts[1]), float(parts[2]), float(parts[3]))
             except ValueError:
                 errors.append(f"metrics.rois: could not parse {line!r}")
+                continue
+            if not roi[3] > 0:
+                errors.append(f"metrics.rois: radius must be > 0, got {line!r}")
+                continue
+            if cfg.geometry is not None:
+                try:
+                    circle_mask(cfg.geometry.image_dims, cfg.geometry.pixel_spacing, *roi[1:])
+                except ValueError:
+                    errors.append(f"metrics.rois: circle covers no pixel centre of the "
+                                  f"{cfg.geometry.image_dims} image, got {line!r}")
+                    continue
+            rois.append(roi)
         if None not in (mu, window):
             mu_water = float(mu)
             cfg.metrics = MetricsConfig(mu_water=mu_water, rois=tuple(rois),

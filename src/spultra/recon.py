@@ -404,11 +404,6 @@ def _rmse_hu(x: np.ndarray, truth: np.ndarray, mu_water: float) -> float:
     return float(np.sqrt(np.mean(d * d)))
 
 
-def _tau_from_weights(geom, w_stat, patch) -> np.ndarray:
-    kappa = compute_kappa(geom, w_stat)
-    return patch_weights(kappa, patch)
-
-
 def _ultra_outer_loop(value, quadratic, system: SubsetSystem, w_stat: np.ndarray,
                       union: TransformUnion, geom: SystemGeometry, cfg: ReconConfig,
                       x0: ImageGrid, truth: ImageGrid | None, mu_water: float,
@@ -425,7 +420,7 @@ def _ultra_outer_loop(value, quadratic, system: SubsetSystem, w_stat: np.ndarray
     the trace). A numerical abort carries the partial trace as ``err.trace``.
     """
     dims = geom.image_dims
-    tau = _tau_from_weights(geom, w_stat, cfg.patch)
+    tau = patch_weights(compute_kappa(geom, w_stat), cfg.patch)
     x = np.clip(x0.data.reshape(-1), 0.0, cfg.x_max)
     state = sparse_code_and_cluster(ImageGrid(x.reshape(dims)), union,
                                     cfg.gamma_c, tau, cfg.patch)

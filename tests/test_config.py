@@ -229,3 +229,34 @@ def test_patch_larger_than_image_rejected(tmp_path):
     assert err.value.errors == ["recon.v: patch side 4 exceeds geometry.image_dims (3, 6)"]
     cfg = parse_config(write(tmp_path, small + recon.replace("v = 16", "v = 9")))
     assert cfg.recon.patch.patch_side == 3
+
+
+@pytest.mark.parametrize("window,shown", [("1200 800", "1200.0 800.0"),
+                                          ("1000 1000", "1000.0 1000.0"),
+                                          ("nan 1000", "nan 1000.0")])
+def test_metrics_window_must_increase(tmp_path, window, shown):
+    # caught when the config is read, not after the truth image is written
+    with pytest.raises(ValidationError) as err:
+        parse_config(write(tmp_path, MINIMAL + f"\n[metrics]\nwindow = {window}\n"))
+    assert [e for e in err.value.errors if e.startswith("metrics.")] \
+        == [f"metrics.window: must satisfy hi > lo, got {shown}"]
+
+
+@pytest.mark.parametrize("roi,reason", [
+    ("outside 900 900 5", "covers no pixel centre"),
+    ("between 0.2 0.2 0.1", "covers no pixel centre"),  # pixel centres sit at +-0.5, +-1.5, ...
+    ("negative 0 0 -12", "radius must be > 0"),
+    ("flat 0 0 0", "radius must be > 0"),
+])
+def test_metrics_roi_must_cover_a_pixel(tmp_path, roi, reason):
+    text = MINIMAL + f"\n[metrics]\nrois =\n    center 0 0 2\n    {roi}\n"
+    with pytest.raises(ValidationError) as err:
+        parse_config(write(tmp_path, text))
+    bad = [e for e in err.value.errors if e.startswith("metrics.")]
+    assert len(bad) == 1 and bad[0].startswith("metrics.rois: ") and reason in bad[0]
+    assert repr(roi) in bad[0]
+
+
+def test_metrics_roi_covering_one_pixel_accepted(tmp_path):
+    text = MINIMAL + "\n[metrics]\nrois =\n    one 0.5 0.5 0.1\n"
+    assert parse_config(write(tmp_path, text)).metrics.rois == (("one", 0.5, 0.5, 0.1),)

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spultra.errors import ConfigurationError, NumericalError
-from spultra.geometry import ImageGrid, Sinogram, SystemGeometry, forward_project, system_matrix
+from spultra.geometry import (ImageGrid, Sinogram, SystemGeometry, compute_kappa,
+                              forward_project, system_matrix)
 from spultra.recon import (ConvergenceTrace, EdgePreservingReg, EpParams,
                            ReconConfig, SubsetSystem, UltraQuadReg, ZeroReg,
                            bit_reversal_order, ep_potential, ep_potential_dot,
@@ -14,8 +15,8 @@ from spultra.recon import (ConvergenceTrace, EdgePreservingReg, EpParams,
 from spultra.sim import Ellipse, PhantomSpec, RngSpec, make_phantom, simulate_prelog
 from spultra.spstats import SpModel, post_log_convert
 from spultra.ultra import (PatchConfig, SparseState, TransformUnion, accumulate_patches,
-                           extract_patches, initial_transform, regularizer_value,
-                           sparse_code_and_cluster)
+                           extract_patches, initial_transform, patch_weights,
+                           regularizer_value, sparse_code_and_cluster)
 
 from conftest import small_parallel
 
@@ -370,8 +371,7 @@ def test_objective_value_beta_zero_and_additivity():
     x = ImageGrid(np.clip(truth.data, 0, 0.1))
     counts = np.maximum(sino.ravel() + model.sigma2, 0.0)
     l_t, w_t = post_log_convert(sino.ravel(), model)
-    from spultra.recon import _tau_from_weights
-    tau = _tau_from_weights(geom, w_t, cfg.patch)
+    tau = patch_weights(compute_kappa(geom, w_t), cfg.patch)
     state = sparse_code_and_cluster(x, union, cfg.gamma_c, tau, cfg.patch)
 
     from spultra.spstats import neg_log_likelihood
@@ -393,8 +393,7 @@ def test_objective_lower_bound():
     counts = np.maximum(sino.ravel() + model.sigma2, 0.0)
     bound = geom.n_rays * model.sigma2 - counts.sum() * np.log(model.i0 + model.sigma2)
     l_t, w_t = post_log_convert(sino.ravel(), model)
-    from spultra.recon import _tau_from_weights
-    tau = _tau_from_weights(geom, w_t, cfg.patch)
+    tau = patch_weights(compute_kappa(geom, w_t), cfg.patch)
     for _ in range(10):
         x = ImageGrid(rng.uniform(0, 0.1, geom.image_dims))
         state = sparse_code_and_cluster(x, union, cfg.gamma_c, tau, cfg.patch)
@@ -450,9 +449,8 @@ def test_spultra_initial_objective_is_reference_objective():
     x0 = ImageGrid(truth.data * 6.0 - 0.02)
     _, trace = spultra_reconstruct(sino, model, union, geom, cfg0, x0)
 
-    from spultra.recon import _tau_from_weights
     _, w_t = post_log_convert(sino.ravel(), model)
-    tau = _tau_from_weights(geom, w_t, cfg.patch)
+    tau = patch_weights(compute_kappa(geom, w_t), cfg.patch)
     x = ImageGrid(np.clip(x0.data, 0.0, cfg.x_max))
     state = sparse_code_and_cluster(x, union, cfg.gamma_c, tau, cfg.patch)
     assert trace.objective[0] == objective_value(x, state, sino, model, union, cfg, geom)

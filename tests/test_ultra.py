@@ -9,12 +9,12 @@ from spultra.errors import ConfigurationError
 from spultra.geometry import ImageGrid
 from spultra.recon import UltraQuadReg
 from spultra.ultra import (PatchConfig, SparseState, TransformUnion,
-                           accumulate_patches, extract_patches, hard_threshold,
-                           initial_transform, learn_transforms,
-                           load_transforms, patch_coverage,
+                           _cheapest_class, _regularizer_q, _transform_update,
+                           accumulate_patches, classwise_apply, extract_patches,
+                           hard_threshold, initial_transform, learn_transforms,
+                           learning_objective, load_transforms, patch_coverage,
                            regularizer_majorizer_diag, regularizer_value,
-                           save_transforms, sparse_code_and_cluster,
-                           spectral_norm_gram)
+                           save_transforms, sparse_code_and_cluster)
 
 
 def random_union(k, v, seed=0):
@@ -212,18 +212,19 @@ def test_coding_minimizes_regularizer_value():
         assert best <= regularizer_value(img, challenger, union, 1.0, gamma, cfg) + 1e-12
 
 
-def _two_pass_labels(patches, mats, gamma_c):
+def _two_pass_labels(patches, mats, gamma_c, penalty=None):
     """The former coding step's class choice, kept as the reference: every
     class's products, hard-thresholded, scored as residual plus gamma_c^2
-    times the support size; ties to the smallest class index. Returns the
-    labels and the (K, N) cost table."""
+    times the support size, plus the per-class row ``penalty[k]`` when given
+    (learning's former reassignment); ties to the smallest class index.
+    Returns the labels and the (K, N) cost table."""
     costs = []
-    for om in mats:
+    for k, om in enumerate(mats):
         t = om @ patches
         z = hard_threshold(t, gamma_c)
         resid = t - z
-        costs.append(np.einsum("ij,ij->j", resid, resid)
-                     + gamma_c ** 2 * np.count_nonzero(z, axis=0))
+        cost = np.einsum("ij,ij->j", resid, resid) + gamma_c ** 2 * np.count_nonzero(z, axis=0)
+        costs.append(cost if penalty is None else cost + penalty[k])
     costs = np.array(costs)
     labels = np.zeros(patches.shape[1], dtype=np.int64)
     best = np.full(patches.shape[1], np.inf)
@@ -254,28 +255,40 @@ def _coding_problem(seed, k, side, stride, rows, cols, on_boundary):
 @settings(deadline=None, max_examples=80)
 @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 4), side=st.integers(1, 4),
        stride=st.integers(1, 4), extra=st.tuples(st.integers(0, 6), st.integers(0, 6)),
-       on_boundary=st.booleans())
+       on_boundary=st.booleans(), penalized=st.booleans())
 def test_one_pass_coding_matches_two_pass_reference(seed, k, side, stride, extra,
-                                                    on_boundary):
+                                                    on_boundary, penalized):
     stride = min(stride, side)
     union, cfg, img, gamma, tau = _coding_problem(seed, k, side, stride, side + extra[0],
                                                   side + extra[1], on_boundary)
-    state = sparse_code_and_cluster(img, union, gamma, tau, cfg)
     patches = extract_patches(img, cfg)
-    labels, costs = _two_pass_labels(patches, union.transforms, gamma)
+    penalty = None
+    if penalized:  # a per-class row of either sign, on the scale of the coding cost
+        penalty = np.random.default_rng(seed).uniform(-1.0, 1.0, (k, patches.shape[1])) \
+            * cfg.v * gamma ** 2
+    got, t, cost, prev_t = _cheapest_class(patches, union.transforms, gamma, penalty=penalty)
+    labels, costs = _two_pass_labels(patches, union.transforms, gamma, penalty)
     cols = np.arange(patches.shape[1])
     # the two cost forms differ only by roundoff, so labels may differ at near-ties
-    differ = state.labels != labels
-    gap = np.abs(costs[state.labels, cols] - costs[labels, cols])
-    assert np.all(gap[differ] <= 1e-12 * np.maximum(1.0, costs[labels, cols][differ]))
+    differ = got != labels
+    gap = np.abs(costs[got, cols] - costs[labels, cols])
+    assert np.all(gap[differ] <= 1e-12 * np.maximum(1.0, np.abs(costs[labels, cols][differ])))
     for kk in range(k):
-        t = union.transforms[kk] @ patches
-        sel = state.labels == kk
-        assert np.array_equal(state.z[:, sel], hard_threshold(t, gamma)[:, sel])
-        assert np.array_equal(state.cost[sel],
-                              np.minimum(t * t, gamma ** 2).sum(axis=0)[sel])
-    assert state.prev_cost is None and state.labels_changed is None
-    assert state.nonzero_frac == np.count_nonzero(state.z) / state.z.size
+        full = union.transforms[kk] @ patches
+        expect = np.minimum(full * full, gamma ** 2).sum(axis=0)
+        if penalized:
+            expect = expect + penalty[kk]
+        sel = got == kk
+        assert np.array_equal(t[:, sel], full[:, sel])
+        assert np.array_equal(cost[sel], expect[sel])
+    assert prev_t is None
+    if not penalized:
+        state = sparse_code_and_cluster(img, union, gamma, tau, cfg)
+        assert np.array_equal(state.labels, got)
+        assert np.array_equal(state.z, hard_threshold(t, gamma))
+        assert np.array_equal(state.cost, cost)
+        assert state.prev_cost is None and state.labels_changed is None
+        assert state.nonzero_frac == np.count_nonzero(state.z) / state.z.size
 
 
 @settings(deadline=None, max_examples=60)
@@ -433,13 +446,75 @@ def test_majorizer_diag_zero_beta():
     assert np.all(d == 0)
 
 
-def test_spectral_norm_matches_svd():
-    rng = np.random.default_rng(31)
-    for _ in range(10):
-        m = rng.standard_normal((9, 9))
-        got = spectral_norm_gram(m)
-        expect = np.linalg.norm(m, 2) ** 2
-        assert got == pytest.approx(expect, rel=1e-9)
+@pytest.mark.parametrize("kind", ["permutation", "dense"])
+def test_majorizer_diag_exact_near_double_top_singular_value(kind):
+    """Class 1's two largest singular values are 1e-6 apart, where a power
+    iteration on O^T O stops short of the top eigenvalue. The diagonal must
+    equal 2 beta ||O||_2^2 times the tau-weighted coverage to 1e-14 and not
+    fall below it. A signed permutation times diag(s) has a Gram matrix that
+    floating point forms exactly, so there not even by a rounding."""
+    rng = np.random.default_rng(37)
+    v = 16
+    s = np.concatenate([[1.0 + 1e-6, 1.0], np.linspace(0.9, 0.2, v - 2)])
+    if kind == "dense":
+        q, r = (np.linalg.qr(rng.standard_normal((v, v)))[0] for _ in range(2))
+        top = (q * s) @ r.T
+    else:
+        top = np.zeros((v, v))
+        top[rng.permutation(v), np.arange(v)] = s * rng.choice([-1.0, 1.0], v)
+    union = TransformUnion(np.stack([0.5 * initial_transform(v), top]))
+    cfg, dims, beta = PatchConfig(4, 1), (9, 10), 0.7
+    tau = rng.uniform(0.1, 2.0, cfg.n_patches(dims))
+    d = regularizer_majorizer_diag(union, tau, beta, cfg, dims)
+    ref = 2.0 * beta * s[0] ** 2 * patch_coverage(dims, cfg, tau)
+    np.testing.assert_allclose(d, ref, rtol=1e-14, atol=0)
+    assert np.all(d >= ref * (1.0 - (1e-14 if kind == "dense" else 0.0)))
+
+
+def _former_learn_transforms(patches, k, gamma_c, lambda0, iters, seed=0):
+    """learn_transforms as it was before learning shared the coding kernel:
+    each round recodes at fixed labels, updates the transforms, reassigns
+    with the two-pass reference and codes again."""
+    v, n = patches.shape
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    labels = rng.integers(0, k, size=n)
+    omegas = np.stack([initial_transform(v) for _ in range(k)])
+    energies = np.einsum("ij,ij->j", patches, patches)
+    trace = np.empty(iters)
+    for it in range(iters):
+        z = hard_threshold(classwise_apply(omegas, labels, patches), gamma_c)
+        for kk in range(k):
+            sel = labels == kk
+            if not np.any(sel):
+                continue
+            x_k = patches[:, sel]
+            lam = lambda0 * float(np.sum(x_k * x_k))
+            if lam <= 0.0:
+                continue
+            omegas[kk] = _transform_update(x_k, z[:, sel], lam)
+        q_vals = np.array([_regularizer_q(omegas[kk]) for kk in range(k)])
+        labels, _ = _two_pass_labels(patches, omegas, gamma_c,
+                                     q_vals[:, None] * (lambda0 * energies)[None, :])
+        z = hard_threshold(classwise_apply(omegas, labels, patches), gamma_c)
+        trace[it] = learning_objective(patches, TransformUnion(omegas.copy()), z,
+                                       labels, gamma_c, lambda0)
+    return TransformUnion(omegas), trace
+
+
+@pytest.mark.parametrize("seed,k,n,n_zero", [
+    (0, 1, 300, 0), (1, 2, 300, 40), (2, 3, 400, 0), (3, 4, 250, 60),
+    (4, 5, 3, 0),  # fewer patches than classes: empty classes from the start
+    (5, 2, 50, 50),  # nothing but all-zero patches
+])
+def test_learning_matches_former_rounds_bytewise(seed, k, n, n_zero):
+    rng = np.random.default_rng(seed)
+    patches = rng.standard_normal((16, n)) * rng.uniform(0.2, 2.0, n)
+    patches[:, :n_zero] = 0.0
+    union, trace = learn_transforms(patches, k=k, gamma_c=0.8, lambda0=1e-2, iters=8,
+                                    seed=seed)
+    ref_union, ref_trace = _former_learn_transforms(patches, k, 0.8, 1e-2, 8, seed=seed)
+    assert union.transforms.tobytes() == ref_union.transforms.tobytes()
+    assert trace.tobytes() == ref_trace.tobytes()
 
 
 def test_learning_objective_non_increasing():
