@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import dia_matrix
+# the kernels behind csr_matrix @ x and csr_matrix.T @ r
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 from .errors import ConfigurationError, NumericalError
 from .geometry import (ImageGrid, Sinogram, SystemGeometry, compute_kappa,
@@ -93,11 +95,30 @@ def bit_reversal_order(m: int) -> list[int]:
     return out
 
 
+class _SubsetBlocks(dict):
+    """Subset row blocks ``matrix[rays[s]]``, each copied on first access."""
+
+    def __init__(self, matrix, rays):
+        super().__init__()
+        self._matrix = matrix
+        self._rays = rays
+
+    def __missing__(self, s):
+        block = self[s] = self._matrix[self._rays[s]]
+        return block
+
+
 class SubsetSystem:
     """System matrix plus interleaved view subsets for ordered-subsets passes.
 
     Subset s holds views congruent to s modulo M; subsets are processed in
-    bit-reversal order for gradient balance.
+    bit-reversal order for gradient balance. The cached view-major matrix is
+    the only copy: a subset gradient runs scipy's compiled CSR/CSC kernels
+    over each view's row block of it in place, in ascending view order, which
+    sums exactly as a product with the gathered subset block would.
+    ``sub[s]`` is that gathered block, ``matrix[rays[s]]``; it is built on
+    first access for inspection (the benchmark's byte probe reads it), and
+    the solver never reads it.
     """
 
     def __init__(self, geom: SystemGeometry, m: int):
@@ -107,13 +128,12 @@ class SubsetSystem:
         self.row_sums = self.matrix @ np.ones(geom.n_pixels)
         nd = geom.n_detectors
         self.order = bit_reversal_order(m)
-        self.rays = []
-        self.sub = []
-        for s in range(m):
-            views = np.arange(s, geom.n_views, m)
-            rays = (views[:, None] * nd + np.arange(nd)[None, :]).reshape(-1)
-            self.rays.append(rays)
-            self.sub.append(self.matrix[rays])
+        views = [np.arange(s, geom.n_views, m) for s in range(m)]
+        self.rays = [(vs[:, None] * nd + np.arange(nd)).reshape(-1) for vs in views]
+        # per subset, each view's slice of the row pointers (views, not copies)
+        self._view_rows = [[self.matrix.indptr[v * nd:(v + 1) * nd + 1] for v in vs]
+                           for vs in views]
+        self.sub = _SubsetBlocks(self.matrix, self.rays)
 
     def gram_diag(self, w: np.ndarray) -> np.ndarray:
         """diag(A^T W A 1) as a flat pixel vector."""
@@ -121,9 +141,20 @@ class SubsetSystem:
 
     def subset_gradient(self, s: int, x: np.ndarray, w, y_tilde) -> np.ndarray:
         """M-scaled weighted residual backprojection over subset s."""
-        rays = self.rays[s]
-        r = self.sub[s] @ x - y_tilde[rays]
-        return self.m * (self.sub[s].T @ (w[rays] * r))
+        a, nd, npix = self.matrix, self.geom.n_detectors, self.geom.n_pixels
+        if x.shape != (npix,):  # the compiled kernels read npix entries unchecked
+            raise ValueError(f"x has shape {x.shape}, expected ({npix},)")
+        rays, view_rows = self.rays[s], self._view_rows[s]
+        r = np.zeros(rays.size)
+        for i, ptr in enumerate(view_rows):
+            csr_matvec(nd, npix, ptr, a.indices, a.data, x, r[i * nd:(i + 1) * nd])
+        r -= y_tilde[rays]
+        r *= w[rays]
+        g = np.zeros(npix)
+        for i, ptr in enumerate(view_rows):
+            csc_matvec(npix, nd, ptr, a.indices, a.data, r[i * nd:(i + 1) * nd], g)
+        g *= self.m
+        return g
 
 
 class ZeroReg:

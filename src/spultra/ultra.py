@@ -184,22 +184,23 @@ def _code_cost(t: np.ndarray, z: np.ndarray, gamma_c: float) -> np.ndarray:
 
 
 def _cheapest_class(patches: np.ndarray, mats, gamma_c: float, prev_labels=None,
-                    penalty=None):
+                    penalty=None, keep_products=True):
     """Products of each patch with its cheapest class under the coding cost
     ``sum min(t^2, gamma_c^2)``, plus ``penalty[k]`` (a per-patch row) when a
     penalty is given; ties go to the smallest class index.
 
     Returns ``(labels, t, cost, prev_t)``: the labels, the chosen classes'
-    products, their per-patch costs (penalty included) and, when
-    ``prev_labels`` is given, the products with those classes instead (else
-    ``None``). Each class's products are formed once and carried by masked
-    copies; the scratch arrays are freed on return, before the caller
-    thresholds.
+    products (``None`` unless ``keep_products``), their per-patch costs
+    (penalty included) and, when ``prev_labels`` is given, the products with
+    those classes instead (else ``None``). Each class's products are formed
+    once and carried by masked copies; the scratch arrays are freed on
+    return, before the caller thresholds.
     """
     g2 = gamma_c ** 2
     labels = np.zeros(patches.shape[1], dtype=np.int64)
     t, sq = np.empty_like(patches), np.empty_like(patches)
     prev_t = None if prev_labels is None else np.empty_like(patches)
+    best_t = None
     for k in range(len(mats)):
         np.matmul(mats[k], patches, out=t)
         if prev_t is not None:
@@ -209,13 +210,15 @@ def _cheapest_class(patches: np.ndarray, mats, gamma_c: float, prev_labels=None,
         if penalty is not None:
             cost += penalty[k]
         if k == 0:
-            best_t, best_cost = t, cost
-            t = np.empty_like(patches)
+            best_cost = cost
+            if keep_products:
+                best_t, t = t, np.empty_like(patches)
         else:
             better = cost < best_cost
             labels[better] = k
             np.copyto(best_cost, cost, where=better)
-            np.copyto(best_t, t, where=better)
+            if keep_products:
+                np.copyto(best_t, t, where=better)
     return labels, best_t, best_cost, prev_t
 
 
@@ -371,7 +374,8 @@ def learn_transforms(patches: np.ndarray, k: int, gamma_c: float, lambda0: float
         # reassign: coding cost plus the patch's share of the regularizer
         q_vals = np.array([_regularizer_q(omegas[kk]) for kk in range(k)])
         labels = _cheapest_class(patches, omegas, gamma_c,
-                                 penalty=q_vals[:, None] * (lambda0 * energies)[None, :])[0]
+                                 penalty=q_vals[:, None] * (lambda0 * energies)[None, :],
+                                 keep_products=False)[0]
         # code from per-class products, not from the reassignment's full-width
         # ones: those round differently, and learning amplifies the difference
         z = hard_threshold(classwise_apply(omegas, labels, patches), gamma_c)

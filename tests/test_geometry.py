@@ -274,7 +274,9 @@ def test_direct_csr_assembly_merges_repeated_pairs():
     _assert_same_csr(got, ref)
 
 
-def test_assembly_peak_memory_under_twice_the_matrix():
+def test_assembly_peak_memory_under_one_and_a_half_matrices():
+    # each chunk goes straight into the final arrays, so no chunk list and
+    # its concatenation coexist
     geom = SystemGeometry("parallel", n_detectors=160, n_views=360, detector_spacing=2.2,
                           angular_range=np.pi, image_dims=(128, 128),
                           pixel_spacing=(2.7, 2.7))
@@ -287,7 +289,7 @@ def test_assembly_peak_memory_under_twice_the_matrix():
     finally:
         tracemalloc.stop()
     size = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
-    assert peak <= 2 * size, f"assembly peak {peak / size:.2f}x the matrix"
+    assert peak <= 1.5 * size, f"assembly peak {peak / size:.2f}x the matrix"
 
 
 def test_matrix_build_logged_once_per_geometry(caplog):

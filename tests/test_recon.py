@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from spultra.ultra import (PatchConfig, SparseState, TransformUnion, accumulate_
                            extract_patches, initial_transform, patch_weights,
                            regularizer_value, sparse_code_and_cluster)
 
-from conftest import small_parallel
+from conftest import small_fan, small_parallel
 
 
 def wls_cfg(n_inner, m=1, x_max=0.1):
@@ -130,6 +132,68 @@ def test_os_lalm_aborts_on_nonfinite():
         os_lalm_image_update(np.zeros(geom.n_pixels), system, w, y, d_a,
                              ZeroReg(), wls_cfg(1))
     assert err.value.quantity in ("s", "x", "zeta", "g", "eta")
+
+
+# M = 3 and 12 do not divide 20 views; 12 does not divide 18 either
+@pytest.mark.parametrize("geom", [small_parallel(6, 7, 9, 20), small_fan(7, 6, 11, 18)],
+                         ids=["parallel", "fan"])
+@pytest.mark.parametrize("m", [1, 3, 12])
+def test_subset_gradient_matches_gathered_block_bitwise(geom, m):
+    system = SubsetSystem(geom, m)
+    a = system_matrix(geom)
+    rng = np.random.default_rng(m)
+    x = rng.uniform(0.0, 0.05, geom.n_pixels)
+    w = rng.uniform(0.0, 2.0, geom.n_rays)
+    y = rng.uniform(0.0, 3.0, geom.n_rays)
+    nd = geom.n_detectors
+    for s in range(m):
+        rays = (np.arange(s, geom.n_views, m)[:, None] * nd + np.arange(nd)).reshape(-1)
+        assert np.array_equal(system.rays[s], rays)
+        a_s = a[rays]
+        want = m * (a_s.T @ (w[rays] * (a_s @ x - y[rays])))
+        assert system.subset_gradient(s, x, w, y).tobytes() == want.tobytes()
+        block = system.sub[s]
+        assert system.sub[s] is block  # built once, then memoized
+        assert (block != a_s).nnz == 0
+    with pytest.raises(ValueError, match="x has shape"):
+        system.subset_gradient(0, x[:-1], w, y)
+
+
+def test_subset_system_holds_no_matrix_copy():
+    geom = SystemGeometry("parallel", n_detectors=160, n_views=360, detector_spacing=2.2,
+                          angular_range=np.pi, image_dims=(128, 128),
+                          pixel_spacing=(2.7, 2.7))
+    a = system_matrix(geom)
+    size = a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        system = SubsetSystem(geom, 12)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert system.matrix is a
+    assert held < 0.05 * size, f"SubsetSystem holds {held / size:.3f}x the matrix"
+
+
+def test_pwls_ep_leaves_subset_blocks_unbuilt(monkeypatch):
+    systems = []
+    init = SubsetSystem.__init__
+
+    def record(self, *args):
+        init(self, *args)
+        systems.append(self)
+
+    monkeypatch.setattr(SubsetSystem, "__init__", record)
+    geom = small_parallel(6, 6, 9, 12)
+    w = np.ones(geom.n_rays)
+    l = np.full(geom.n_rays, 0.1)
+    cfg = ReconConfig(beta=0.0, gamma_c=1.0, n_outer=1, n_inner=1, n_subsets=4,
+                      x_max=0.1, patch=PatchConfig(1, 1),
+                      ep=EpParams(beta_ep=1.0, delta=0.01, iters=2))
+    pwls_ep_reconstruct(l, w, geom, cfg, ImageGrid(np.zeros((6, 6))))
+    assert len(systems) == 1
+    assert len(systems[0].sub) == 0
 
 
 def test_ep_potentials():
