@@ -156,6 +156,17 @@ def _ray_endpoints(geom: SystemGeometry) -> tuple[np.ndarray, np.ndarray]:
     return src.reshape(-1, 2), dst.reshape(-1, 2)
 
 
+def pixel_centres(dims, spacing) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) in mm of every pixel centre, each of shape ``dims``, with the
+    origin at the image centre, x growing along columns and y falling down
+    the rows: the grid whose edges :func:`_trace_chunk` crosses."""
+    rows, cols = dims
+    dx, dy = spacing
+    xc = (np.arange(cols) - (cols - 1) / 2.0) * dx
+    yc = ((rows - 1) / 2.0 - np.arange(rows)) * dy
+    return np.meshgrid(xc, yc)
+
+
 def _trace_chunk(src, dst, geom: SystemGeometry):
     """Exact intersection lengths for one batch of rays.
 
@@ -266,6 +277,17 @@ def system_matrix(geom: SystemGeometry) -> sp.csr_matrix:
     return _build_matrix(geom)
 
 
+@functools.lru_cache(maxsize=8)
+def matrix_sums(geom: SystemGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """Row sums ``A 1`` (per ray) and column sums ``A^T 1`` (per pixel) of
+    :func:`system_matrix`, cached per geometry and read-only."""
+    a = system_matrix(geom)
+    sums = a @ np.ones(geom.n_pixels), a.T @ np.ones(geom.n_rays)
+    for v in sums:
+        v.flags.writeable = False
+    return sums
+
+
 def _check_image(img: ImageGrid, geom: SystemGeometry):
     if img.dims != geom.image_dims:
         raise ConfigurationError(
@@ -291,16 +313,19 @@ def back_project(sino: Sinogram, geom: SystemGeometry) -> ImageGrid:
     return ImageGrid(x.reshape(geom.image_dims), geom.pixel_spacing)
 
 
-def weighted_gram_diag(geom: SystemGeometry, w: np.ndarray) -> ImageGrid:
-    """Diagonal of the weighted normal matrix, per pixel: sum_i a_ij w_i (A 1)_i."""
+def _check_weights(w, geom: SystemGeometry) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64).reshape(-1)
     if w.shape[0] != geom.n_rays:
         raise ConfigurationError("weight length does not match ray count")
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
-    a = system_matrix(geom)
-    row_sums = a @ np.ones(geom.n_pixels)
-    diag = a.T @ (w * row_sums)
+    return w
+
+
+def weighted_gram_diag(geom: SystemGeometry, w: np.ndarray) -> ImageGrid:
+    """Diagonal of the weighted normal matrix, per pixel: sum_i a_ij w_i (A 1)_i."""
+    w = _check_weights(w, geom)
+    diag = system_matrix(geom).T @ (w * matrix_sums(geom)[0])
     return ImageGrid(diag.reshape(geom.image_dims), geom.pixel_spacing)
 
 
@@ -310,14 +335,8 @@ def compute_kappa(geom: SystemGeometry, w: np.ndarray) -> ImageGrid:
 
     Pixels crossed by no ray get 0.
     """
-    w = np.asarray(w, dtype=np.float64).reshape(-1)
-    if w.shape[0] != geom.n_rays:
-        raise ConfigurationError("weight length does not match ray count")
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
-    a = system_matrix(geom)
-    num = a.T @ w
-    den = a.T @ np.ones(geom.n_rays)
+    num = system_matrix(geom).T @ _check_weights(w, geom)
+    den = matrix_sums(geom)[1]
     kappa = np.zeros(geom.n_pixels)
     covered = den > 0
     kappa[covered] = np.sqrt(num[covered] / den[covered])

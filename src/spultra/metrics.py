@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ImageGrid
+from .geometry import ImageGrid, pixel_centres
 
 DEFAULT_MU_WATER = 0.02  # mm^-1
 
@@ -29,11 +29,7 @@ class RoiMask:
 
 def circle_mask(dims, spacing, cx: float, cy: float, radius: float,
                 label: str = "roi") -> RoiMask:
-    rows, cols = dims
-    dx, dy = spacing
-    xc = (np.arange(cols) - (cols - 1) / 2.0) * dx
-    yc = ((rows - 1) / 2.0 - np.arange(rows)) * dy
-    xg, yg = np.meshgrid(xc, yc)
+    xg, yg = pixel_centres(dims, spacing)
     return RoiMask((xg - cx) ** 2 + (yg - cy) ** 2 <= radius ** 2, label)
 
 

@@ -55,10 +55,22 @@ def _sino_spacing(geom):
     return (geom.angular_range / geom.n_views, geom.detector_spacing)
 
 
-def _load_image(path: Path, what: str) -> ImageGrid:
+def _read_sized(path: Path, what: str, shape=None):
+    """The array and spacing in ``path``; an array of another shape than
+    ``shape`` (when given) was left by a run of another config."""
     if not path.exists():
         raise MissingArtifact(f"{what} not found: {path}")
     data, spacing = sio.read_spim(path)
+    if shape is not None and data.shape != tuple(shape):
+        raise ConfigurationError(
+            f"{path} holds an array of shape {data.shape} but the config expects "
+            f"{tuple(shape)}; it is left over from another config, so rerun the "
+            f"stage that writes it or use another io.out_dir")
+    return data, spacing
+
+
+def _load_image(path: Path, what: str, dims=None) -> ImageGrid:
+    data, spacing = _read_sized(path, what, dims)
     return ImageGrid(data, tuple(spacing))
 
 
@@ -108,7 +120,7 @@ def _ep_initializer(cfg: ExperimentConfig, out: Path, l_tilde, w_stat) -> ImageG
     """PWLS-EP image used to start the transform-union methods; cached on disk."""
     ep_path = out / "x_pwls_ep.spim"
     if ep_path.exists():
-        return _load_image(ep_path, "edge-preserving initializer")
+        return _load_image(ep_path, "edge-preserving initializer", cfg.geometry.image_dims)
     return _reconstruct_ep(cfg, out, l_tilde, w_stat)
 
 
@@ -136,18 +148,16 @@ def stage_reconstruct(cfg: ExperimentConfig, out: Path, method: str) -> dict:
     _require(cfg, "geometry", "model", "recon", "io")
     if method not in METHODS:
         raise ConfigurationError(f"unknown method {method!r}; choose from {METHODS}")
-    sino_path = out / "sino_raw.spim"
-    if not sino_path.exists():
-        raise MissingArtifact(f"raw sinogram not found (run 'simulate' first): {sino_path}")
-    raw, _ = sio.read_spim(sino_path)
-    y_raw = Sinogram(raw)
     geom = cfg.geometry
+    raw, _ = _read_sized(out / "sino_raw.spim", "raw sinogram (run 'simulate' first)",
+                         (geom.n_views, geom.n_detectors))
+    y_raw = Sinogram(raw)
     l_tilde, w_stat = post_log_convert(y_raw.ravel(), cfg.model)
 
     truth = None
     truth_path = out / "x_true.spim"
     if truth_path.exists():
-        truth = _load_image(truth_path, "truth")
+        truth = _load_image(truth_path, "truth", geom.image_dims)
 
     slug = _method_slug(method)
     artifacts = {}
@@ -193,7 +203,8 @@ def _eval_rois(cfg: ExperimentConfig, truth: ImageGrid) -> list[RoiMask]:
 
 def stage_evaluate(cfg: ExperimentConfig, out: Path) -> dict:
     _require(cfg, "io")
-    truth = _load_image(out / "x_true.spim", "truth (run 'simulate' first)")
+    truth = _load_image(out / "x_true.spim", "truth (run 'simulate' first)",
+                        cfg.geometry.image_dims if cfg.geometry else None)
     rois = _eval_rois(cfg, truth)
     mu_water = cfg.metrics.mu_water
     run_id = f"{cfg.config_hash[:8]}-s{cfg.io.seed}"
@@ -206,12 +217,14 @@ def stage_evaluate(cfg: ExperimentConfig, out: Path) -> dict:
         if not path.exists():
             continue
         found = True
-        img = _load_image(path, method)
+        img = _load_image(path, method, truth.dims)
         hu_img = to_hu(img, mu_water)
         hu_truth = to_hu(truth, mu_water)
         rows.append((run_id, method, "rmse_hu", rois[0].label,
                      rmse_roi(img, truth, rois[0], mu_water)))
-        rows.append((run_id, method, "ssim", rois[0].label, ssim(hu_img, hu_truth)))
+        # the default 8-pixel window, shrunk to fit images narrower than it
+        rows.append((run_id, method, "ssim", rois[0].label,
+                     ssim(hu_img, hu_truth, window=min(8, *truth.dims))))
         for roi in rois:
             mean, std = roi_stats(hu_img, roi)
             rows.append((run_id, method, "roi_mean_hu", roi.label, mean))

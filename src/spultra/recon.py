@@ -22,7 +22,8 @@ from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 from .errors import ConfigurationError, NumericalError
 from .geometry import (ImageGrid, Sinogram, SystemGeometry, compute_kappa,
-                       forward_project, system_matrix)
+                       forward_project, pixel_centres, system_matrix, weighted_gram_diag)
+from .metrics import RoiMask, rmse_roi
 from .spstats import SpModel, neg_log_likelihood, post_log_convert, surrogate_at
 # kept importable as recon.build_surrogate: the benchmark's tracer wraps it there
 from .spstats import build_surrogate  # noqa: F401
@@ -96,15 +97,15 @@ def bit_reversal_order(m: int) -> list[int]:
 
 
 class _SubsetBlocks(dict):
-    """Subset row blocks ``matrix[rays[s]]``, each copied on first access."""
+    """Subset row blocks of the cached matrix, each gathered on first access."""
 
-    def __init__(self, matrix, rays):
+    def __init__(self, matrix, geom: SystemGeometry, m: int):
         super().__init__()
-        self._matrix = matrix
-        self._rays = rays
+        self._matrix, self._geom, self._m = matrix, geom, m
 
     def __missing__(self, s):
-        block = self[s] = self._matrix[self._rays[s]]
+        rays = np.arange(self._geom.n_rays).reshape(-1, self._geom.n_detectors)[s::self._m]
+        block = self[s] = self._matrix[rays.reshape(-1)]
         return block
 
 
@@ -112,47 +113,40 @@ class SubsetSystem:
     """System matrix plus interleaved view subsets for ordered-subsets passes.
 
     Subset s holds views congruent to s modulo M; subsets are processed in
-    bit-reversal order for gradient balance. The cached view-major matrix is
-    the only copy: a subset gradient runs scipy's compiled CSR/CSC kernels
-    over each view's row block of it in place, in ascending view order, which
+    bit-reversal order for gradient balance. A subset is a strided view: its
+    gradient reads rows ``[s::M]`` of the (views, detectors) weights and
+    targets, and runs scipy's compiled CSR/CSC kernels over each of its views'
+    row blocks of the cached matrix in place, in ascending view order, which
     sums exactly as a product with the gathered subset block would.
-    ``sub[s]`` is that gathered block, ``matrix[rays[s]]``; it is built on
-    first access for inspection (the benchmark's byte probe reads it), and
-    the solver never reads it.
+    ``sub[s]`` is that block, gathered on first access for inspection (the
+    benchmark's byte probe reads it); the solver never reads it.
     """
 
     def __init__(self, geom: SystemGeometry, m: int):
         self.geom = geom
         self.m = m
         self.matrix = system_matrix(geom)
-        self.row_sums = self.matrix @ np.ones(geom.n_pixels)
-        nd = geom.n_detectors
         self.order = bit_reversal_order(m)
-        views = [np.arange(s, geom.n_views, m) for s in range(m)]
-        self.rays = [(vs[:, None] * nd + np.arange(nd)).reshape(-1) for vs in views]
-        # per subset, each view's slice of the row pointers (views, not copies)
-        self._view_rows = [[self.matrix.indptr[v * nd:(v + 1) * nd + 1] for v in vs]
-                           for vs in views]
-        self.sub = _SubsetBlocks(self.matrix, self.rays)
+        self.sub = _SubsetBlocks(self.matrix, geom, m)
 
     def gram_diag(self, w: np.ndarray) -> np.ndarray:
         """diag(A^T W A 1) as a flat pixel vector."""
-        return self.matrix.T @ (w * self.row_sums)
+        return weighted_gram_diag(self.geom, w).data.reshape(-1)
 
     def subset_gradient(self, s: int, x: np.ndarray, w, y_tilde) -> np.ndarray:
         """M-scaled weighted residual backprojection over subset s."""
         a, nd, npix = self.matrix, self.geom.n_detectors, self.geom.n_pixels
         if x.shape != (npix,):  # the compiled kernels read npix entries unchecked
             raise ValueError(f"x has shape {x.shape}, expected ({npix},)")
-        rays, view_rows = self.rays[s], self._view_rows[s]
-        r = np.zeros(rays.size)
-        for i, ptr in enumerate(view_rows):
-            csr_matvec(nd, npix, ptr, a.indices, a.data, x, r[i * nd:(i + 1) * nd])
-        r -= y_tilde[rays]
-        r *= w[rays]
+        rows = [a.indptr[v * nd:(v + 1) * nd + 1] for v in range(s, self.geom.n_views, self.m)]
+        r = np.zeros((len(rows), nd))
+        for ptr, r_v in zip(rows, r):
+            csr_matvec(nd, npix, ptr, a.indices, a.data, x, r_v)
+        r -= y_tilde.reshape(-1, nd)[s::self.m]
+        r *= w.reshape(-1, nd)[s::self.m]
         g = np.zeros(npix)
-        for i, ptr in enumerate(view_rows):
-            csc_matvec(npix, nd, ptr, a.indices, a.data, r[i * nd:(i + 1) * nd], g)
+        for ptr, r_v in zip(rows, r):
+            csc_matvec(npix, nd, ptr, a.indices, a.data, r_v, g)
         g *= self.m
         return g
 
@@ -269,45 +263,42 @@ def _band_operator(bands, state: SparseState, patch: PatchConfig, dims):
 class UltraQuadReg:
     """Quadratic part of the transform-union regularizer at fixed codes and labels.
 
-    Its gradient is ``2 beta (H x - b)`` with the image-domain operator
-    ``H = sum_j tau_j P_j^T O_kj^T O_kj P_j`` and the code backprojection
-    ``b = sum_j tau_j P_j^T O_kj^T z_j``, both fixed while the codes and
-    labels are. At patch stride 1, H is built once as a banded matrix with
-    (2 side - 1)^2 diagonals from ``bands`` (:func:`gram_bands`, computed
-    here when not given), so a gradient costs one banded multiply instead of
-    the per-class patch products. At stride >= 2 the patches overlap less and
-    those products measured faster than the band (whose build costs more), so
-    each gradient extracts the patches, applies the per-class Gram matrices
-    and scatter-adds them back.
+    Its gradient is ``2 beta (H x - b)`` at every patch stride, with the
+    image-domain operator ``H = sum_j tau_j P_j^T O_kj^T O_kj P_j`` and the
+    code backprojection ``b = sum_j tau_j P_j^T O_kj^T z_j``, both fixed
+    while the codes and labels are, so ``b`` is formed once here. At patch
+    stride 1, H is built once as a banded matrix with (2 side - 1)^2
+    diagonals from ``bands`` (:func:`gram_bands`, computed here when not
+    given), so applying it costs one banded multiply. At stride >= 2 the
+    band measured faster to apply but slow to build, and it raised the peak
+    memory of a 128x128 run by 6-60%, so there H extracts the patches,
+    applies the per-class Gram matrices and scatter-adds them back.
     """
 
     def __init__(self, union: TransformUnion, state: SparseState, beta: float,
                  patch: PatchConfig, dims, diag: np.ndarray, bands=None):
-        self.state = state
         self.beta = beta
-        self.patch = patch
-        self.dims = dims
         self.diag = diag
-        self._code_back = classwise_apply(union.transforms.transpose(0, 2, 1),
-                                          state.labels, state.z)
+        code_back = classwise_apply(union.transforms.transpose(0, 2, 1),
+                                    state.labels, state.z)
+        code_back *= state.tau
+        self._b = accumulate_patches(code_back, dims, patch).reshape(-1)
         bands = gram_bands(union, patch, dims) if bands is None else bands
-        self._band = None
         if bands is not None:
-            self._band = _band_operator(bands, state, patch, dims)
-            self._b = accumulate_patches(self._code_back * state.tau[None, :],
-                                         dims, patch).reshape(-1)
+            self._h = _band_operator(bands, state, patch, dims).dot
         else:
-            self.grams = [union.transforms[k].T @ union.transforms[k]
-                          for k in range(union.k)]
+            grams = [t.T @ t for t in union.transforms]
+
+            def apply(x_flat):
+                out = classwise_apply(grams, state.labels,
+                                      extract_patches(ImageGrid(x_flat.reshape(dims)), patch))
+                out *= state.tau
+                return accumulate_patches(out, dims, patch).reshape(-1)
+
+            self._h = apply
 
     def grad(self, x_flat: np.ndarray) -> np.ndarray:
-        if self._band is not None:
-            return 2.0 * self.beta * (self._band @ x_flat - self._b)
-        p = extract_patches(ImageGrid(x_flat.reshape(self.dims)), self.patch)
-        out = classwise_apply(self.grams, self.state.labels, p)
-        out -= self._code_back
-        img = accumulate_patches(out * self.state.tau[None, :], self.dims, self.patch)
-        return 2.0 * self.beta * img.reshape(-1)
+        return 2.0 * self.beta * (self._h(x_flat) - self._b)
 
 
 def ep_potential(t, delta: float, kind: str):
@@ -430,11 +421,6 @@ class ConvergenceTrace:
                              fmt(self.labels_changed[i]), fmt(self.nonzero_frac[i])])
 
 
-def _rmse_hu(x: np.ndarray, truth: np.ndarray, mu_water: float) -> float:
-    d = (x - truth) * (1000.0 / mu_water)
-    return float(np.sqrt(np.mean(d * d)))
-
-
 def _ultra_outer_loop(value, quadratic, system: SubsetSystem, w_stat: np.ndarray,
                       union: TransformUnion, geom: SystemGeometry, cfg: ReconConfig,
                       x0: ImageGrid, truth: ImageGrid | None, mu_water: float,
@@ -457,13 +443,17 @@ def _ultra_outer_loop(value, quadratic, system: SubsetSystem, w_stat: np.ndarray
                                     cfg.gamma_c, tau, cfg.patch)
     d_r = regularizer_majorizer_diag(union, tau, cfg.beta, cfg.patch, dims).reshape(-1)
     bands = gram_bands(union, cfg.patch, dims)
+    everywhere = RoiMask(np.ones(dims, dtype=bool), "all")
+
+    def rmse(x_flat):
+        return None if truth is None else rmse_roi(ImageGrid(x_flat.reshape(dims)), truth,
+                                                   everywhere, mu_water)
 
     trace = ConvergenceTrace()
     l = system.matrix @ x
     data = value(l)
     reg = cfg.beta * float(np.sum(state.tau * state.cost))
-    rmse = None if truth is None else _rmse_hu(x.reshape(dims), truth.data, mu_water)
-    trace.append(0, data + reg, data, reg, None, rmse, None)
+    trace.append(0, data + reg, data, reg, None, rmse(x), None)
 
     try:
         for n in range(cfg.n_outer):
@@ -479,9 +469,8 @@ def _ultra_outer_loop(value, quadratic, system: SubsetSystem, w_stat: np.ndarray
             reg_pre = cfg.beta * float(np.sum(state.tau * state.prev_cost))
             reg = cfg.beta * float(np.sum(state.tau * state.cost))
             ms = (time.perf_counter() - t0) * 1e3
-            rmse = None if truth is None else _rmse_hu(x_new.reshape(dims), truth.data, mu_water)
             trace.append(n + 1, data + reg, data, reg,
-                         float(np.linalg.norm(x_new - x)), rmse, ms,
+                         float(np.linalg.norm(x_new - x)), rmse(x_new), ms,
                          pre=data + reg_pre, labels_changed=state.labels_changed,
                          nonzero_frac=state.nonzero_frac)
             x = x_new
@@ -581,14 +570,10 @@ def fbp_reconstruct(sino: Sinogram, geom: SystemGeometry) -> ImageGrid:
     filt = np.fft.irfft(np.fft.rfft(p, npad, axis=1) * freqs[None, :], npad, axis=1)
     filt = filt[:, :nd]
 
-    rows, cols = geom.image_dims
-    dx, dy = geom.pixel_spacing
-    xc = (np.arange(cols) - (cols - 1) / 2.0) * dx
-    yc = ((rows - 1) / 2.0 - np.arange(rows)) * dy
-    xg, yg = np.meshgrid(xc, yc)
+    xg, yg = pixel_centres(geom.image_dims, geom.pixel_spacing)
     offsets = geom.detector_offsets()
 
-    out = np.zeros((rows, cols))
+    out = np.zeros(geom.image_dims)
     for i, ang in enumerate(geom.view_angles()):
         s = xg * np.cos(ang) + yg * np.sin(ang)
         out += np.interp(s, offsets, filt[i], left=0.0, right=0.0)

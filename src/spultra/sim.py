@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ImageGrid, Sinogram, SystemGeometry, forward_project
+from .geometry import ImageGrid, Sinogram, SystemGeometry, forward_project, pixel_centres
 from .spstats import SpModel
 
 log = logging.getLogger(__name__)
@@ -60,11 +60,7 @@ class RngSpec:
 def make_phantom(spec: PhantomSpec) -> ImageGrid:
     """Rasterize the shapes; a pixel takes the value of the last shape covering
     its center."""
-    rows, cols = spec.dims
-    dx, dy = spec.spacing
-    xc = (np.arange(cols) - (cols - 1) / 2.0) * dx
-    yc = ((rows - 1) / 2.0 - np.arange(rows)) * dy
-    xg, yg = np.meshgrid(xc, yc)
+    xg, yg = pixel_centres(spec.dims, spec.spacing)
     img = np.zeros(spec.dims)
     for sh in spec.shapes:
         xr = (xg - sh.cx) * np.cos(sh.theta) + (yg - sh.cy) * np.sin(sh.theta)

@@ -14,8 +14,9 @@ from spultra import geometry
 from spultra.config import parse_config
 from spultra.errors import ConfigurationError
 from spultra.geometry import (ImageGrid, Sinogram, SystemGeometry, back_project,
-                              compute_kappa, forward_project, system_matrix,
-                              weighted_gram_diag)
+                              compute_kappa, forward_project, matrix_sums,
+                              pixel_centres, system_matrix, weighted_gram_diag)
+from spultra.recon import SubsetSystem
 
 from conftest import dense_system, small_parallel
 
@@ -157,6 +158,41 @@ def test_kappa_dense_oracle(small_geom):
     covered = den > 0
     expect[covered] = np.sqrt(num[covered] / den[covered])
     assert np.max(np.abs(got - expect)) <= 1e-12 * max(expect.max(), 1.0)
+
+
+def test_matrix_sums_cached_read_only(small_geom):
+    a = system_matrix(small_geom)
+    rows, cols = matrix_sums(small_geom)
+    assert rows.tobytes() == (a @ np.ones(small_geom.n_pixels)).tobytes()
+    assert cols.tobytes() == (a.T @ np.ones(small_geom.n_rays)).tobytes()
+    for sums in (rows, cols):
+        with pytest.raises(ValueError, match="read-only"):
+            sums[0] = 1.0
+    assert matrix_sums(small_geom)[0] is rows
+
+
+def test_matrix_sums_computed_once_per_geometry():
+    # a geometry no other test uses, so the cache does not hold it yet
+    geom = SystemGeometry("parallel", n_detectors=7, n_views=6, detector_spacing=1.4,
+                          angular_range=np.pi, image_dims=(4, 5), pixel_spacing=(1.2, 0.8))
+    w = np.linspace(0.5, 2.0, geom.n_rays)
+    misses = matrix_sums.cache_info().misses
+    for m in (1, 2, 3):
+        system = SubsetSystem(geom, m)
+        assert system.gram_diag(w).tobytes() == \
+            weighted_gram_diag(geom, w).data.reshape(-1).tobytes()
+        compute_kappa(geom, w)
+    assert matrix_sums.cache_info().misses == misses + 1
+
+
+def test_pixel_centres_sit_inside_the_traced_pixels():
+    # each centre is half a pixel from the grid edges the tracer crosses
+    dims, spacing = (3, 4), (2.0, 0.5)
+    x, y = pixel_centres(dims, spacing)
+    assert x.shape == y.shape == dims
+    assert np.allclose(x[0], -0.5 * 4 * 2.0 + (np.arange(4) + 0.5) * 2.0)
+    assert np.allclose(y[:, 0], 0.5 * 3 * 0.5 - (np.arange(3) + 0.5) * 0.5)
+    assert np.all(x[1:] == x[0]) and np.all(y[:, 1:] == y[:, :1])
 
 
 def test_rays_missing_image_contribute_zero():

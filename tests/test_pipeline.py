@@ -1,3 +1,4 @@
+import shutil
 import subprocess
 import sys
 
@@ -325,3 +326,78 @@ def test_all_on_fan_beam_skips_fbp(tmp_path, caplog):
     with caplog.at_level("ERROR"):
         assert run_pipeline(cfg, "all", method="fbp") == EXIT_ERROR
     assert any("parallel-beam" in r.message for r in caplog.records)
+
+
+def _quick(text: str) -> str:
+    return (text.replace("N = 4", "N = 1").replace("ep_iters = 15", "ep_iters = 2")
+            .replace("iters = 8", "iters = 2"))
+
+
+# the same experiment on a smaller image and a narrower detector
+RESIZED = _quick(CONFIG).replace("image_dims = 32 32", "image_dims = 24 24") \
+    .replace("n_detectors = 48", "n_detectors = 40")
+
+
+@pytest.fixture(scope="module")
+def stale_run(tmp_path_factory):
+    """A finished ``all`` run of CONFIG, whose artifacts are 32x32 images and
+    30x48 sinograms."""
+    root = tmp_path_factory.mktemp("stale")
+    p = root / "exp.ini"
+    p.write_text(_quick(CONFIG).replace("PLACEHOLDER", str(root / "run")))
+    assert run_pipeline(parse_config(p), "all") == EXIT_OK
+    return root / "run"
+
+
+def _resized_over(stale_run, tmp_path):
+    out = tmp_path / "run"
+    shutil.copytree(stale_run, out)
+    p = tmp_path / "resized.ini"
+    p.write_text(RESIZED.replace("PLACEHOLDER", str(out)))
+    return parse_config(p), out
+
+
+def _fails_on(cfg, caplog, name, *args, **kwargs):
+    with caplog.at_level("ERROR"):
+        assert run_pipeline(cfg, *args, **kwargs) == EXIT_ERROR
+    assert any(name in r.message and "left over from another config" in r.message
+               for r in caplog.records), [r.message for r in caplog.records]
+
+
+@pytest.mark.parametrize("method", ["fbp", "pwls-ep", "pwls-ultra", "spultra"])
+def test_stale_sinogram_of_another_shape_exits_1(stale_run, tmp_path, caplog, method):
+    cfg, _ = _resized_over(stale_run, tmp_path)
+    _fails_on(cfg, caplog, "sino_raw.spim", "reconstruct", method=method)
+
+
+@pytest.mark.parametrize("method", ["pwls-ultra", "spultra"])
+def test_stale_initializer_of_another_shape_exits_1(stale_run, tmp_path, caplog, method):
+    cfg, out = _resized_over(stale_run, tmp_path)
+    assert run_pipeline(cfg, "simulate") == EXIT_OK
+    _fails_on(cfg, caplog, "x_pwls_ep.spim", "reconstruct", method=method)
+    assert read_spim(out / f"x_{method.replace('-', '_')}.spim")[0].shape == (32, 32)
+
+
+def test_stale_truth_of_another_shape_exits_1(stale_run, tmp_path, caplog):
+    cfg, _ = _resized_over(stale_run, tmp_path)
+    _fails_on(cfg, caplog, "x_true.spim", "evaluate")
+
+
+def test_stale_reconstruction_of_another_shape_exits_1(stale_run, tmp_path, caplog):
+    cfg, _ = _resized_over(stale_run, tmp_path)
+    assert run_pipeline(cfg, "simulate") == EXIT_OK
+    _fails_on(cfg, caplog, "x_fbp.spim", "evaluate")
+
+
+def test_all_on_image_narrower_than_ssim_window(tmp_path):
+    out = tmp_path / "tiny"
+    text = _quick(CONFIG).replace("image_dims = 32 32", "image_dims = 6 6") \
+        .replace("n_detectors = 48", "n_detectors = 10").replace("n_views = 30", "n_views = 12")
+    p = tmp_path / "tiny.ini"
+    p.write_text(text.replace("PLACEHOLDER", str(out)))
+    cfg = parse_config(p)
+    assert cfg.geometry.image_dims == (6, 6) and cfg.recon.patch.v == 16
+    assert run_pipeline(cfg, "all") == EXIT_OK
+    text = (out / "metrics.csv").read_text()
+    for method in ("fbp", "pwls-ep", "pwls-ultra", "spultra"):
+        assert f",{method},ssim," in text

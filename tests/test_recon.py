@@ -148,10 +148,14 @@ def test_subset_gradient_matches_gathered_block_bitwise(geom, m):
     nd = geom.n_detectors
     for s in range(m):
         rays = (np.arange(s, geom.n_views, m)[:, None] * nd + np.arange(nd)).reshape(-1)
-        assert np.array_equal(system.rays[s], rays)
         a_s = a[rays]
         want = m * (a_s.T @ (w[rays] * (a_s @ x - y[rays])))
         assert system.subset_gradient(s, x, w, y).tobytes() == want.tobytes()
+        # subset s reads the weights and targets of its own views only
+        others = np.ones(geom.n_rays, dtype=bool)
+        others[rays] = False
+        w_nan, y_nan = np.where(others, np.nan, w), np.where(others, np.nan, y)
+        assert system.subset_gradient(s, x, w_nan, y_nan).tobytes() == want.tobytes()
         block = system.sub[s]
         assert system.sub[s] is block  # built once, then memoized
         assert (block != a_s).nnz == 0
@@ -543,22 +547,43 @@ def _patch_gradient(union, state, beta, patch, dims, x):
     return 2.0 * beta * accumulate_patches(out * state.tau, dims, patch).reshape(-1)
 
 
-@settings(deadline=None, max_examples=60)
+@settings(deadline=None, max_examples=80)
 @given(side=st.integers(1, 5), k=st.integers(1, 4), extra_rows=st.integers(0, 9),
-       extra_cols=st.integers(0, 9), seed=st.integers(0, 2 ** 32 - 1))
-def test_banded_gradient_matches_patch_gradient(side, k, extra_rows, extra_cols, seed):
-    # images down to one patch side per axis, so flat band offsets can coincide
+       extra_cols=st.integers(0, 9), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_banded_gradient_matches_patch_gradient(side, k, extra_rows, extra_cols, seed, data):
+    # images down to one patch side per axis, so flat band offsets can coincide;
+    # stride 1 runs the banded H, strides 2..side the per-class patch products
+    stride = data.draw(st.integers(1, side), label="stride")
     dims = (side + extra_rows, side + extra_cols)
     rng = np.random.default_rng(seed)
-    union, patch, state, x = _random_reg_problem(rng, k, side, 1, dims)
+    union, patch, state, x = _random_reg_problem(rng, k, side, stride, dims)
     reg = UltraQuadReg(union, state, 1.7, patch, dims, 0.0)
-    assert reg._band is not None
     got = reg.grad(x)
     ref = _patch_gradient(union, state, 1.7, patch, dims, x)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     # the bands gathered once per reconstruction give the same operator
     shared = UltraQuadReg(union, state, 1.7, patch, dims, 0.0, gram_bands(union, patch, dims))
     assert np.array_equal(shared.grad(x), got)
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_banded_gradient_makes_no_patch_products(monkeypatch, stride):
+    rng = np.random.default_rng(40 + stride)
+    dims = (9, 10)
+    union, patch, state, x = _random_reg_problem(rng, 2, 3, stride, dims)
+    assert (gram_bands(union, patch, dims) is None) == (stride > 1)
+    reg = UltraQuadReg(union, state, 1.1, patch, dims, 0.0)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return extract_patches(*args)
+
+    monkeypatch.setattr("spultra.recon.extract_patches", counted)
+    reg.grad(x)
+    reg.grad(x)
+    # the band is applied as one multiply; without it each gradient extracts once
+    assert len(calls) == (0 if stride == 1 else 2)
 
 
 def test_stride2_gradient_matches_finite_differences():
@@ -593,6 +618,5 @@ def test_ultra_gradient_zero_at_exact_codes(stride):
         sel = state.labels == k
         state.z[:, sel] = union.transforms[k] @ p[:, sel]
     reg = UltraQuadReg(union, state, 1.3, patch, dims, 0.0)
-    assert (reg._band is not None) == (stride == 1)
     scale = np.max(np.abs(_patch_gradient(union, state, 1.3, patch, dims, np.zeros_like(x))))
     assert np.max(np.abs(reg.grad(x))) <= 1e-12 * scale
