@@ -114,10 +114,13 @@ class SubsetSystem:
 
     Subset s holds views congruent to s modulo M; subsets are processed in
     bit-reversal order for gradient balance. A subset is a strided view: its
-    gradient reads rows ``[s::M]`` of the (views, detectors) weights and
-    targets, and runs scipy's compiled CSR/CSC kernels over each of its views'
-    row blocks of the cached matrix in place, in ascending view order, which
-    sums exactly as a product with the gathered subset block would.
+    gradient makes one pass over the subset's views in ascending order: for
+    each view it runs scipy's compiled CSR kernel over the view's row block of
+    the cached matrix in place, forms that view's weighted residual, and
+    backprojects it with the CSC kernel at once, while the block is still in
+    cache. Every ray's sum and the order of accumulation into the gradient
+    are those of a product with the gathered subset block, so the result is
+    the same bit for bit.
     ``sub[s]`` is that block, gathered on first access for inspection (the
     benchmark's byte probe reads it); the solver never reads it.
     """
@@ -136,17 +139,23 @@ class SubsetSystem:
     def subset_gradient(self, s: int, x: np.ndarray, w, y_tilde) -> np.ndarray:
         """M-scaled weighted residual backprojection over subset s."""
         a, nd, npix = self.matrix, self.geom.n_detectors, self.geom.n_pixels
-        if x.shape != (npix,):  # the compiled kernels read npix entries unchecked
-            raise ValueError(f"x has shape {x.shape}, expected ({npix},)")
-        rows = [a.indptr[v * nd:(v + 1) * nd + 1] for v in range(s, self.geom.n_views, self.m)]
-        r = np.zeros((len(rows), nd))
-        for ptr, r_v in zip(rows, r):
-            csr_matvec(nd, npix, ptr, a.indices, a.data, x, r_v)
-        r -= y_tilde.reshape(-1, nd)[s::self.m]
-        r *= w.reshape(-1, nd)[s::self.m]
+        # the compiled kernels read x unchecked, and a view-by-view pass would
+        # silently misalign weights or targets of another length
+        for name, vec, n in (("x", x, npix), ("w", w, self.geom.n_rays),
+                             ("y_tilde", y_tilde, self.geom.n_rays)):
+            if np.shape(vec) != (n,):
+                raise ValueError(f"{name} has shape {np.shape(vec)}, expected ({n},)")
+        w, y_tilde = w.reshape(-1, nd), y_tilde.reshape(-1, nd)
+        r = np.empty(nd)
         g = np.zeros(npix)
-        for ptr, r_v in zip(rows, r):
-            csc_matvec(npix, nd, ptr, a.indices, a.data, r_v, g)
+        for v in range(s, self.geom.n_views, self.m):
+            # one view's rows, read twice while they are still in cache
+            ptr = a.indptr[v * nd:(v + 1) * nd + 1]
+            r.fill(0.0)
+            csr_matvec(nd, npix, ptr, a.indices, a.data, x, r)
+            r -= y_tilde[v]
+            r *= w[v]
+            csc_matvec(npix, nd, ptr, a.indices, a.data, r, g)
         g *= self.m
         return g
 
@@ -169,31 +178,66 @@ def os_lalm_image_update(x0: np.ndarray, system: SubsetSystem, w: np.ndarray,
     five-line relaxed recursion; the relaxation parameter is refreshed from
     :func:`rho_schedule` at every inner step. ``reg`` provides ``grad(x)``
     and a diagonal Hessian majorizer ``diag``.
+
+    The iterates s, x, zeta, g and eta are the rows of one (5, n) workspace,
+    updated in place with the operations, and in the order, of the recursion
+    as written; ``d_a * x`` is formed once per step and serves both eta and
+    the next step's s. One finiteness check covers the workspace per step;
+    on failure, the first non-finite iterate in the order s, x, zeta, g, eta
+    is reported.
     """
     passes = cfg.n_inner if n_passes is None else n_passes
-    m = system.m
+    m, alpha = system.m, cfg.alpha
     d_r = reg.diag
+    # rho > 0, so the pixels where rho d_a + d_r > 0 (NaN is not) are those
+    # of rho = 1; elsewhere x keeps its value
+    frozen = np.flatnonzero(~(d_a + d_r > 0))
 
-    x = np.clip(x0, 0.0, cfg.x_max)
-    zeta = system.subset_gradient(system.order[-1], x, w, y_tilde)
-    g = zeta.copy()
-    eta = d_a * x - zeta
+    state = np.empty((5, x0.size))
+    s, x, zeta, g, eta = state
+    dax, step, denom = np.empty((3, x0.size))
+    np.clip(x0, 0.0, cfg.x_max, out=x)
+    zeta[:] = system.subset_gradient(system.order[-1], x, w, y_tilde)
+    g[:] = zeta
+    np.multiply(d_a, x, out=dax)
+    np.subtract(dax, zeta, out=eta)
 
     for t in range(passes * m):
-        rho = rho_schedule(t, cfg.alpha)
-        s = rho * (d_a * x - eta) + (1.0 - rho) * g
-        denom = rho * d_a + d_r
-        step = (s + reg.grad(x)) / np.where(denom > 0, denom, 1.0)
-        x = np.clip(x - np.where(denom > 0, step, 0.0), 0.0, cfg.x_max)
-        sub = system.order[t % m]
-        zeta = system.subset_gradient(sub, x, w, y_tilde)
-        g = (rho / (rho + 1.0)) * (cfg.alpha * zeta + (1.0 - cfg.alpha) * g) \
-            + g / (rho + 1.0)
-        eta = cfg.alpha * (d_a * x - zeta) + (1.0 - cfg.alpha) * eta
-        for name, vec in (("s", s), ("x", x), ("zeta", zeta), ("g", g), ("eta", eta)):
-            if not np.isfinite(vec).all():
-                raise NumericalError(name, t)
-    return x
+        rho = rho_schedule(t, alpha)
+        # s = rho (d_a x - eta) + (1 - rho) g
+        np.subtract(dax, eta, out=s)
+        s *= rho
+        np.multiply(g, 1.0 - rho, out=step)
+        s += step
+        # x = clip(x - (s + grad) / (rho d_a + d_r), 0, x_max)
+        np.multiply(d_a, rho, out=denom)
+        denom += d_r
+        denom[frozen] = 1.0
+        np.add(s, reg.grad(x), out=step)
+        step /= denom
+        step[frozen] = 0.0
+        x -= step
+        np.clip(x, 0.0, cfg.x_max, out=x)
+        zeta[:] = system.subset_gradient(system.order[t % m], x, w, y_tilde)
+        # g = rho / (rho + 1) (alpha zeta + (1 - alpha) g) + g / (rho + 1),
+        # with denom and step as scratch
+        np.multiply(zeta, alpha, out=denom)
+        np.multiply(g, 1.0 - alpha, out=step)
+        denom += step
+        denom *= rho / (rho + 1.0)
+        g /= rho + 1.0
+        g += denom
+        # eta = alpha (d_a x - zeta) + (1 - alpha) eta
+        np.multiply(d_a, x, out=dax)
+        np.subtract(dax, zeta, out=step)
+        step *= alpha
+        eta *= 1.0 - alpha
+        eta += step
+        if not np.isfinite(state).all():
+            for name, vec in zip(("s", "x", "zeta", "g", "eta"), state):
+                if not np.isfinite(vec).all():
+                    raise NumericalError(name, t)
+    return x.copy()
 
 
 def gram_bands(union: TransformUnion, patch: PatchConfig, dims):
@@ -340,6 +384,13 @@ class EdgePreservingReg:
     (a-b)^2 <= 2a^2 + 2b^2 together with phi'' <= 1, giving per-pixel
     4 beta sum_k kappa_j kappa_k; the bare Hessian diagonal (half of this)
     is not a valid majorizer.
+
+    The gradient evaluates each neighbour pair once. The first four offsets
+    of ``_OFFSETS8`` have their mirrors among the last four, in reverse
+    order; a pair's flux 2 kappa_j kappa_k phi'(x_j - x_k) is added at j for
+    offset o and subtracted at k for offset -o, in the order of
+    ``_OFFSETS8``. Both potentials' derivatives are odd and the edge weights
+    are computed once here, so this is the eight-offset sum bit for bit.
     """
 
     def __init__(self, kappa: np.ndarray, ep: EpParams, dims):
@@ -351,6 +402,10 @@ class EdgePreservingReg:
             c, nb = _offset_slices(dims, di, dj)
             diag[c] += 4.0 * ep.beta_ep * self.kappa[c] * self.kappa[nb]
         self.diag = diag.reshape(-1)
+        self._pairs = []
+        for di, dj in _OFFSETS8[:4]:
+            c, nb = _offset_slices(dims, di, dj)
+            self._pairs.append((c, nb, 2.0 * self.kappa[c] * self.kappa[nb]))
 
     def value(self, x_flat: np.ndarray) -> float:
         x = x_flat.reshape(self.dims)
@@ -365,10 +420,14 @@ class EdgePreservingReg:
     def grad(self, x_flat: np.ndarray) -> np.ndarray:
         x = x_flat.reshape(self.dims)
         g = np.zeros(self.dims)
-        for di, dj in _OFFSETS8:
-            c, nb = _offset_slices(self.dims, di, dj)
-            g[c] += 2.0 * self.kappa[c] * self.kappa[nb] \
-                * ep_potential_dot(x[c] - x[nb], self.ep.delta, self.ep.potential_kind)
+        fluxes = []
+        for c, nb, weight in self._pairs:
+            flux = weight * ep_potential_dot(x[c] - x[nb], self.ep.delta,
+                                             self.ep.potential_kind)
+            g[c] += flux
+            fluxes.append(flux)
+        for (_, nb, _), flux in zip(self._pairs[::-1], fluxes[::-1]):
+            g[nb] -= flux
         return self.ep.beta_ep * g.reshape(-1)
 
 

@@ -164,8 +164,8 @@ def classwise_apply(mats, labels: np.ndarray, cols: np.ndarray) -> np.ndarray:
     one matrix product per class."""
     out = np.empty((mats[0].shape[0], cols.shape[1]))
     for k in range(len(mats)):
-        sel = labels == k
-        if np.any(sel):
+        sel = np.flatnonzero(labels == k)
+        if sel.size:
             out[:, sel] = mats[k] @ cols[:, sel]
     return out
 

@@ -131,7 +131,74 @@ def test_os_lalm_aborts_on_nonfinite():
     with pytest.raises(NumericalError) as err:
         os_lalm_image_update(np.zeros(geom.n_pixels), system, w, y, d_a,
                              ZeroReg(), wls_cfg(1))
-    assert err.value.quantity in ("s", "x", "zeta", "g", "eta")
+    # zeta and g are NaN from the start; s = rho (d_a x - eta) + 0 g is the
+    # first iterate of step 0 to read them
+    assert (err.value.quantity, err.value.step) == ("s", 0)
+
+
+def test_os_lalm_reports_nonfinite_regularizer_gradient_as_x():
+    class NanReg:
+        diag = 1.0
+
+        def grad(self, x):
+            return np.full_like(x, np.nan)
+
+    geom = small_parallel(4, 4, 6, 4)
+    system = SubsetSystem(geom, 1)
+    w = np.ones(geom.n_rays)
+    y = np.zeros(geom.n_rays)
+    with pytest.raises(NumericalError) as err:
+        os_lalm_image_update(np.zeros(geom.n_pixels), system, w, y, system.gram_diag(w),
+                             NanReg(), wls_cfg(1))
+    assert (err.value.quantity, err.value.step) == ("x", 0)
+
+
+def _os_lalm_reference(x0, system, w, y_tilde, d_a, reg, cfg, passes):
+    """The relaxed OS-LALM loop written with one fresh array per operation."""
+    m = system.m
+    d_r = reg.diag
+    x = np.clip(x0, 0.0, cfg.x_max)
+    zeta = system.subset_gradient(system.order[-1], x, w, y_tilde)
+    g = zeta.copy()
+    eta = d_a * x - zeta
+    for t in range(passes * m):
+        rho = rho_schedule(t, cfg.alpha)
+        s = rho * (d_a * x - eta) + (1.0 - rho) * g
+        denom = rho * d_a + d_r
+        step = (s + reg.grad(x)) / np.where(denom > 0, denom, 1.0)
+        x = np.clip(x - np.where(denom > 0, step, 0.0), 0.0, cfg.x_max)
+        zeta = system.subset_gradient(system.order[t % m], x, w, y_tilde)
+        g = (rho / (rho + 1.0)) * (cfg.alpha * zeta + (1.0 - cfg.alpha) * g) \
+            + g / (rho + 1.0)
+        eta = cfg.alpha * (d_a * x - zeta) + (1.0 - cfg.alpha) * eta
+    return x
+
+
+@pytest.mark.parametrize("kind", ["lange", "hyperbola"])
+def test_os_lalm_matches_reference_loop_bitwise(kind):
+    geom = small_parallel(9, 7, 11, 20)
+    system = SubsetSystem(geom, 3)
+    rng = np.random.default_rng(21)
+    w = rng.uniform(0.2, 2.0, geom.n_rays)
+    w[:geom.n_detectors] = 0.0  # one view carries no weight
+    y = rng.uniform(0.0, 0.4, geom.n_rays)
+    kappa = compute_kappa(geom, w).data.reshape(-1)
+    ep = EpParams(beta_ep=0.7, delta=0.004, potential_kind=kind, iters=2)
+    cfg = ReconConfig(beta=0.0, gamma_c=1.0, n_outer=1, n_inner=2, n_subsets=3,
+                      x_max=0.05, patch=PatchConfig(1, 1), ep=ep)
+    reg = EdgePreservingReg(kappa, ep, geom.image_dims)
+    d_a = system.gram_diag(w)
+    x0 = rng.uniform(-0.01, 0.06, geom.n_pixels)  # leaves the box on both sides
+    want = _os_lalm_reference(x0, system, w, y, d_a, reg, cfg, passes=2)
+    got = os_lalm_image_update(x0, system, w, y, d_a, reg, cfg)
+    assert got.tobytes() == want.tobytes()
+    # a zero data diagonal and no regularizer freezes those pixels
+    d_a0 = d_a.copy()
+    d_a0[::5] = 0.0
+    want = _os_lalm_reference(x0, system, w, y, d_a0, ZeroReg(), cfg, passes=2)
+    got = os_lalm_image_update(x0, system, w, y, d_a0, ZeroReg(), cfg)
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(got[::5], np.clip(x0[::5], 0.0, cfg.x_max))
 
 
 # M = 3 and 12 do not divide 20 views; 12 does not divide 18 either
@@ -161,6 +228,22 @@ def test_subset_gradient_matches_gathered_block_bitwise(geom, m):
         assert (block != a_s).nnz == 0
     with pytest.raises(ValueError, match="x has shape"):
         system.subset_gradient(0, x[:-1], w, y)
+
+
+def test_subset_gradient_rejects_wrong_lengths():
+    # 20 views, M = 3: a vector one view short still covers subset 0's views
+    geom = small_parallel(6, 7, 9, 20)
+    system = SubsetSystem(geom, 3)
+    x = np.full(geom.n_pixels, 0.01)
+    ok = np.ones(geom.n_rays)
+    nd = geom.n_detectors
+    for bad in (np.ones(geom.n_rays - nd), np.ones(geom.n_rays + nd), np.ones(geom.n_rays - 1)):
+        for s in range(3):
+            with pytest.raises(ValueError, match=rf"w has shape .*expected \({geom.n_rays},\)"):
+                system.subset_gradient(s, x, bad, ok)
+            with pytest.raises(ValueError,
+                               match=rf"y_tilde has shape .*expected \({geom.n_rays},\)"):
+                system.subset_gradient(s, x, ok, bad)
 
 
 def test_subset_system_holds_no_matrix_copy():
@@ -230,6 +313,27 @@ def test_ep_gradient_matches_finite_differences():
         eps = 1e-6
         fd = (reg.value(x + eps * e) - reg.value(x - eps * e)) / (2 * eps)
         assert g[idx] == pytest.approx(fd, rel=1e-6, abs=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["lange", "hyperbola"])
+def test_ep_gradient_matches_eight_offset_sum_bitwise(kind):
+    rng = np.random.default_rng(17)
+    dims = (6, 9)
+    kappa = rng.uniform(0.0, 2.0, dims)
+    kappa[0, :] = 0.0
+    kappa[2:4, 5:] = 0.0
+    x = rng.uniform(0.0, 0.05, dims)
+    x[3:, :4] = 0.02  # equal neighbours: zero differences
+    ep = EpParams(beta_ep=1.7, delta=0.003, potential_kind=kind, iters=5)
+    rows, cols = dims
+    want = np.zeros(dims)
+    for di, dj in [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]:
+        c = (slice(max(0, -di), rows - max(0, di)), slice(max(0, -dj), cols - max(0, dj)))
+        nb = (slice(max(0, di), rows - max(0, -di)), slice(max(0, dj), cols - max(0, -dj)))
+        want[c] += 2.0 * kappa[c] * kappa[nb] * ep_potential_dot(x[c] - x[nb], ep.delta, kind)
+    want = ep.beta_ep * want.reshape(-1)
+    got = EdgePreservingReg(kappa.reshape(-1), ep, dims).grad(x.reshape(-1))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_ep_diag_dominates_hessian_quadratic_form():
