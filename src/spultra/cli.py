@@ -40,7 +40,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        cfg = parse_config(args.config)
+        cfg = parse_config(args.config).with_overrides(out_dir=args.out, seed=args.seed)
     except OSError as err:
         print(f"error: cannot read config {args.config}: {err.strerror or err}",
               file=sys.stderr)
@@ -52,7 +52,6 @@ def main(argv=None) -> int:
     except ValidationError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
-    cfg = cfg.with_overrides(out_dir=args.out, seed=args.seed)
     method = getattr(args, "method", None)
     return run_pipeline(cfg, args.subcommand, method=method,
                         deterministic=args.deterministic_noise)

@@ -24,6 +24,18 @@ from .spstats import SpModel
 from .ultra import PatchConfig
 
 _REQUIRED = object()
+# the signed 64-bit range: the seed becomes a Philox key word, and larger
+# values overflow (from 2**64) or go through a lossy cast on the way
+_SEED_MAX = 2 ** 63 - 1
+
+
+def _range_error(name, val, minimum=None, maximum=None) -> str | None:
+    """The message for ``val`` outside ``[minimum, maximum]``, else ``None``."""
+    if minimum is not None and val < minimum:
+        return f"{name}: must be >= {minimum}, got {val}"
+    if maximum is not None and val > maximum:
+        return f"{name}: must be <= {maximum}, got {val}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -62,6 +74,12 @@ class ExperimentConfig:
     config_hash: str = ""
 
     def with_overrides(self, out_dir=None, seed=None) -> "ExperimentConfig":
+        """A copy with ``[io]`` out_dir and seed replaced; an out-of-range seed
+        raises :class:`ValidationError`, as it would in the INI file."""
+        if seed is not None:
+            err = _range_error("io.seed", int(seed), 0, _SEED_MAX)
+            if err:
+                raise ValidationError([err])
         cfg = ExperimentConfig(**self.__dict__)
         if self.io is not None and (out_dir is not None or seed is not None):
             cfg.io = replace(self.io,
@@ -97,13 +115,14 @@ class _Section:
             self.errors.append(f"{self.name}.{key}: expected {what}, got {text!r}")
             return None
 
-    def get_int(self, key, default=_REQUIRED, minimum=None):
+    def get_int(self, key, default=_REQUIRED, minimum=None, maximum=None):
         text = self._fetch(key, default)
         if text is None or not isinstance(text, str):
             return text
         val = self._convert(key, text, int, "an integer")
-        if val is not None and minimum is not None and val < minimum:
-            self.errors.append(f"{self.name}.{key}: must be >= {minimum}, got {val}")
+        err = None if val is None else _range_error(f"{self.name}.{key}", val, minimum, maximum)
+        if err:
+            self.errors.append(err)
             return None
         return val
 
@@ -114,8 +133,9 @@ class _Section:
         val = self._convert(key, text, float, "a number")
         if val is None:
             return None
-        if minimum is not None and val < minimum:
-            self.errors.append(f"{self.name}.{key}: must be >= {minimum}, got {val}")
+        err = _range_error(f"{self.name}.{key}", val, minimum)
+        if err:
+            self.errors.append(err)
             return None
         if exclusive_min is not None and val <= exclusive_min:
             self.errors.append(f"{self.name}.{key}: must be > {exclusive_min}, got {val}")
@@ -368,7 +388,7 @@ def parse_config(path) -> ExperimentConfig:
     if parser.has_section("io"):
         s = _Section("io", parser["io"], errors)
         out_dir = s.get_str("out_dir")
-        seed = s.get_int("seed", "0", minimum=0)
+        seed = s.get_int("seed", "0", minimum=0, maximum=_SEED_MAX)
         s.finish()
         if None not in (out_dir, seed):
             cfg.io = IoConfig(out_dir=out_dir, seed=int(seed))

@@ -9,7 +9,9 @@ Assembly writes the CSR arrays directly: rays are traced in chunks, each
 chunk's entries are sorted by pixel within their ray and repeated
 (ray, pixel) pairs are summed, so the result equals ``coo_matrix.tocsr()``
 of the traced triplets. Each chunk goes straight into the final arrays,
-which grow in place, so the assembly peaks below 1.5 times the matrix.
+which grow in place, and a chunk's temporaries are about 1 MiB each, so the
+assembly peaks near the size of the matrix itself (about 1.06 times it at
+128x128, 1.3 times at 64x64).
 """
 
 from __future__ import annotations
@@ -27,12 +29,11 @@ from .errors import ConfigurationError
 log = logging.getLogger(__name__)
 
 # Rays are traced in chunks of about this many (ray, grid edge) elements
-# (8192 rays at 64x64) to bound the memory of the vectorized tracer. Do not
-# shrink it much: glibc's mmap threshold follows the largest block freed, and
-# the tracer's temporaries (~8.5 MB each) keep it above the solvers' largest
-# per-iteration arrays, which are then reused from the heap instead of being
-# mapped and faulted in afresh every outer iteration.
-_CHUNK_ELEMENTS = 8192 * 130
+# (1008 rays at 64x64, 508 at 128x128), so that each float64 (ray, edge)
+# temporary of the tracer is about 1 MiB: it stays in cache while the tracer
+# sweeps it several times, and the assembly's peak is the matrix plus a few
+# such temporaries.
+_CHUNK_ELEMENTS = 2 ** 17
 _INT32_MAX = np.iinfo(np.int32).max
 
 

@@ -16,9 +16,8 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import dia_matrix
-# the kernels behind csr_matrix @ x and csr_matrix.T @ r
-from scipy.sparse._sparsetools import csc_matvec, csr_matvec
+# the kernels behind csr_matrix @ x, csr_matrix.T @ r and dia_matrix @ x
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec, dia_matvec
 
 from .errors import ConfigurationError, NumericalError
 from .geometry import (ImageGrid, Sinogram, SystemGeometry, compute_kappa,
@@ -242,7 +241,7 @@ def os_lalm_image_update(x0: np.ndarray, system: SubsetSystem, w: np.ndarray,
 
 def gram_bands(union: TransformUnion, patch: PatchConfig, dims):
     """Gram entries gathered per image-domain offset for the banded operator
-    of :class:`UltraQuadReg`; ``None`` at stride >= 2, where it is not used.
+    of :class:`BandWorkspace`; ``None`` at stride >= 2, where it is not used.
 
     Returns ``(offsets, gathered)``: the distinct flat pixel offsets
     ``di * cols + dj`` with ``|di|, |dj| < patch_side``, and one row per
@@ -270,38 +269,56 @@ def gram_bands(union: TransformUnion, patch: PatchConfig, dims):
     return offsets, gathered
 
 
-def _band_operator(bands, state: SparseState, patch: PatchConfig, dims):
-    """H = sum_j tau_j P_j^T G_kj P_j as a DIA matrix (stride-1 patches).
+class BandWorkspace:
+    """Storage of the stride-1 operator H = sum_j tau_j P_j^T G_kj P_j in DIA
+    layout, allocated once per reconstruction and rebuilt in place.
 
     The coefficient of offset o at pixel p sums, over the patch positions
     (a, b) of p, the gathered Gram entry times tau of the patch at p - (a, b)
     if that patch has the entry's class: one product of the gathered Grams
-    with the class maps of tau shifted over the patch positions.
+    (:func:`gram_bands`) with the class maps of tau shifted over the patch
+    positions. DIA storage is column-indexed, ``data[i, q] = H[q - o_i, q]``.
+    The offsets are symmetric about ``o_m == 0`` and H is symmetric, so the
+    product with the Grams of ``o_m, ..., o_2m`` taken in reverse order lands
+    as rows ``0..m`` (offset -o holds ``H[q + o, q]``), and each row of a
+    positive offset o is that of -o shifted right by o. The first o entries
+    of that row lie outside H; they are zeroed here, once.
     """
-    offsets, gathered = bands
-    s = patch.patch_side
-    rows, cols = dims
-    nr, nc = patch.grid(dims)
-    k = gathered.shape[1] // patch.v
-    maps = np.zeros((k, nr, nc))
-    maps[state.labels.reshape(nr, nc), np.arange(nr)[:, None], np.arange(nc)] = \
-        state.tau.reshape(nr, nc)
-    shifted = np.zeros((k, s, s, rows, cols))
-    for a in range(s):
-        for b in range(s):
-            shifted[:, a, b, a:a + nr, b:b + nc] = maps
-    # the offsets are symmetric about offsets[m] == 0 and H is symmetric, so
-    # only the offsets o >= 0 are computed: upper[i, p] = H[p, p + o]
-    m = offsets.size // 2
-    upper = gathered[m:] @ shifted.reshape(k * patch.v, rows * cols)
-    n = rows * cols
-    # DIA storage is column-indexed, data[i, q] = H[q - offsets[i], q]:
-    # offset -o holds H[q + o, q] = upper[., q], offset o holds upper[., q - o]
-    data = np.zeros((offsets.size, n))
-    data[m::-1] = upper
-    for i, o in enumerate(offsets[m + 1:], start=1):
-        data[m + i, o:] = upper[i, :n - o]
-    return dia_matrix((data, offsets), shape=(n, n))
+
+    def __init__(self, union: TransformUnion, patch: PatchConfig, dims):
+        offsets, gathered = gram_bands(union, patch, dims)
+        self.patch, self.dims = patch, dims
+        self.n = dims[0] * dims[1]
+        self.m = offsets.size // 2
+        self.offsets = offsets.astype(np.int32)
+        self._grams = np.ascontiguousarray(gathered[self.m:][::-1])
+        self.data = np.zeros((offsets.size, self.n))
+
+    def build(self, state: SparseState):
+        """Overwrite the stored H with that of ``state``'s labels and tau."""
+        s, (rows, cols), m, n = self.patch.patch_side, self.dims, self.m, self.n
+        nr, nc = self.patch.grid(self.dims)
+        k = self._grams.shape[1] // self.patch.v
+        maps = np.zeros((k, nr, nc))
+        maps[state.labels.reshape(nr, nc), np.arange(nr)[:, None], np.arange(nc)] = \
+            state.tau.reshape(nr, nc)
+        shifted = np.zeros((k, s, s, rows, cols))
+        for a in range(s):
+            for b in range(s):
+                shifted[:, a, b, a:a + nr, b:b + nc] = maps
+        np.matmul(self._grams, shifted.reshape(k * self.patch.v, n), out=self.data[:m + 1])
+        for i, o in enumerate(self.offsets[m + 1:], start=1):
+            self.data[m + i, o:] = self.data[m - i, :n - o]
+
+    def apply(self, x_flat: np.ndarray) -> np.ndarray:
+        """H x for the last build."""
+        # the compiled kernel reads x unchecked
+        if np.shape(x_flat) != (self.n,):
+            raise ValueError(f"x has shape {np.shape(x_flat)}, expected ({self.n},)")
+        y = np.zeros(self.n)
+        dia_matvec(self.n, self.n, self.offsets.size, self.n, self.offsets, self.data,
+                   x_flat, y)
+        return y
 
 
 class UltraQuadReg:
@@ -311,25 +328,30 @@ class UltraQuadReg:
     image-domain operator ``H = sum_j tau_j P_j^T O_kj^T O_kj P_j`` and the
     code backprojection ``b = sum_j tau_j P_j^T O_kj^T z_j``, both fixed
     while the codes and labels are, so ``b`` is formed once here. At patch
-    stride 1, H is built once as a banded matrix with (2 side - 1)^2
-    diagonals from ``bands`` (:func:`gram_bands`, computed here when not
-    given), so applying it costs one banded multiply. At stride >= 2 the
-    band measured faster to apply but slow to build, and it raised the peak
-    memory of a 128x128 run by 6-60%, so there H extracts the patches,
-    applies the per-class Gram matrices and scatter-adds them back.
+    stride 1, H is built into ``band`` (a :class:`BandWorkspace`, made here
+    when not given), so applying it costs one banded multiply. The operator
+    reads the workspace's buffers: the next regularizer built on the same
+    workspace overwrites them, and this one then applies that one's H. At
+    stride >= 2 the band measured faster to apply but slow to build, and it
+    raised the peak memory of a 128x128 run by 6-60%, so there H extracts
+    the patches, applies the per-class Gram matrices and scatter-adds them
+    back.
     """
 
     def __init__(self, union: TransformUnion, state: SparseState, beta: float,
-                 patch: PatchConfig, dims, diag: np.ndarray, bands=None):
+                 patch: PatchConfig, dims, diag: np.ndarray,
+                 band: BandWorkspace | None = None):
         self.beta = beta
         self.diag = diag
         code_back = classwise_apply(union.transforms.transpose(0, 2, 1),
                                     state.labels, state.z)
         code_back *= state.tau
         self._b = accumulate_patches(code_back, dims, patch).reshape(-1)
-        bands = gram_bands(union, patch, dims) if bands is None else bands
-        if bands is not None:
-            self._h = _band_operator(bands, state, patch, dims).dot
+        if band is None and patch.stride == 1:
+            band = BandWorkspace(union, patch, dims)
+        if band is not None:
+            band.build(state)
+            self._h = band.apply
         else:
             grams = [t.T @ t for t in union.transforms]
 
@@ -501,7 +523,7 @@ def _ultra_outer_loop(value, quadratic, system: SubsetSystem, w_stat: np.ndarray
     state = sparse_code_and_cluster(ImageGrid(x.reshape(dims)), union,
                                     cfg.gamma_c, tau, cfg.patch)
     d_r = regularizer_majorizer_diag(union, tau, cfg.beta, cfg.patch, dims).reshape(-1)
-    bands = gram_bands(union, cfg.patch, dims)
+    band = BandWorkspace(union, cfg.patch, dims) if cfg.patch.stride == 1 else None
     everywhere = RoiMask(np.ones(dims, dtype=bool), "all")
 
     def rmse(x_flat):
@@ -518,7 +540,7 @@ def _ultra_outer_loop(value, quadratic, system: SubsetSystem, w_stat: np.ndarray
         for n in range(cfg.n_outer):
             t0 = time.perf_counter()
             w, y_tilde, d_a = quadratic(l)
-            quad = UltraQuadReg(union, state, cfg.beta, cfg.patch, dims, d_r, bands)
+            quad = UltraQuadReg(union, state, cfg.beta, cfg.patch, dims, d_r, band)
             x_new = os_lalm_image_update(x, system, w, y_tilde, d_a, quad, cfg)
             # the data term is unchanged by the coding step
             l = system.matrix @ x_new

@@ -152,11 +152,20 @@ def patch_weights(kappa: ImageGrid, cfg: PatchConfig) -> np.ndarray:
 
 
 def hard_threshold(values: np.ndarray, gamma_c: float) -> np.ndarray:
-    """Zero entries with magnitude strictly below gamma_c; boundary entries stay."""
+    """Zero entries with magnitude strictly below gamma_c; boundary entries stay.
+    Every zeroed entry, NaN included, becomes +0.0."""
+    return _threshold_in_place(np.array(values, dtype=np.float64), gamma_c)
+
+
+def _threshold_in_place(t: np.ndarray, gamma_c: float) -> np.ndarray:
+    """:func:`hard_threshold` written over the float64 array ``t``, returned."""
     if gamma_c <= 0:
         raise ValueError("gamma_c must be positive")
-    values = np.asarray(values, dtype=np.float64)
-    return np.where(np.abs(values) >= gamma_c, values, 0.0)
+    # |t| >= gamma_c without a float temporary; NaN passes neither test
+    keep = t >= gamma_c
+    keep |= t <= -gamma_c
+    np.copyto(t, 0.0, where=~keep)
+    return t
 
 
 def classwise_apply(mats, labels: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -194,7 +203,7 @@ def _cheapest_class(patches: np.ndarray, mats, gamma_c: float, prev_labels=None,
     (penalty included) and, when ``prev_labels`` is given, the products with
     those classes instead (else ``None``). Each class's products are formed
     once and carried by masked copies; the scratch arrays are freed on
-    return, before the caller thresholds.
+    return, and the caller thresholds the chosen products in place.
     """
     g2 = gamma_c ** 2
     labels = np.zeros(patches.shape[1], dtype=np.int64)
@@ -239,7 +248,7 @@ def sparse_code_and_cluster(x: ImageGrid, union: TransformUnion, gamma_c: float,
     labels, t, cost, prev_t = _cheapest_class(
         extract_patches(x, cfg), union.transforms, gamma_c,
         None if prev is None else prev.labels)
-    z = hard_threshold(t, gamma_c)
+    z = _threshold_in_place(t, gamma_c)
     tau = np.asarray(tau, dtype=np.float64).reshape(-1)
     state = SparseState(z=z, labels=labels, tau=tau, cost=cost,
                         nonzero_frac=float(np.count_nonzero(z) / z.size))
@@ -358,7 +367,7 @@ def learn_transforms(patches: np.ndarray, k: int, gamma_c: float, lambda0: float
     omegas = np.stack([initial_transform(v) for _ in range(k)])
     energies = np.einsum("ij,ij->j", patches, patches)
 
-    z = hard_threshold(classwise_apply(omegas, labels, patches), gamma_c)
+    z = _threshold_in_place(classwise_apply(omegas, labels, patches), gamma_c)
     trace = np.empty(iters)
     for it in range(iters):
         for kk in range(k):
@@ -370,6 +379,7 @@ def learn_transforms(patches: np.ndarray, k: int, gamma_c: float, lambda0: float
             if lam <= 0.0:
                 continue  # all-zero class; the update would be singular
             omegas[kk] = _transform_update(x_k, z[:, sel], lam)
+        del z  # not needed again: the next codes come from the new labels
 
         # reassign: coding cost plus the patch's share of the regularizer
         q_vals = np.array([_regularizer_q(omegas[kk]) for kk in range(k)])
@@ -378,7 +388,7 @@ def learn_transforms(patches: np.ndarray, k: int, gamma_c: float, lambda0: float
                                  keep_products=False)[0]
         # code from per-class products, not from the reassignment's full-width
         # ones: those round differently, and learning amplifies the difference
-        z = hard_threshold(classwise_apply(omegas, labels, patches), gamma_c)
+        z = _threshold_in_place(classwise_apply(omegas, labels, patches), gamma_c)
 
         trace[it] = learning_objective(patches, TransformUnion(omegas.copy()), z,
                                        labels, gamma_c, lambda0)

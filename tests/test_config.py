@@ -192,6 +192,24 @@ def test_overrides(tmp_path):
     assert cfg.io.out_dir == "out" and cfg.io.seed == 0
 
 
+@pytest.mark.parametrize("seed, msg", [
+    ("-3", "io.seed: must be >= 0, got -3"),
+    ("9223372036854775808", "io.seed: must be <= 9223372036854775807, got 9223372036854775808"),
+])
+def test_seed_out_of_range_rejected(tmp_path, seed, msg):
+    with pytest.raises(ValidationError) as ei:
+        parse_config(write(tmp_path, MINIMAL + f"seed = {seed}\n"))
+    assert ei.value.errors == [msg]
+    cfg = parse_config(write(tmp_path, MINIMAL + "seed = 9223372036854775807\n"))
+    assert cfg.io.seed == 2 ** 63 - 1
+    with pytest.raises(ValidationError) as ei:
+        cfg.with_overrides(seed=int(seed))
+    assert ei.value.errors == [msg]
+    with pytest.raises(ValidationError):
+        parse_config(write(tmp_path, MINIMAL.replace("[io]\nout_dir = out\n", ""))) \
+            .with_overrides(out_dir="o", seed=int(seed))
+
+
 def test_more_subsets_than_views_rejected(tmp_path):
     # MINIMAL has 8 views; 9 subsets would leave one of them empty
     recon = "\n[recon]\nbeta = 1\ngamma_c = 0.05\nN = 3\nv = 16\nM = {}\n"

@@ -310,12 +310,19 @@ def test_direct_csr_assembly_merges_repeated_pairs():
     _assert_same_csr(got, ref)
 
 
-def test_assembly_peak_memory_under_one_and_a_half_matrices():
+# measured tracemalloc peaks: 1.061x the 100 MiB matrix at 128x128, 1.343x the
+# 14 MiB matrix at 64x64, where the ~1 MiB chunk temporaries weigh more
+@pytest.mark.parametrize("geom, bound", [
+    (SystemGeometry("parallel", n_detectors=160, n_views=360, detector_spacing=2.2,
+                    angular_range=np.pi, image_dims=(128, 128), pixel_spacing=(2.7, 2.7)),
+     1.10),
+    (SystemGeometry("parallel", n_detectors=96, n_views=180, detector_spacing=2.6,
+                    angular_range=np.pi, image_dims=(64, 64), pixel_spacing=(3.5, 3.5)),
+     1.40),
+], ids=["128x128", "64x64"])
+def test_assembly_peak_memory_near_one_matrix(geom, bound):
     # each chunk goes straight into the final arrays, so no chunk list and
-    # its concatenation coexist
-    geom = SystemGeometry("parallel", n_detectors=160, n_views=360, detector_spacing=2.2,
-                          angular_range=np.pi, image_dims=(128, 128),
-                          pixel_spacing=(2.7, 2.7))
+    # its concatenation coexist, and a chunk's temporaries are cache-sized
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -325,7 +332,7 @@ def test_assembly_peak_memory_under_one_and_a_half_matrices():
     finally:
         tracemalloc.stop()
     size = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
-    assert peak <= 1.5 * size, f"assembly peak {peak / size:.2f}x the matrix"
+    assert peak <= bound * size, f"assembly peak {peak / size:.3f}x the matrix"
 
 
 def test_matrix_build_logged_once_per_geometry(caplog):

@@ -206,6 +206,27 @@ def test_cli_out_and_seed_override(tmp_path):
     assert manifest["seed"] == 99
 
 
+@pytest.mark.parametrize("where", ["ini", "cli"])
+@pytest.mark.parametrize("seed, msg", [("-3", "must be >= 0"),
+                                       ("18446744073709551616", "must be <= 9223372036854775807")])
+def test_cli_seed_out_of_range_exits_1(tmp_path, where, seed, msg):
+    out = tmp_path / "seed"
+    cfg_path = write_config(tmp_path, out)
+    extra = []
+    if where == "ini":
+        text = cfg_path.read_text()
+        assert "seed = 7" in text
+        cfg_path.write_text(text.replace("seed = 7", f"seed = {seed}"))
+    else:
+        extra = ["--seed", seed]
+    r = subprocess.run([sys.executable, "-m", "spultra.cli", "all",
+                        "--config", str(cfg_path)] + extra, capture_output=True, text=True)
+    assert r.returncode == EXIT_ERROR
+    assert f"io.seed: {msg}, got {seed}" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not out.exists()
+
+
 def test_recon_v_mismatch_with_transforms_exits_1(tmp_path, caplog):
     out = tmp_path / "vmis"
     cfg = parse_config(write_config(tmp_path, out))

@@ -291,6 +291,32 @@ def test_one_pass_coding_matches_two_pass_reference(seed, k, side, stride, extra
         assert state.nonzero_frac == np.count_nonzero(state.z) / state.z.size
 
 
+def test_codes_are_the_thresholded_chosen_products():
+    # pixel values put products exactly at +-gamma under both transforms (I and I/2)
+    gamma = 0.25
+    vals = np.array([gamma, -gamma, 2 * gamma, -2 * gamma, gamma / 2, -gamma / 2,
+                     0.0, -0.0, 0.1, -0.1, 0.7, -0.7, 1e-300, -1e-300])
+    rng = np.random.default_rng(17)
+    img = ImageGrid(rng.choice(vals, size=(9, 8)))
+    cfg = PatchConfig(2, 1)
+    union = TransformUnion(np.stack([np.eye(cfg.v), 0.5 * np.eye(cfg.v)]))
+    patches = extract_patches(img, cfg)
+    labels, t, _, _ = _cheapest_class(patches, union.transforms, gamma)
+    assert set(np.unique(labels)) == {0, 1}
+    assert np.any(t == gamma) and np.any(t == -gamma)
+    ref = hard_threshold(t, gamma)
+    state = sparse_code_and_cluster(img, union, gamma, np.ones(patches.shape[1]), cfg)
+    assert np.array_equal(state.labels, labels)
+    assert np.array_equal(state.z, ref)
+    assert np.all(state.z[np.abs(t) == gamma] == t[np.abs(t) == gamma])
+    assert not np.any(np.signbit(state.z[state.z == 0]))
+    assert state.nonzero_frac == np.count_nonzero(ref) / ref.size
+    # NaN and -0.0 become +0.0, as everything else below gamma
+    out = hard_threshold(np.array([np.nan, -0.0, -gamma, gamma, -np.inf, 0.2]), gamma)
+    assert np.array_equal(out, [0.0, 0.0, -gamma, gamma, -np.inf, 0.0])
+    assert not np.any(np.signbit(out[out == 0]))
+
+
 @settings(deadline=None, max_examples=60)
 @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 4), side=st.integers(1, 4),
        extra=st.tuples(st.integers(0, 6), st.integers(0, 6)), on_boundary=st.booleans(),
