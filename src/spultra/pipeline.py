@@ -116,14 +116,6 @@ def stage_learn(cfg: ExperimentConfig, out: Path) -> dict:
     return {"transforms.ult": out / "transforms.ult"}
 
 
-def _ep_initializer(cfg: ExperimentConfig, out: Path, l_tilde, w_stat) -> ImageGrid:
-    """PWLS-EP image used to start the transform-union methods; cached on disk."""
-    ep_path = out / "x_pwls_ep.spim"
-    if ep_path.exists():
-        return _load_image(ep_path, "edge-preserving initializer", cfg.geometry.image_dims)
-    return _reconstruct_ep(cfg, out, l_tilde, w_stat)
-
-
 def _fbp_or_zero_init(cfg: ExperimentConfig, l_tilde) -> ImageGrid:
     geom = cfg.geometry
     if geom.beam_kind == "parallel":
@@ -177,7 +169,12 @@ def stage_reconstruct(cfg: ExperimentConfig, out: Path, method: str) -> dict:
             raise ConfigurationError(
                 f"recon.v: {cfg.recon.patch.v} does not match the learned transforms "
                 f"(v = {union.v} in {tr_path})")
-        x0 = _ep_initializer(cfg, out, l_tilde, w_stat)
+        ep_path = out / "x_pwls_ep.spim"
+        if ep_path.exists():  # the PWLS-EP initializer, cached on disk
+            x0 = _load_image(ep_path, "edge-preserving initializer", geom.image_dims)
+        else:
+            x0 = _reconstruct_ep(cfg, out, l_tilde, w_stat)
+            artifacts["x_pwls_ep.spim"] = ep_path
         if method == "spultra":
             img, trace = spultra_reconstruct(y_raw, cfg.model, union, geom, cfg.recon,
                                              x0, truth=truth, mu_water=cfg.metrics.mu_water)

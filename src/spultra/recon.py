@@ -159,15 +159,6 @@ class SubsetSystem:
         return g
 
 
-class ZeroReg:
-    """No regularization; used for plain weighted least squares."""
-
-    diag = 0.0
-
-    def grad(self, x):
-        return 0.0
-
-
 def os_lalm_image_update(x0: np.ndarray, system: SubsetSystem, w: np.ndarray,
                          y_tilde: np.ndarray, d_a: np.ndarray, reg,
                          cfg: ReconConfig, n_passes: int | None = None) -> np.ndarray:

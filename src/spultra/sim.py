@@ -9,15 +9,12 @@ cross-implementation checks rely on it.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import ImageGrid, Sinogram, SystemGeometry, forward_project, pixel_centres
 from .spstats import SpModel
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -87,8 +84,6 @@ def simulate_prelog(x_true: ImageGrid, model: SpModel, geom: SystemGeometry,
         y = gen.poisson(mean).astype(np.float64)
         if model.sigma2 > 0:
             y += gen.normal(0.0, np.sqrt(model.sigma2), size=y.shape)
-    frac = float(np.mean(y <= 0))
-    log.info("simulated %d rays, non-positive fraction %.4f%%", y.size, 100 * frac)
     return Sinogram(y.reshape(geom.n_views, geom.n_detectors))
 
 

@@ -120,13 +120,17 @@ def optimum_curvature(l_n, counts, model: SpModel) -> np.ndarray:
     """
     l_n = _as_rays(l_n)
     counts = _as_rays(counts)
+    return _curvature(l_n, counts, model, likelihood_gradient(l_n, counts, model))
+
+
+def _curvature(l_n, counts, model: SpModel, d_h) -> np.ndarray:
+    """:func:`optimum_curvature` from the ray arrays and the gradient d_h at l_n."""
     h0_dd = np.maximum(second_derivative_at_zero(counts, model), 0.0)
 
     u0 = model.i0 + model.sigma2
     h_at_0 = u0 - counts * np.log(u0)
     u_n = np.maximum(model.mean_counts(l_n), _MEAN_FLOOR)
     h_at_n = u_n - counts * np.log(u_n)
-    d_h = likelihood_gradient(l_n, counts, model)
 
     c = h0_dd.copy()
     pos = l_n > 0
@@ -153,8 +157,8 @@ def surrogate_at(l_n, counts, model: SpModel) -> SurrogateState:
     """
     counts = _as_rays(counts)
     l_n = _as_rays(l_n)
-    w = optimum_curvature(l_n, counts, model)
     d_h = likelihood_gradient(l_n, counts, model)
+    w = _curvature(l_n, counts, model, d_h)
     y_tilde = l_n - d_h / w
     return SurrogateState(w=w, d_h=d_h, y_tilde=y_tilde, l_n=l_n)
 

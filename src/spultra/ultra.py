@@ -326,21 +326,33 @@ def _regularizer_q(omega: np.ndarray) -> float:
     return float(np.sum(omega * omega) - logabsdet)
 
 
-def learning_objective(patches, union: TransformUnion, z, labels, gamma_c, lambda0) -> float:
-    """Joint learning cost: coding residuals, sparsity penalty, and each class's
-    transform regularizer scaled by lambda0 times its training energy."""
-    total = 0.0
-    for k in range(union.k):
-        sel = labels == k
+def _class_pass(patches, omegas, labels, gamma_c, lambda0, q_vals):
+    """Code each non-empty class at ``labels`` and score the learning objective.
+
+    Per class, one gather of its patches and one product ``O_k x_k``: a
+    thresholded copy of the product becomes the class's codes, and the
+    class's coding residual, sparsity penalty and ``lam_k Q(O_k)`` add to the
+    objective, with ``lam_k = lambda0 ||x_k||_F^2`` and ``Q(O_k) = q_vals[k]``.
+    Returns ``(classes, objective)``, where ``classes`` lists
+    ``(k, selection, codes, lam_k)`` for the next transform update. The codes
+    are a fresh Fortran-ordered array, as ``z[:, selection]`` of a full code
+    matrix would be, so the update's products round the same way.
+    """
+    classes, total = [], 0.0
+    for kk in range(len(omegas)):
+        sel = labels == kk
         if not np.any(sel):
             continue
         x_k = patches[:, sel]
-        resid = union.transforms[k] @ x_k - z[:, sel]
-        lam = lambda0 * float(np.sum(x_k * x_k))
-        total += float(np.sum(resid * resid)) \
-            + gamma_c ** 2 * int(np.count_nonzero(z[:, sel])) \
-            + lam * _regularizer_q(union.transforms[k])
-    return total
+        t = omegas[kk] @ x_k
+        codes = _threshold_in_place(np.array(t, order="F"), gamma_c)
+        lam = lambda0 * float(np.sum(np.square(x_k, out=x_k)))  # x_k is a copy
+        np.subtract(t, codes, out=t)
+        total += float(np.sum(np.square(t, out=t))) \
+            + gamma_c ** 2 * int(np.count_nonzero(codes)) \
+            + lam * q_vals[kk]
+        classes.append((kk, sel, codes, lam))
+    return classes, total
 
 
 def learn_transforms(patches: np.ndarray, k: int, gamma_c: float, lambda0: float,
@@ -348,14 +360,15 @@ def learn_transforms(patches: np.ndarray, k: int, gamma_c: float, lambda0: float
     """Alternating transform learning over a fixed training patch matrix.
 
     Each round updates every non-empty class's transform in closed form from
-    the current codes, reassigns the patches, then codes them at the new
-    labels; those codes carry over to the next round's update. The
-    reassignment is the reconstruction's coding step,
-    :func:`_cheapest_class`, with each patch charged its share of the
-    transform regularizer (lambda0 ||y_j||^2 per unit of Q(O_k)) as a
-    per-class penalty, which keeps the joint objective non-increasing across
-    rounds. Returns the learned union and the objective trace, one entry per
-    round.
+    the current codes, reassigns the patches, then makes one pass over the
+    classes at the new labels (:func:`_class_pass`), which codes each class
+    and scores the round's joint objective from the same products; those
+    codes carry over to the next round's update. The reassignment is the
+    reconstruction's coding step, :func:`_cheapest_class`, with each patch
+    charged its share of the transform regularizer (lambda0 ||y_j||^2 per
+    unit of Q(O_k)) as a per-class penalty, which keeps the joint objective
+    non-increasing across rounds. Returns the learned union and the
+    objective trace, one entry per round.
 
     Transforms start from the DCT; labels start uniformly at random with the
     given seed. Classes that become empty keep their previous transform.
@@ -367,31 +380,26 @@ def learn_transforms(patches: np.ndarray, k: int, gamma_c: float, lambda0: float
     omegas = np.stack([initial_transform(v) for _ in range(k)])
     energies = np.einsum("ij,ij->j", patches, patches)
 
-    z = _threshold_in_place(classwise_apply(omegas, labels, patches), gamma_c)
+    # codes at the random start labels; their objective is not traced
+    q_vals = np.array([_regularizer_q(o) for o in omegas])
+    classes = _class_pass(patches, omegas, labels, gamma_c, lambda0, q_vals)[0]
     trace = np.empty(iters)
     for it in range(iters):
-        for kk in range(k):
-            sel = labels == kk
-            if not np.any(sel):
-                continue
-            x_k = patches[:, sel]
-            lam = lambda0 * float(np.sum(x_k * x_k))
+        for kk, sel, codes, lam in classes:
             if lam <= 0.0:
                 continue  # all-zero class; the update would be singular
-            omegas[kk] = _transform_update(x_k, z[:, sel], lam)
-        del z  # not needed again: the next codes come from the new labels
+            omegas[kk] = _transform_update(patches[:, sel], codes, lam)
+        del classes  # not needed again: the next codes come from the new labels
 
         # reassign: coding cost plus the patch's share of the regularizer
-        q_vals = np.array([_regularizer_q(omegas[kk]) for kk in range(k)])
+        q_vals = np.array([_regularizer_q(o) for o in omegas])
         labels = _cheapest_class(patches, omegas, gamma_c,
                                  penalty=q_vals[:, None] * (lambda0 * energies)[None, :],
                                  keep_products=False)[0]
         # code from per-class products, not from the reassignment's full-width
         # ones: those round differently, and learning amplifies the difference
-        z = _threshold_in_place(classwise_apply(omegas, labels, patches), gamma_c)
-
-        trace[it] = learning_objective(patches, TransformUnion(omegas.copy()), z,
-                                       labels, gamma_c, lambda0)
+        classes, trace[it] = _class_pass(patches, omegas, labels, gamma_c, lambda0,
+                                         q_vals)
     return TransformUnion(omegas), trace
 
 

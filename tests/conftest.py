@@ -1,7 +1,23 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from spultra.geometry import SystemGeometry, ImageGrid, forward_project
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_cli(*args):
+    """``python -m spultra.cli *args`` in a child process that imports the
+    package from this checkout's ``src``, with stdout and stderr captured."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "spultra.cli", *args],
+                          capture_output=True, text=True, env=env)
 
 
 def small_parallel(rows=8, cols=8, n_det=12, n_views=10):

@@ -1,13 +1,13 @@
 import shutil
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from spultra.config import parse_config
-from spultra.io import read_manifest, read_spim
+from spultra.io import read_manifest, read_spim, sha256_file
 from spultra.pipeline import EXIT_ERROR, EXIT_MISSING_INPUT, EXIT_OK, run_pipeline
+
+from conftest import run_cli
 
 CONFIG = """
 [geometry]
@@ -98,6 +98,22 @@ def test_ultra_method_without_learn_exits_2(tmp_path):
     assert run_pipeline(cfg, "reconstruct", method="spultra") == EXIT_MISSING_INPUT
 
 
+@pytest.mark.parametrize("method", ["pwls-ultra", "spultra"])
+def test_ultra_method_records_the_initializer_it_writes(tmp_path, method):
+    out = tmp_path / "init"
+    p = tmp_path / "quick.ini"
+    p.write_text(_quick(CONFIG).replace("PLACEHOLDER", str(out)))
+    cfg = parse_config(p)
+    assert run_pipeline(cfg, "simulate") == EXIT_OK
+    assert run_pipeline(cfg, "learn") == EXIT_OK
+    assert run_pipeline(cfg, "reconstruct", method=method) == EXIT_OK
+    digests = read_manifest(out / "manifest.json")["artifacts"]
+    assert digests["x_pwls_ep.spim"] == sha256_file(out / "x_pwls_ep.spim")
+    # a rerun reads the cached initializer and keeps its entry
+    assert run_pipeline(cfg, "reconstruct", method=method) == EXIT_OK
+    assert read_manifest(out / "manifest.json")["artifacts"] == digests
+
+
 def test_evaluate_without_recon_exits_2(tmp_path):
     out = tmp_path / "noimg"
     cfg = parse_config(write_config(tmp_path, out))
@@ -170,23 +186,18 @@ def test_deterministic_noise_flag(tmp_path):
 def test_cli_subprocess_smoke(tmp_path):
     out = tmp_path / "cli"
     cfg_path = write_config(tmp_path, out)
-    base = [sys.executable, "-m", "spultra.cli"]
-    r = subprocess.run(base + ["simulate", "--config", str(cfg_path)],
-                       capture_output=True, text=True)
+    r = run_cli("simulate", "--config", str(cfg_path))
     assert r.returncode == 0, r.stderr
-    r = subprocess.run(base + ["evaluate", "--config", str(cfg_path)],
-                       capture_output=True, text=True)
+    r = run_cli("evaluate", "--config", str(cfg_path))
     assert r.returncode == EXIT_MISSING_INPUT
 
-    r = subprocess.run(base + ["reconstruct", "--config", str(cfg_path),
-                               "--method", "fbp"], capture_output=True, text=True)
+    r = run_cli("reconstruct", "--config", str(cfg_path), "--method", "fbp")
     assert r.returncode == 0, r.stderr
     assert (out / "x_fbp.spim").exists()
 
     bad = tmp_path / "bad.ini"
     bad.write_text("[recon]\nalpha = 2.0\n")
-    r = subprocess.run(base + ["simulate", "--config", str(bad)],
-                       capture_output=True, text=True)
+    r = run_cli("simulate", "--config", str(bad))
     assert r.returncode == 1
     assert "alpha" in r.stderr
 
@@ -195,10 +206,8 @@ def test_cli_out_and_seed_override(tmp_path):
     out = tmp_path / "o1"
     override = tmp_path / "o2"
     cfg_path = write_config(tmp_path, out)
-    base = [sys.executable, "-m", "spultra.cli"]
-    r = subprocess.run(base + ["simulate", "--config", str(cfg_path),
-                               "--out", str(override), "--seed", "99"],
-                       capture_output=True, text=True)
+    r = run_cli("simulate", "--config", str(cfg_path), "--out", str(override),
+                "--seed", "99")
     assert r.returncode == 0, r.stderr
     assert (override / "sino_raw.spim").exists()
     assert not out.exists()
@@ -219,8 +228,7 @@ def test_cli_seed_out_of_range_exits_1(tmp_path, where, seed, msg):
         cfg_path.write_text(text.replace("seed = 7", f"seed = {seed}"))
     else:
         extra = ["--seed", seed]
-    r = subprocess.run([sys.executable, "-m", "spultra.cli", "all",
-                        "--config", str(cfg_path)] + extra, capture_output=True, text=True)
+    r = run_cli("all", "--config", str(cfg_path), *extra)
     assert r.returncode == EXIT_ERROR
     assert f"io.seed: {msg}, got {seed}" in r.stderr
     assert "Traceback" not in r.stderr
@@ -280,9 +288,7 @@ def test_cli_out_dir_that_is_a_file_exits_1(tmp_path):
     blocker = tmp_path / "taken"
     blocker.write_text("not a directory")
     cfg_path = write_config(tmp_path, tmp_path / "unused")
-    r = subprocess.run([sys.executable, "-m", "spultra.cli", "simulate",
-                        "--config", str(cfg_path), "--out", str(blocker)],
-                       capture_output=True, text=True)
+    r = run_cli("simulate", "--config", str(cfg_path), "--out", str(blocker))
     assert r.returncode == EXIT_ERROR
     assert f"io.out_dir: cannot create {blocker}: " in r.stderr
     assert "Traceback" not in r.stderr
@@ -296,8 +302,7 @@ def test_cli_unreadable_config_exits_1(tmp_path, kind):
     else:
         cfg_path = tmp_path / "latin1.ini"
         cfg_path.write_bytes("[io]\nout_dir = caf\xe9\n".encode("latin-1"))
-    r = subprocess.run([sys.executable, "-m", "spultra.cli", "simulate",
-                        "--config", str(cfg_path)], capture_output=True, text=True)
+    r = run_cli("simulate", "--config", str(cfg_path))
     assert r.returncode == EXIT_ERROR
     assert f"error: cannot read config {cfg_path}: " in r.stderr
     assert "Traceback" not in r.stderr
@@ -307,8 +312,7 @@ def test_cli_artifact_write_error_exits_1(tmp_path):
     out = tmp_path / "blocked"
     (out / "x_true.spim").mkdir(parents=True)
     cfg_path = write_config(tmp_path, out)
-    r = subprocess.run([sys.executable, "-m", "spultra.cli", "simulate",
-                        "--config", str(cfg_path)], capture_output=True, text=True)
+    r = run_cli("simulate", "--config", str(cfg_path))
     assert r.returncode == EXIT_ERROR
     assert f"io.out_dir: cannot write {out / 'x_true.spim'}: " in r.stderr
     assert "Traceback" not in r.stderr

@@ -9,7 +9,7 @@ from spultra.errors import ConfigurationError, NumericalError
 from spultra.geometry import (ImageGrid, Sinogram, SystemGeometry, compute_kappa,
                               forward_project, system_matrix)
 from spultra.recon import (BandWorkspace, ConvergenceTrace, EdgePreservingReg, EpParams,
-                           ReconConfig, SubsetSystem, UltraQuadReg, ZeroReg,
+                           ReconConfig, SubsetSystem, UltraQuadReg,
                            bit_reversal_order, ep_potential, ep_potential_dot,
                            fbp_reconstruct, gram_bands, objective_value,
                            os_lalm_image_update, pwls_ep_reconstruct,
@@ -21,6 +21,15 @@ from spultra.ultra import (PatchConfig, SparseState, TransformUnion, accumulate_
                            regularizer_value, sparse_code_and_cluster)
 
 from conftest import small_fan, small_parallel
+
+
+class ZeroReg:
+    """No regularization; used for plain weighted least squares."""
+
+    diag = 0.0
+
+    def grad(self, x):
+        return 0.0
 
 
 def wls_cfg(n_inner, m=1, x_max=0.1):

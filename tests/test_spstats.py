@@ -161,6 +161,23 @@ def test_surrogate_at_projection_matches_build_surrogate(s2):
         assert getattr(surr, name).tobytes() == getattr(ref, name).tobytes(), name
 
 
+@pytest.mark.parametrize("s2", [0.0, 0.05])
+def test_surrogate_at_takes_one_gradient(monkeypatch, s2):
+    from spultra import spstats
+    model = SpModel(i0=400.0, sigma2=9.0, s2=s2)
+    rng = np.random.default_rng(21)
+    l_n = np.concatenate([[0.0], rng.uniform(0.0, 3.0, 40)])
+    counts = np.maximum(model.mean_counts(l_n) + rng.normal(0, 20, l_n.size), 0.0)
+    calls = []
+    gradient = spstats.likelihood_gradient
+    monkeypatch.setattr(spstats, "likelihood_gradient",
+                        lambda *args: calls.append(1) or gradient(*args))
+    surr = surrogate_at(l_n, counts, model)
+    assert len(calls) == 1
+    assert surr.d_h.tobytes() == gradient(l_n, counts, model).tobytes()
+    assert surr.w.tobytes() == optimum_curvature(l_n, counts, model).tobytes()
+
+
 def test_build_surrogate_gradient_matches_likelihood():
     geom = small_parallel(rows=6, cols=6, n_det=10, n_views=8)
     model = SpModel(i0=500.0, sigma2=25.0)

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from spultra.errors import ConfigurationError
 from spultra.geometry import ImageGrid
 from spultra.recon import UltraQuadReg
+from spultra import ultra
 from spultra.ultra import (PatchConfig, SparseState, TransformUnion,
                            _cheapest_class, _regularizer_q, _transform_update,
                            accumulate_patches, classwise_apply, extract_patches,
                            hard_threshold, initial_transform, learn_transforms,
-                           learning_objective, load_transforms, patch_coverage,
+                           load_transforms, patch_coverage,
                            regularizer_majorizer_diag, regularizer_value,
                            save_transforms, sparse_code_and_cluster)
 
@@ -497,6 +498,23 @@ def test_majorizer_diag_exact_near_double_top_singular_value(kind):
     assert np.all(d >= ref * (1.0 - (1e-14 if kind == "dense" else 0.0)))
 
 
+def learning_objective(patches, union: TransformUnion, z, labels, gamma_c, lambda0) -> float:
+    """Joint learning cost: coding residuals, sparsity penalty, and each class's
+    transform regularizer scaled by lambda0 times its training energy."""
+    total = 0.0
+    for k in range(union.k):
+        sel = labels == k
+        if not np.any(sel):
+            continue
+        x_k = patches[:, sel]
+        resid = union.transforms[k] @ x_k - z[:, sel]
+        lam = lambda0 * float(np.sum(x_k * x_k))
+        total += float(np.sum(resid * resid)) \
+            + gamma_c ** 2 * int(np.count_nonzero(z[:, sel])) \
+            + lam * _regularizer_q(union.transforms[k])
+    return total
+
+
 def _former_learn_transforms(patches, k, gamma_c, lambda0, iters, seed=0):
     """learn_transforms as it was before learning shared the coding kernel:
     each round recodes at fixed labels, updates the transforms, reassigns
@@ -541,6 +559,37 @@ def test_learning_matches_former_rounds_bytewise(seed, k, n, n_zero):
     ref_union, ref_trace = _former_learn_transforms(patches, k, 0.8, 1e-2, 8, seed=seed)
     assert union.transforms.tobytes() == ref_union.transforms.tobytes()
     assert trace.tobytes() == ref_trace.tobytes()
+
+
+def test_learning_round_is_one_class_pass(monkeypatch):
+    """Each round evaluates Q(O_k), and so one log-determinant, once per
+    class for the reassignment and the objective together, and codes without
+    the full-width class kernel."""
+    def fail(*args):
+        raise AssertionError("classwise_apply called during learning")
+
+    calls = {"q": 0, "slogdet": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(ultra, "classwise_apply", fail)
+    monkeypatch.setattr(ultra, "_regularizer_q", counted("q", _regularizer_q))
+    monkeypatch.setattr(np.linalg, "slogdet", counted("slogdet", np.linalg.slogdet))
+    rng = np.random.default_rng(3)
+    patches = rng.standard_normal((16, 300))
+    k = 3
+    counts = []
+    for iters in (2, 5):
+        calls.update(q=0, slogdet=0)
+        learn_transforms(patches, k=k, gamma_c=0.8, lambda0=1e-2, iters=iters, seed=0)
+        counts.append(dict(calls))
+    # three more rounds, K each
+    assert counts[1]["q"] - counts[0]["q"] == 3 * k
+    assert counts[1]["slogdet"] - counts[0]["slogdet"] == 3 * k
 
 
 def test_learning_objective_non_increasing():
