@@ -115,16 +115,3 @@ def read_manifest(path) -> dict:
         if not isinstance(payload.get(key, {}), dict):
             raise ConfigurationError(f"manifest {path}: {key!r} is not a JSON object")
     return payload
-
-
-def verify_manifest(path, config_hash: str, seed: int, artifacts: dict) -> list[str]:
-    """Names of artifacts whose checksum differs from the recorded one
-    (empty when the rerun reproduced every file)."""
-    if not Path(path).exists():
-        return []
-    old = read_manifest(path)
-    if old.get("config_hash") != config_hash or old.get("seed") != seed:
-        return []
-    recorded = old.get("artifacts", {})
-    return [name for name, digest in artifacts.items()
-            if name in recorded and recorded[name] != digest]

@@ -238,6 +238,16 @@ def stage_evaluate(cfg: ExperimentConfig, out: Path) -> dict:
     return {"metrics.csv": path}
 
 
+def _methods(cfg: ExperimentConfig, method: str | None) -> list[str]:
+    """``method`` alone, or by default every method the geometry allows."""
+    if method:
+        return [method]
+    if cfg.geometry is not None and cfg.geometry.beam_kind == "fan":
+        log.info("skipping fbp: filtered backprojection needs parallel-beam data")
+        return [m for m in METHODS if m != "fbp"]
+    return list(METHODS)
+
+
 def run_pipeline(cfg: ExperimentConfig, subcommand: str, method: str | None = None,
                  deterministic: bool = False) -> int:
     """Execute one stage (or the whole chain) and return a process exit code."""
@@ -258,18 +268,14 @@ def run_pipeline(cfg: ExperimentConfig, subcommand: str, method: str | None = No
         elif subcommand == "learn":
             artifacts.update(stage_learn(cfg, out))
         elif subcommand == "reconstruct":
-            for m in ([method] if method else ["pwls-ep", "pwls-ultra", "spultra"]):
+            for m in _methods(cfg, method):
                 artifacts.update(stage_reconstruct(cfg, out, m))
         elif subcommand == "evaluate":
             artifacts.update(stage_evaluate(cfg, out))
         elif subcommand == "all":
             artifacts.update(stage_simulate(cfg, out, deterministic))
             artifacts.update(stage_learn(cfg, out))
-            methods = [method] if method else list(METHODS)
-            if not method and cfg.geometry.beam_kind == "fan":
-                log.info("skipping fbp: filtered backprojection needs parallel-beam data")
-                methods.remove("fbp")
-            for m in methods:
+            for m in _methods(cfg, method):
                 artifacts.update(stage_reconstruct(cfg, out, m))
             artifacts.update(stage_evaluate(cfg, out))
         else:
@@ -298,15 +304,14 @@ def run_pipeline(cfg: ExperimentConfig, subcommand: str, method: str | None = No
 
 def _update_manifest(cfg: ExperimentConfig, out: Path, artifacts: dict):
     manifest_path = out / "manifest.json"
-    digests = {}
     old = {}
     if manifest_path.exists():
         try:
             old = sio.read_manifest(manifest_path)
         except ConfigurationError as err:
             log.warning("%s; writing a fresh manifest", err)
+    digests = {name: sio.sha256_file(path) for name, path in artifacts.items()}
     if old.get("config_hash") == cfg.config_hash and old.get("seed") == cfg.io.seed:
-        digests.update(old.get("artifacts", {}))
         recorded = old.get("environment", {})
         changed = [f"{key} ({recorded[key]} -> {val})"
                    for key, val in sio.run_environment().items()
@@ -314,10 +319,10 @@ def _update_manifest(cfg: ExperimentConfig, out: Path, artifacts: dict):
         if changed:
             log.warning("environment differs from the previous identical run, so "
                         "artifacts may differ: %s", ", ".join(changed))
-    new_digests = {name: sio.sha256_file(path) for name, path in artifacts.items()}
-    stale = (sio.verify_manifest(manifest_path, cfg.config_hash, cfg.io.seed, new_digests)
-             if old else [])
-    for name in stale:
-        log.warning("artifact %s differs from the manifest of a previous identical run", name)
-    digests.update(new_digests)
+        previous = old.get("artifacts", {})
+        for name, digest in digests.items():
+            if name in previous and previous[name] != digest:
+                log.warning("artifact %s differs from the manifest of a previous "
+                            "identical run", name)
+        digests = {**previous, **digests}
     sio.write_manifest(manifest_path, cfg.config_hash, cfg.io.seed, digests)

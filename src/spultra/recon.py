@@ -231,8 +231,8 @@ def os_lalm_image_update(x0: np.ndarray, system: SubsetSystem, w: np.ndarray,
 
 
 def gram_bands(union: TransformUnion, patch: PatchConfig, dims):
-    """Gram entries gathered per image-domain offset for the banded operator
-    of :class:`BandWorkspace`; ``None`` at stride >= 2, where it is not used.
+    """Gram entries gathered per image-domain offset for the stride-1 banded
+    operator of :class:`UltraQuadReg`.
 
     Returns ``(offsets, gathered)``: the distinct flat pixel offsets
     ``di * cols + dj`` with ``|di|, |dj| < patch_side``, and one row per
@@ -242,8 +242,6 @@ def gram_bands(union: TransformUnion, patch: PatchConfig, dims):
     are summed, since no pixel pair is coupled by both. The transforms are
     fixed during a reconstruction, so this is computed once per run.
     """
-    if patch.stride != 1:
-        return None
     s = patch.patch_side
     grams = np.stack([t.T @ t for t in union.transforms]).reshape(union.k, s, s, s, s)
     d = np.arange(1 - s, s)
@@ -260,33 +258,62 @@ def gram_bands(union: TransformUnion, patch: PatchConfig, dims):
     return offsets, gathered
 
 
-class BandWorkspace:
-    """Storage of the stride-1 operator H = sum_j tau_j P_j^T G_kj P_j in DIA
-    layout, allocated once per reconstruction and rebuilt in place.
+class UltraQuadReg:
+    """Quadratic part of the transform-union regularizer at fixed codes and
+    labels; one object serves a whole reconstruction.
 
-    The coefficient of offset o at pixel p sums, over the patch positions
-    (a, b) of p, the gathered Gram entry times tau of the patch at p - (a, b)
-    if that patch has the entry's class: one product of the gathered Grams
+    Its gradient is ``2 beta (H x - b)`` at every patch stride, with the
+    image-domain operator ``H = sum_j tau_j P_j^T O_kj^T O_kj P_j`` and the
+    code backprojection ``b = sum_j tau_j P_j^T O_kj^T z_j``. Both are fixed
+    while the codes and labels are, so they are formed here and again by
+    :meth:`update` after each coding step. ``diag`` is the Hessian majorizer
+    of :func:`regularizer_majorizer_diag`; it depends only on the transforms
+    and tau, which a reconstruction keeps fixed, so it is computed once here.
+
+    At patch stride 1, H is stored once in DIA layout and rebuilt in place by
+    every update, so applying it costs one banded multiply. The coefficient
+    of offset o at pixel p sums, over the patch positions (a, b) of p, the
+    gathered Gram entry times tau of the patch at p - (a, b) if that patch
+    has the entry's class: one product of the gathered Grams
     (:func:`gram_bands`) with the class maps of tau shifted over the patch
-    positions. DIA storage is column-indexed, ``data[i, q] = H[q - o_i, q]``.
+    positions. DIA storage is column-indexed, ``band[i, q] = H[q - o_i, q]``.
     The offsets are symmetric about ``o_m == 0`` and H is symmetric, so the
     product with the Grams of ``o_m, ..., o_2m`` taken in reverse order lands
     as rows ``0..m`` (offset -o holds ``H[q + o, q]``), and each row of a
     positive offset o is that of -o shifted right by o. The first o entries
-    of that row lie outside H; they are zeroed here, once.
+    of that row lie outside H; they stay zero from the allocation. At stride
+    >= 2 the band measured faster to apply but slow to build, and it raised
+    the peak memory of a 128x128 run by 6-60%, so there H extracts the
+    patches, applies the per-class Gram matrices (formed once here) and
+    scatter-adds them back.
     """
 
-    def __init__(self, union: TransformUnion, patch: PatchConfig, dims):
-        offsets, gathered = gram_bands(union, patch, dims)
-        self.patch, self.dims = patch, dims
+    def __init__(self, union: TransformUnion, state: SparseState, beta: float,
+                 patch: PatchConfig, dims):
+        self.beta, self.patch, self.dims = beta, patch, dims
         self.n = dims[0] * dims[1]
-        self.m = offsets.size // 2
-        self.offsets = offsets.astype(np.int32)
-        self._grams = np.ascontiguousarray(gathered[self.m:][::-1])
-        self.data = np.zeros((offsets.size, self.n))
+        self.diag = regularizer_majorizer_diag(union, state.tau, beta, patch,
+                                               dims).reshape(-1)
+        self._back = union.transforms.transpose(0, 2, 1)
+        if patch.stride == 1:
+            offsets, gathered = gram_bands(union, patch, dims)
+            self.m = offsets.size // 2
+            self.offsets = offsets.astype(np.int32)
+            self._grams = np.ascontiguousarray(gathered[self.m:][::-1])
+            self.band = np.zeros((offsets.size, self.n))
+        else:
+            self._grams = [t.T @ t for t in union.transforms]
+        self.update(state)
 
-    def build(self, state: SparseState):
-        """Overwrite the stored H with that of ``state``'s labels and tau."""
+    def update(self, state: SparseState):
+        """Re-form b, and at stride 1 rebuild the band in place, for ``state``'s
+        codes and labels (its tau must be the constructor's)."""
+        self._state = state
+        code_back = classwise_apply(self._back, state.labels, state.z)
+        code_back *= state.tau
+        self._b = accumulate_patches(code_back, self.dims, self.patch).reshape(-1)
+        if self.patch.stride != 1:
+            return
         s, (rows, cols), m, n = self.patch.patch_side, self.dims, self.m, self.n
         nr, nc = self.patch.grid(self.dims)
         k = self._grams.shape[1] // self.patch.v
@@ -297,65 +324,31 @@ class BandWorkspace:
         for a in range(s):
             for b in range(s):
                 shifted[:, a, b, a:a + nr, b:b + nc] = maps
-        np.matmul(self._grams, shifted.reshape(k * self.patch.v, n), out=self.data[:m + 1])
+        np.matmul(self._grams, shifted.reshape(k * self.patch.v, n), out=self.band[:m + 1])
         for i, o in enumerate(self.offsets[m + 1:], start=1):
-            self.data[m + i, o:] = self.data[m - i, :n - o]
+            self.band[m + i, o:] = self.band[m - i, :n - o]
 
-    def apply(self, x_flat: np.ndarray) -> np.ndarray:
-        """H x for the last build."""
+    def _band_apply(self, x_flat: np.ndarray) -> np.ndarray:
         # the compiled kernel reads x unchecked
         if np.shape(x_flat) != (self.n,):
             raise ValueError(f"x has shape {np.shape(x_flat)}, expected ({self.n},)")
         y = np.zeros(self.n)
-        dia_matvec(self.n, self.n, self.offsets.size, self.n, self.offsets, self.data,
+        dia_matvec(self.n, self.n, self.offsets.size, self.n, self.offsets, self.band,
                    x_flat, y)
         return y
 
-
-class UltraQuadReg:
-    """Quadratic part of the transform-union regularizer at fixed codes and labels.
-
-    Its gradient is ``2 beta (H x - b)`` at every patch stride, with the
-    image-domain operator ``H = sum_j tau_j P_j^T O_kj^T O_kj P_j`` and the
-    code backprojection ``b = sum_j tau_j P_j^T O_kj^T z_j``, both fixed
-    while the codes and labels are, so ``b`` is formed once here. At patch
-    stride 1, H is built into ``band`` (a :class:`BandWorkspace`, made here
-    when not given), so applying it costs one banded multiply. The operator
-    reads the workspace's buffers: the next regularizer built on the same
-    workspace overwrites them, and this one then applies that one's H. At
-    stride >= 2 the band measured faster to apply but slow to build, and it
-    raised the peak memory of a 128x128 run by 6-60%, so there H extracts
-    the patches, applies the per-class Gram matrices and scatter-adds them
-    back.
-    """
-
-    def __init__(self, union: TransformUnion, state: SparseState, beta: float,
-                 patch: PatchConfig, dims, diag: np.ndarray,
-                 band: BandWorkspace | None = None):
-        self.beta = beta
-        self.diag = diag
-        code_back = classwise_apply(union.transforms.transpose(0, 2, 1),
-                                    state.labels, state.z)
-        code_back *= state.tau
-        self._b = accumulate_patches(code_back, dims, patch).reshape(-1)
-        if band is None and patch.stride == 1:
-            band = BandWorkspace(union, patch, dims)
-        if band is not None:
-            band.build(state)
-            self._h = band.apply
-        else:
-            grams = [t.T @ t for t in union.transforms]
-
-            def apply(x_flat):
-                out = classwise_apply(grams, state.labels,
-                                      extract_patches(ImageGrid(x_flat.reshape(dims)), patch))
-                out *= state.tau
-                return accumulate_patches(out, dims, patch).reshape(-1)
-
-            self._h = apply
+    def _patch_apply(self, x_flat: np.ndarray) -> np.ndarray:
+        state = self._state
+        out = classwise_apply(self._grams, state.labels,
+                              extract_patches(ImageGrid(x_flat.reshape(self.dims)), self.patch))
+        out *= state.tau
+        return accumulate_patches(out, self.dims, self.patch).reshape(-1)
 
     def grad(self, x_flat: np.ndarray) -> np.ndarray:
-        return 2.0 * self.beta * (self._h(x_flat) - self._b)
+        # a bound method kept on the instance would make a reference cycle,
+        # which holds the band until the cyclic collector runs
+        h = self._band_apply if self.patch.stride == 1 else self._patch_apply
+        return 2.0 * self.beta * (h(x_flat) - self._b)
 
 
 def ep_potential(t, delta: float, kind: str):
@@ -513,8 +506,7 @@ def _ultra_outer_loop(value, quadratic, system: SubsetSystem, w_stat: np.ndarray
     x = np.clip(x0.data.reshape(-1), 0.0, cfg.x_max)
     state = sparse_code_and_cluster(ImageGrid(x.reshape(dims)), union,
                                     cfg.gamma_c, tau, cfg.patch)
-    d_r = regularizer_majorizer_diag(union, tau, cfg.beta, cfg.patch, dims).reshape(-1)
-    band = BandWorkspace(union, cfg.patch, dims) if cfg.patch.stride == 1 else None
+    quad = UltraQuadReg(union, state, cfg.beta, cfg.patch, dims)
     everywhere = RoiMask(np.ones(dims, dtype=bool), "all")
 
     def rmse(x_flat):
@@ -531,7 +523,8 @@ def _ultra_outer_loop(value, quadratic, system: SubsetSystem, w_stat: np.ndarray
         for n in range(cfg.n_outer):
             t0 = time.perf_counter()
             w, y_tilde, d_a = quadratic(l)
-            quad = UltraQuadReg(union, state, cfg.beta, cfg.patch, dims, d_r, band)
+            if n:  # the constructor formed H and b for the first codes
+                quad.update(state)
             x_new = os_lalm_image_update(x, system, w, y_tilde, d_a, quad, cfg)
             # the data term is unchanged by the coding step
             l = system.matrix @ x_new

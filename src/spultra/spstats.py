@@ -167,9 +167,9 @@ def surrogate_gap(state: SurrogateState, counts, model: SpModel, l_grid) -> floa
     """Largest violation of h(l) <= q(l; l_n) over a grid of l values.
 
     Returns max over rays and grid points of h(l) - q(l; l_n); values <= 0
-    mean the surrogate majorizes on the grid. Used as an assertion when
-    s2 = 0 and as a reported diagnostic otherwise, where majorization is
-    not theoretically established.
+    mean the surrogate majorizes on the grid. The tests assert it at s2 = 0;
+    nothing reports it when s2 != 0, where majorization is not
+    theoretically established.
     """
     counts = _as_rays(counts)
     l_grid = np.asarray(l_grid, dtype=np.float64)

@@ -151,7 +151,7 @@ def test_criterion_04_gradient_checks():
         tau = r2.uniform(0.2, 2.0, n)
         state = sparse_code_and_cluster(img, union, 0.6, tau, cfg_patch)
         beta = 1.2
-        reg = UltraQuadReg(union, state, beta, cfg_patch, dims, 0.0)
+        reg = UltraQuadReg(union, state, beta, cfg_patch, dims)
         g = reg.grad(img.data.reshape(-1)).reshape(dims)
 
         def quad(x):

@@ -1,3 +1,4 @@
+import json
 import shutil
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from spultra.config import parse_config
 from spultra.io import read_manifest, read_spim, sha256_file
-from spultra.pipeline import EXIT_ERROR, EXIT_MISSING_INPUT, EXIT_OK, run_pipeline
+from spultra.pipeline import EXIT_ERROR, EXIT_MISSING_INPUT, EXIT_OK, METHODS, run_pipeline
 
 from conftest import run_cli
 
@@ -125,17 +126,21 @@ def test_stagewise_matches_all(tmp_path):
     out_a = tmp_path / "a"
     cfg_a = parse_config(write_config(tmp_path, out_a))
     assert run_pipeline(cfg_a, "all") == EXIT_OK
+    names = sorted(f.name for f in out_a.iterdir())
+    assert "x_fbp.spim" in names
 
-    out_b = tmp_path / "b"
-    cfg_b = cfg_a.with_overrides(out_dir=out_b)
-    assert run_pipeline(cfg_b, "simulate") == EXIT_OK
-    assert run_pipeline(cfg_b, "learn") == EXIT_OK
-    for m in ("fbp", "pwls-ep", "pwls-ultra", "spultra"):
-        assert run_pipeline(cfg_b, "reconstruct", method=m) == EXIT_OK
-    assert run_pipeline(cfg_b, "evaluate") == EXIT_OK
-
-    for name in ("x_true.spim", "sino_raw.spim", "x_spultra.spim", "x_pwls_ultra.spim"):
-        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+    # one method at a time, and reconstruct's default: the methods all runs
+    for out, methods in ((tmp_path / "b", METHODS), (tmp_path / "c", [None])):
+        cfg = cfg_a.with_overrides(out_dir=out)
+        assert run_pipeline(cfg, "simulate") == EXIT_OK
+        assert run_pipeline(cfg, "learn") == EXIT_OK
+        for m in methods:
+            assert run_pipeline(cfg, "reconstruct", method=m) == EXIT_OK
+        assert run_pipeline(cfg, "evaluate") == EXIT_OK
+        assert sorted(f.name for f in out.iterdir()) == names
+        for name in names:
+            if not name.startswith("trace_"):  # the traces hold wall-clock times
+                assert (out_a / name).read_bytes() == (out / name).read_bytes(), (out, name)
 
 
 def test_rerun_byte_identical(tmp_path):
@@ -160,6 +165,28 @@ def test_rerun_same_dir_verifies_against_manifest(tmp_path, caplog):
         assert run_pipeline(cfg, "simulate") == EXIT_OK
     assert not [r for r in caplog.records if "differs" in r.message]
     assert (out / "manifest.json").read_text() == manifest_before
+
+
+def test_rerun_warns_once_per_changed_artifact(tmp_path, caplog):
+    out = tmp_path / "tampered"
+    cfg = parse_config(write_config(tmp_path, out))
+    assert run_pipeline(cfg, "simulate") == EXIT_OK
+    manifest = out / "manifest.json"
+    data = read_manifest(manifest)
+    data["artifacts"]["sino_raw.spim"] = "0" * 64
+    manifest.write_text(json.dumps(data))
+    with caplog.at_level("WARNING"):
+        assert run_pipeline(cfg, "simulate") == EXIT_OK
+    warned = [r.message for r in caplog.records if "differs" in r.message]
+    assert len(warned) == 1 and "sino_raw.spim" in warned[0]
+    assert read_manifest(manifest)["artifacts"]["sino_raw.spim"] == \
+        sha256_file(out / "sino_raw.spim")
+    # under another seed the recorded digests are not compared
+    manifest.write_text(json.dumps(data))
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        assert run_pipeline(cfg.with_overrides(seed=8), "simulate") == EXIT_OK
+    assert not [r for r in caplog.records if "differs" in r.message]
 
 
 def test_seed_changes_artifacts(tmp_path):

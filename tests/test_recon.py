@@ -1,17 +1,21 @@
+import dataclasses
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spultra import recon
 from spultra.errors import ConfigurationError, NumericalError
 from spultra.geometry import (ImageGrid, Sinogram, SystemGeometry, compute_kappa,
                               forward_project, system_matrix)
-from spultra.recon import (BandWorkspace, ConvergenceTrace, EdgePreservingReg, EpParams,
+from spultra.recon import (ConvergenceTrace, EdgePreservingReg, EpParams,
                            ReconConfig, SubsetSystem, UltraQuadReg,
                            bit_reversal_order, ep_potential, ep_potential_dot,
-                           fbp_reconstruct, gram_bands, objective_value,
+                           fbp_reconstruct, objective_value,
                            os_lalm_image_update, pwls_ep_reconstruct,
                            pwls_ultra_reconstruct, rho_schedule, spultra_reconstruct)
 from spultra.sim import Ellipse, PhantomSpec, RngSpec, make_phantom, simulate_prelog
@@ -621,6 +625,42 @@ def test_ultra_abort_carries_partial_trace(monkeypatch, method):
     assert trace.iters == [0, 1]
 
 
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("n_outer", [1, 3])
+@pytest.mark.parametrize("method", ["spultra", "pwls-ultra"])
+def test_ultra_reconstruction_keeps_one_regularizer(monkeypatch, method, n_outer, stride):
+    geom, model, truth, sino, union, cfg = _tiny_setup(seed=6)
+    cfg = dataclasses.replace(cfg, n_outer=n_outer, patch=PatchConfig(4, stride))
+    events = []
+    real_init, real_update = UltraQuadReg.__init__, UltraQuadReg.update
+    real_diag = recon.regularizer_majorizer_diag
+
+    def init(self, *args):
+        real_init(self, *args)
+        events.append("made")
+
+    def update(self, state):
+        events.append("update")
+        real_update(self, state)
+
+    def diag(*args):
+        events.append("diag")
+        return real_diag(*args)
+
+    monkeypatch.setattr(UltraQuadReg, "__init__", init)
+    monkeypatch.setattr(UltraQuadReg, "update", update)
+    monkeypatch.setattr(recon, "regularizer_majorizer_diag", diag)
+    x0 = ImageGrid(np.full((16, 16), 0.015))
+    if method == "spultra":
+        spultra_reconstruct(sino, model, union, geom, cfg, x0)
+    else:
+        l_t, w_t = post_log_convert(sino.ravel(), model)
+        pwls_ultra_reconstruct(l_t, w_t, union, geom, cfg, x0)
+    # one regularizer whose constructor computes the majorizer and forms H,
+    # then one update per later outer iteration: N builds of H in all
+    assert events == ["diag", "update", "made"] + ["update"] * (n_outer - 1)
+
+
 def test_spultra_initial_objective_is_reference_objective():
     geom, model, truth, sino, union, cfg = _tiny_setup(seed=3)
     cfg0 = ReconConfig(beta=cfg.beta, gamma_c=cfg.gamma_c, n_outer=0,
@@ -670,30 +710,26 @@ def test_banded_gradient_matches_patch_gradient(side, k, extra_rows, extra_cols,
     dims = (side + extra_rows, side + extra_cols)
     rng = np.random.default_rng(seed)
     union, patch, state, x = _random_reg_problem(rng, k, side, stride, dims)
-    reg = UltraQuadReg(union, state, 1.7, patch, dims, 0.0)
+    reg = UltraQuadReg(union, state, 1.7, patch, dims)
     got = reg.grad(x)
     ref = _patch_gradient(union, state, 1.7, patch, dims, x)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-    if stride > 1:
-        return
-    # a workspace kept across outer iterations gives the same operator, and a
-    # rebuild for other labels, weights and codes leaves nothing stale behind
-    band = BandWorkspace(union, patch, dims)
-    assert np.array_equal(UltraQuadReg(union, state, 1.7, patch, dims, 0.0, band).grad(x), got)
+    # an update for other labels, weights and codes leaves nothing stale behind
     n = patch.n_patches(dims)
     state2 = SparseState(z=rng.standard_normal((patch.v, n)), labels=rng.integers(0, k, n),
                          tau=rng.uniform(0.2, 2.0, n))
-    rebuilt = UltraQuadReg(union, state2, 1.7, patch, dims, 0.0, band).grad(x)
-    assert np.array_equal(rebuilt, UltraQuadReg(union, state2, 1.7, patch, dims, 0.0).grad(x))
-    # the banded multiply never reads the heads of the positive offsets' rows,
-    # so compare the storage too: they stay zero
-    fresh = BandWorkspace(union, patch, dims)
-    fresh.build(state2)
-    assert np.array_equal(band.data, fresh.data)
-    for i, o in enumerate(band.offsets[band.m + 1:], start=1):
-        assert not np.any(band.data[band.m + i, :o])
+    reg.update(state2)
+    fresh = UltraQuadReg(union, state2, 1.7, patch, dims)
+    updated = reg.grad(x)
+    assert np.array_equal(updated, fresh.grad(x))
     ref2 = _patch_gradient(union, state2, 1.7, patch, dims, x)
-    assert np.max(np.abs(rebuilt - ref2)) <= 1e-12 * np.max(np.abs(ref2))
+    assert np.max(np.abs(updated - ref2)) <= 1e-12 * np.max(np.abs(ref2))
+    if stride == 1:
+        # the banded multiply never reads the heads of the positive offsets'
+        # rows, so compare the storage too: they stay zero
+        assert np.array_equal(reg.band, fresh.band)
+        for i, o in enumerate(reg.offsets[reg.m + 1:], start=1):
+            assert not np.any(reg.band[reg.m + i, :o])
 
 
 @pytest.mark.parametrize("stride", [1, 2, 3])
@@ -701,8 +737,7 @@ def test_banded_gradient_makes_no_patch_products(monkeypatch, stride):
     rng = np.random.default_rng(40 + stride)
     dims = (9, 10)
     union, patch, state, x = _random_reg_problem(rng, 2, 3, stride, dims)
-    assert (gram_bands(union, patch, dims) is None) == (stride > 1)
-    reg = UltraQuadReg(union, state, 1.1, patch, dims, 0.0)
+    reg = UltraQuadReg(union, state, 1.1, patch, dims)
     calls = []
 
     def counted(*args):
@@ -716,13 +751,30 @@ def test_banded_gradient_makes_no_patch_products(monkeypatch, stride):
     assert len(calls) == (0 if stride == 1 else 2)
 
 
+@pytest.mark.parametrize("stride", [1, 2])
+def test_regularizer_is_freed_without_the_cyclic_collector(stride):
+    # one regularizer holds a reconstruction's band; a reference cycle would
+    # keep it alive into the next reconstruction
+    rng = np.random.default_rng(50 + stride)
+    dims = (9, 10)
+    union, patch, state, x = _random_reg_problem(rng, 2, 3, stride, dims)
+    reg = UltraQuadReg(union, state, 1.1, patch, dims)
+    reg.grad(x)
+    ref = weakref.ref(reg)
+    gc.disable()
+    try:
+        del reg
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_stride2_gradient_matches_finite_differences():
     rng = np.random.default_rng(21)
     dims = (7, 8)
     union, patch, state, x = _random_reg_problem(rng, 3, 3, 2, dims)
-    assert gram_bands(union, patch, dims) is None
     beta, gamma = 0.8, 0.5
-    g = UltraQuadReg(union, state, beta, patch, dims, 0.0).grad(x)
+    g = UltraQuadReg(union, state, beta, patch, dims).grad(x)
 
     def value(x_flat):
         return regularizer_value(ImageGrid(x_flat.reshape(dims)), state, union, beta,
@@ -747,6 +799,6 @@ def test_ultra_gradient_zero_at_exact_codes(stride):
     for k in range(union.k):
         sel = state.labels == k
         state.z[:, sel] = union.transforms[k] @ p[:, sel]
-    reg = UltraQuadReg(union, state, 1.3, patch, dims, 0.0)
+    reg = UltraQuadReg(union, state, 1.3, patch, dims)
     scale = np.max(np.abs(_patch_gradient(union, state, 1.3, patch, dims, np.zeros_like(x))))
     assert np.max(np.abs(reg.grad(x))) <= 1e-12 * scale

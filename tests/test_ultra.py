@@ -377,7 +377,7 @@ def test_recoding_at_the_same_image_keeps_codes_and_cost():
 
 def regularizer_gradient(img, state, union, beta, cfg):
     """Gradient of the quadratic regularizer part, as the solvers evaluate it."""
-    reg = UltraQuadReg(union, state, beta, cfg, img.dims, 0.0)
+    reg = UltraQuadReg(union, state, beta, cfg, img.dims)
     return reg.grad(img.data.reshape(-1)).reshape(img.dims)
 
 
