@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -26,16 +27,30 @@ from .ultra import PatchConfig
 _REQUIRED = object()
 # the signed 64-bit range: the seed becomes a Philox key word, and larger
 # values overflow (from 2**64) or go through a lossy cast on the way
-_SEED_MAX = 2 ** 63 - 1
+_SEED_BOUNDS = dict(minimum=0, maximum=2 ** 63 - 1)
+# numpy's Poisson sampler rejects means above about 9.2e18 (the int64 range
+# less a margin), and a ray's mean count I0 exp(-f(l)) is at most I0 where f >= 0
+_I0_MAX = 9e18
+# what the plain converters expect, for their error message
+_EXPECTED = {int: "an integer", float: "a number"}
 
 
-def _range_error(name, val, minimum=None, maximum=None) -> str | None:
-    """The message for ``val`` outside ``[minimum, maximum]``, else ``None``."""
-    if minimum is not None and val < minimum:
-        return f"{name}: must be >= {minimum}, got {val}"
-    if maximum is not None and val > maximum:
-        return f"{name}: must be <= {maximum}, got {val}"
-    return None
+def _pair(conv):
+    """A reader of two whitespace-separated values, each read by ``conv``."""
+    def read(text):
+        parts = text.split()
+        if len(parts) != 2:
+            raise ValueError(f"expected two values, got {text!r}")
+        try:
+            return conv(parts[0]), conv(parts[1])
+        except ValueError:
+            raise ValueError(f"could not parse {text!r}") from None
+    return read
+
+
+def _lines(text):
+    """The stripped, non-blank lines of a multi-line value."""
+    return [line.strip() for line in text.splitlines() if line.strip()]
 
 
 @dataclass(frozen=True)
@@ -77,16 +92,15 @@ class ExperimentConfig:
         """A copy with ``[io]`` out_dir and seed replaced; an out-of-range seed
         raises :class:`ValidationError`, as it would in the INI file."""
         if seed is not None:
-            err = _range_error("io.seed", int(seed), 0, _SEED_MAX)
-            if err:
-                raise ValidationError([err])
+            errors = []
+            seed = _Section("io", {"seed": str(seed)}, errors).get("seed", int, **_SEED_BOUNDS)
+            if errors:
+                raise ValidationError(errors)
         cfg = ExperimentConfig(**self.__dict__)
-        if self.io is not None and (out_dir is not None or seed is not None):
-            cfg.io = replace(self.io,
-                             out_dir=str(out_dir) if out_dir is not None else self.io.out_dir,
-                             seed=int(seed) if seed is not None else self.io.seed)
-        elif out_dir is not None or seed is not None:
-            cfg.io = IoConfig(out_dir=str(out_dir or "."), seed=int(seed or 0))
+        if out_dir is not None or seed is not None:
+            io = self.io or IoConfig(out_dir=".")
+            cfg.io = replace(io, out_dir=str(out_dir) if out_dir is not None else io.out_dir,
+                             seed=seed if seed is not None else io.seed)
         return cfg
 
 
@@ -99,77 +113,42 @@ class _Section:
         self.errors = errors
         self.seen = set()
 
-    def _fetch(self, key, default):
+    def get(self, key, conv=str, default=_REQUIRED, *, minimum=None, maximum=None,
+            above=None, choices=None):
+        """``key`` read by ``conv``, ``default`` (unconverted) when absent, or
+        None once the reason it is invalid is recorded. Every number read, each
+        of a pair's too, must be finite and within the bounds; ``above`` is an
+        exclusive minimum."""
         self.seen.add(key)
         if key not in self.raw:
             if default is _REQUIRED:
                 self.errors.append(f"{self.name}.{key}: required key missing")
                 return None
             return default
-        return self.raw[key]
-
-    def _convert(self, key, text, conv, what):
+        text = self.raw[key]
         try:
-            return conv(text)
-        except (TypeError, ValueError):
-            self.errors.append(f"{self.name}.{key}: expected {what}, got {text!r}")
+            val = conv(text)
+        except ValueError as err:
+            self.errors.append(f"{self.name}.{key}: " + (
+                f"expected {_EXPECTED[conv]}, got {text!r}" if conv in _EXPECTED else str(err)))
             return None
-
-    def get_int(self, key, default=_REQUIRED, minimum=None, maximum=None):
-        text = self._fetch(key, default)
-        if text is None or not isinstance(text, str):
-            return text
-        val = self._convert(key, text, int, "an integer")
-        err = None if val is None else _range_error(f"{self.name}.{key}", val, minimum, maximum)
-        if err:
-            self.errors.append(err)
-            return None
-        return val
-
-    def get_float(self, key, default=_REQUIRED, minimum=None, exclusive_min=None):
-        text = self._fetch(key, default)
-        if text is None or not isinstance(text, str):
-            return text
-        val = self._convert(key, text, float, "a number")
-        if val is None:
-            return None
-        err = _range_error(f"{self.name}.{key}", val, minimum)
-        if err:
-            self.errors.append(err)
-            return None
-        if exclusive_min is not None and val <= exclusive_min:
-            self.errors.append(f"{self.name}.{key}: must be > {exclusive_min}, got {val}")
-            return None
-        return val
-
-    def get_str(self, key, default=_REQUIRED, choices=None):
-        val = self._fetch(key, default)
-        if val is None:
+        for x in val if isinstance(val, tuple) else (val,):
+            if isinstance(x, float) and not math.isfinite(x):
+                problem = "must be a finite number"
+            elif minimum is not None and x < minimum:
+                problem = f"must be >= {minimum}"
+            elif maximum is not None and x > maximum:
+                problem = f"must be <= {maximum}"
+            elif above is not None and x <= above:
+                problem = f"must be > {above}"
+            else:
+                continue
+            self.errors.append(f"{self.name}.{key}: {problem}, got {x}")
             return None
         if choices is not None and val not in choices:
             self.errors.append(f"{self.name}.{key}: must be one of {sorted(choices)}, got {val!r}")
             return None
         return val
-
-    def get_pair(self, key, conv, default=_REQUIRED):
-        text = self._fetch(key, default)
-        if text is None or not isinstance(text, str):
-            return text
-        parts = text.split()
-        if len(parts) != 2:
-            self.errors.append(f"{self.name}.{key}: expected two values, got {text!r}")
-            return None
-        try:
-            return (conv(parts[0]), conv(parts[1]))
-        except ValueError:
-            self.errors.append(f"{self.name}.{key}: could not parse {text!r}")
-            return None
-
-    def get_multiline(self, key, default=_REQUIRED):
-        text = self._fetch(key, default)
-        if text is None or not isinstance(text, str):
-            return text
-        return [line.strip() for line in text.splitlines() if line.strip()]
 
     def finish(self):
         for key in self.raw:
@@ -177,10 +156,18 @@ class _Section:
                 self.errors.append(f"{self.name}.{key}: unknown key")
 
 
-def _patch_fits(section: str, v: int, stride: int, geometry, errors: list) -> bool:
-    """Record why patches of side sqrt(v) stepped by ``stride`` cannot tile the
-    image of ``geometry`` (skipped when None); True when they can."""
-    side = int(round(np.sqrt(v)))
+def _patch_fits(section: str, v, stride, geometry, errors: list):
+    """Whether patches of v pixels stepped by ``stride`` tile the image of
+    ``geometry`` (not checked when None), recording why not; None when v is
+    absent or not a perfect square (side^2), False when stride is absent."""
+    if v is None:
+        return None
+    side = math.isqrt(v)
+    if side * side != v:
+        errors.append(f"{section}.v: must be a perfect square (side^2), got {v}")
+        return None
+    if stride is None:
+        return False
     fits = True
     if stride > side:
         errors.append(f"{section}.stride: must be <= the patch side ({side}), got {stride}")
@@ -222,39 +209,37 @@ def parse_config(path) -> ExperimentConfig:
 
     if parser.has_section("geometry"):
         s = _Section("geometry", parser["geometry"], errors)
-        beam = s.get_str("beam", "parallel", choices={"parallel", "fan"})
-        n_det = s.get_int("n_detectors", minimum=1)
-        n_views = s.get_int("n_views", minimum=1)
-        det_sp = s.get_float("detector_spacing", exclusive_min=0.0)
-        ang = s.get_float("angular_range", str(np.pi), exclusive_min=0.0)
-        dso = s.get_float("source_to_iso", "0")
-        dsd = s.get_float("source_to_detector", "0")
-        dims = s.get_pair("image_dims", int)
-        spacing = s.get_pair("pixel_spacing", float, "1 1")
+        g = dict(beam_kind=s.get("beam", str, "parallel", choices={"parallel", "fan"}),
+                 n_detectors=s.get("n_detectors", int, minimum=1),
+                 n_views=s.get("n_views", int, minimum=1),
+                 detector_spacing=s.get("detector_spacing", float, above=0.0),
+                 angular_range=s.get("angular_range", float, np.pi, above=0.0),
+                 source_to_iso=s.get("source_to_iso", float, SystemGeometry.source_to_iso),
+                 source_to_detector=s.get("source_to_detector", float,
+                                          SystemGeometry.source_to_detector),
+                 image_dims=s.get("image_dims", _pair(int), minimum=1),
+                 pixel_spacing=s.get("pixel_spacing", _pair(float),
+                                     SystemGeometry.pixel_spacing))
         s.finish()
-        if None not in (beam, n_det, n_views, det_sp, ang, dso, dsd, dims, spacing):
+        if None not in g.values():
             try:
-                cfg.geometry = SystemGeometry(
-                    beam_kind=beam, n_detectors=n_det, n_views=n_views,
-                    detector_spacing=det_sp, angular_range=float(ang),
-                    image_dims=tuple(dims), pixel_spacing=tuple(spacing),
-                    source_to_iso=float(dso), source_to_detector=float(dsd))
+                cfg.geometry = SystemGeometry(**g)
             except ConfigurationError as err:
                 errors.append(f"geometry: {err}")
 
     if parser.has_section("model"):
         s = _Section("model", parser["model"], errors)
-        i0 = s.get_float("I0", exclusive_min=0.0)
-        sigma2 = s.get_float("sigma2", "25", minimum=0.0)
-        s1 = s.get_float("s1", "1", exclusive_min=0.0)
-        s2 = s.get_float("s2", "0")
+        m = dict(i0=s.get("I0", float, above=0.0, maximum=_I0_MAX),
+                 sigma2=s.get("sigma2", float, SpModel.sigma2, minimum=0.0),
+                 s1=s.get("s1", float, SpModel.s1, above=0.0),
+                 s2=s.get("s2", float, SpModel.s2))
         s.finish()
-        if None not in (i0, sigma2, s1, s2):
-            cfg.model = SpModel(i0=i0, sigma2=float(sigma2), s1=float(s1), s2=float(s2))
+        if None not in m.values():
+            cfg.model = SpModel(**m)
 
     if parser.has_section("phantom"):
         s = _Section("phantom", parser["phantom"], errors)
-        lines = s.get_multiline("shapes")
+        lines = s.get("shapes", _lines)
         s.finish()
         shapes = []
         for line in lines or []:
@@ -263,8 +248,10 @@ def parse_config(path) -> ExperimentConfig:
                 errors.append(f"phantom.shapes: expected 6 values per line, got {line!r}")
                 continue
             try:
-                cx, cy, a, b, th, mu = (float(p) for p in parts)
-                shapes.append(Ellipse(cx, cy, a, b, th, mu))
+                values = [float(p) for p in parts]
+                if not all(map(math.isfinite, values)):
+                    raise ValueError("values must be finite")
+                shapes.append(Ellipse(*values))
             except ValueError as err:
                 errors.append(f"phantom.shapes: {err} in {line!r}")
         if lines is not None:
@@ -278,38 +265,30 @@ def parse_config(path) -> ExperimentConfig:
     learning_v = None
     if parser.has_section("learning"):
         s = _Section("learning", parser["learning"], errors)
-        k = s.get_int("K", minimum=1)
-        v = s.get_int("v", minimum=1)
-        stride = s.get_int("stride", "1", minimum=1)
-        gamma_c = s.get_float("gamma_c", exclusive_min=0.0)
-        lambda0 = s.get_float("lambda0", exclusive_min=0.0)
-        iters = s.get_int("iters", "50", minimum=1)
-        n_patches = s.get_int("n_patches", "10000", minimum=1)
+        lc = dict(k=s.get("K", int, minimum=1), v=s.get("v", int, minimum=1),
+                  stride=s.get("stride", int, LearningConfig.stride, minimum=1),
+                  gamma_c=s.get("gamma_c", float, above=0.0),
+                  lambda0=s.get("lambda0", float, above=0.0),
+                  iters=s.get("iters", int, LearningConfig.iters, minimum=1),
+                  n_patches=s.get("n_patches", int, LearningConfig.n_patches, minimum=1))
         s.finish()
-        if v is not None and int(round(np.sqrt(v))) ** 2 != v:
-            errors.append(f"learning.v: must be a perfect square (side^2), got {v}")
-            v = None
-        learning_v = v
-        if None not in (v, stride) and not _patch_fits("learning", v, stride, cfg.geometry,
-                                                       errors):
-            v = None
-        if None not in (k, v, stride, gamma_c, lambda0, iters, n_patches):
-            cfg.learning = LearningConfig(k=k, v=v, gamma_c=gamma_c, lambda0=lambda0,
-                                          stride=int(stride), iters=int(iters),
-                                          n_patches=int(n_patches))
+        fits = _patch_fits("learning", lc["v"], lc["stride"], cfg.geometry, errors)
+        if fits is not None:  # a square v feeds recon.v even if it does not fit
+            learning_v = lc["v"]
+        if fits and None not in lc.values():
+            cfg.learning = LearningConfig(**lc)
 
-    mu_water = 0.02
     if parser.has_section("metrics"):
         s = _Section("metrics", parser["metrics"], errors)
-        mu = s.get_float("mu_water", "0.02", exclusive_min=0.0)
-        window = s.get_pair("window", float, "800 1200")
-        roi_lines = s.get_multiline("rois", None)
+        mu = s.get("mu_water", float, MetricsConfig.mu_water, above=0.0)
+        window = s.get("window", _pair(float), MetricsConfig.window)
+        roi_lines = s.get("rois", _lines, MetricsConfig.rois)
         s.finish()
         if window is not None and not window[1] > window[0]:
             errors.append(f"metrics.window: must satisfy hi > lo, got {window[0]} {window[1]}")
             window = None
         rois = []
-        for line in roi_lines or []:
+        for line in roi_lines:
             parts = line.split()
             if len(parts) != 4:
                 errors.append(f"metrics.rois: expected 'label cx cy radius', got {line!r}")
@@ -318,6 +297,9 @@ def parse_config(path) -> ExperimentConfig:
                 roi = (parts[0], float(parts[1]), float(parts[2]), float(parts[3]))
             except ValueError:
                 errors.append(f"metrics.rois: could not parse {line!r}")
+                continue
+            if not all(map(math.isfinite, roi[1:])):
+                errors.append(f"metrics.rois: values must be finite, got {line!r}")
                 continue
             if not roi[3] > 0:
                 errors.append(f"metrics.rois: radius must be > 0, got {line!r}")
@@ -331,67 +313,61 @@ def parse_config(path) -> ExperimentConfig:
                     continue
             rois.append(roi)
         if None not in (mu, window):
-            mu_water = float(mu)
-            cfg.metrics = MetricsConfig(mu_water=mu_water, rois=tuple(rois),
-                                        window=tuple(window))
+            cfg.metrics = MetricsConfig(mu_water=mu, rois=tuple(rois), window=window)
 
     if parser.has_section("recon"):
         s = _Section("recon", parser["recon"], errors)
-        beta = s.get_float("beta", minimum=0.0)
-        gamma_c = s.get_float("gamma_c", exclusive_min=0.0)
-        n_outer = s.get_int("N", minimum=0)
-        n_inner = s.get_int("P", "4", minimum=1)
-        n_sub = s.get_int("M", "1", minimum=1)
+        beta = s.get("beta", float, minimum=0.0)
+        gamma_c = s.get("gamma_c", float, above=0.0)
+        n_outer = s.get("N", int, minimum=0)
+        n_inner = s.get("P", int, ReconConfig.n_inner, minimum=1)
+        n_sub = s.get("M", int, ReconConfig.n_subsets, minimum=1)
         if None not in (n_sub, cfg.geometry) and n_sub > cfg.geometry.n_views:
             errors.append(f"recon.M: must be <= geometry.n_views "
                           f"({cfg.geometry.n_views}), got {n_sub}")
             n_sub = None
-        alpha = s.get_float("alpha", "1.999")
-        x_max = s.get_float("x_max", "0.1", exclusive_min=0.0)
-        v = s.get_int("v", None, minimum=1)
-        stride = s.get_int("stride", "1", minimum=1)
-        beta_ep = s.get_float("beta_ep", None, minimum=0.0)
-        delta = s.get_float("delta", "100", exclusive_min=0.0)  # HU
-        potential = s.get_str("potential", "hyperbola", choices={"lange", "hyperbola"})
-        ep_iters = s.get_int("ep_iters", "50", minimum=1)
+        alpha = s.get("alpha", float, ReconConfig.alpha)
+        x_max = s.get("x_max", float, ReconConfig.x_max, above=0.0)
+        v = s.get("v", int, None, minimum=1)
+        stride = s.get("stride", int, PatchConfig.stride, minimum=1)
+        beta_ep = s.get("beta_ep", float, None, minimum=0.0)
+        # in HU, where EpParams.delta is in mm^-1
+        delta = s.get("delta", float, 100.0, above=0.0)
+        potential = s.get("potential", str, EpParams.potential_kind,
+                          choices={"lange", "hyperbola"})
+        ep_iters = s.get("ep_iters", int, EpParams.iters, minimum=1)
         s.finish()
-        if alpha is not None and not (1.0 <= float(alpha) < 2.0):
+        if alpha is not None and not (1.0 <= alpha < 2.0):
             errors.append(f"recon.alpha: must satisfy 1 <= alpha < 2, got {alpha}")
             alpha = None
         # a v taken from [learning] was already checked against the image there
         v_geometry = cfg.geometry if v is not None else None
         if v is None:
             v = learning_v
-        if v is None:
-            errors.append("recon.v: required (or provide [learning].v)")
-        elif int(round(np.sqrt(v))) ** 2 != v:
-            errors.append(f"recon.v: must be a perfect square (side^2), got {v}")
-            v = None
-        if None not in (v, stride) and not _patch_fits("recon", v, stride, v_geometry, errors):
+            if v is None:
+                errors.append("recon.v: required (or provide [learning].v)")
+        if not _patch_fits("recon", v, stride, v_geometry, errors):
             v = None
         if None not in (beta, gamma_c, n_outer, n_inner, n_sub, alpha, x_max, v,
                         stride, delta, potential, ep_iters):
             ep = None
             if beta_ep is not None:
-                ep = EpParams(beta_ep=beta_ep,
-                              delta=float(delta) * mu_water / 1000.0,
-                              potential_kind=potential, iters=int(ep_iters))
+                ep = EpParams(beta_ep=beta_ep, delta=delta * cfg.metrics.mu_water / 1000.0,
+                              potential_kind=potential, iters=ep_iters)
             try:
-                patch = PatchConfig(patch_side=int(round(np.sqrt(v))), stride=int(stride))
-                cfg.recon = ReconConfig(beta=beta, gamma_c=gamma_c, n_outer=int(n_outer),
-                                        n_inner=int(n_inner), n_subsets=int(n_sub),
-                                        alpha=float(alpha), x_max=float(x_max),
-                                        patch=patch, ep=ep)
+                cfg.recon = ReconConfig(beta=beta, gamma_c=gamma_c, n_outer=n_outer,
+                                        n_inner=n_inner, n_subsets=n_sub, alpha=alpha,
+                                        x_max=x_max, patch=PatchConfig(math.isqrt(v), stride),
+                                        ep=ep)
             except ConfigurationError as err:
                 errors.append(f"recon: {err}")
 
     if parser.has_section("io"):
         s = _Section("io", parser["io"], errors)
-        out_dir = s.get_str("out_dir")
-        seed = s.get_int("seed", "0", minimum=0, maximum=_SEED_MAX)
+        io = dict(out_dir=s.get("out_dir"), seed=s.get("seed", int, IoConfig.seed, **_SEED_BOUNDS))
         s.finish()
-        if None not in (out_dir, seed):
-            cfg.io = IoConfig(out_dir=out_dir, seed=int(seed))
+        if None not in io.values():
+            cfg.io = IoConfig(**io)
 
     if errors:
         raise ValidationError(errors)

@@ -74,23 +74,25 @@ def _load_image(path: Path, what: str, dims=None) -> ImageGrid:
     return ImageGrid(data, tuple(spacing))
 
 
-def _export_pgm(path: Path, img: ImageGrid, cfg: ExperimentConfig):
-    hu = to_hu(img, cfg.metrics.mu_water)
-    sio.write_pgm(path, hu.data, cfg.metrics.window)
+def _write_image(out: Path, name: str, img: ImageGrid, cfg: ExperimentConfig) -> dict:
+    """Write ``<name>.spim`` and its ``.pgm`` preview; the artifact entry."""
+    path = out / f"{name}.spim"
+    sio.write_spim(path, img.data, img.spacing)
+    sio.write_pgm(out / f"{name}.pgm", to_hu(img, cfg.metrics.mu_water).data,
+                  cfg.metrics.window)
+    return {path.name: path}
 
 
 def stage_simulate(cfg: ExperimentConfig, out: Path, deterministic: bool) -> dict:
     _require(cfg, "geometry", "model", "phantom", "io")
     truth = make_phantom(cfg.phantom)
-    sio.write_spim(out / "x_true.spim", truth.data, truth.spacing)
-    _export_pgm(out / "x_true.pgm", truth, cfg)
+    artifacts = _write_image(out, "x_true", truth, cfg)
 
     sino = simulate_prelog(truth, cfg.model, cfg.geometry,
                            RngSpec(cfg.io.seed), deterministic=deterministic)
     sio.write_spim(out / "sino_raw.spim", sino.data, _sino_spacing(cfg.geometry))
     log.info("non-positive fraction: %.4f%%", 100 * nonpositive_fraction(sino.data))
-    return {"x_true.spim": out / "x_true.spim",
-            "sino_raw.spim": out / "sino_raw.spim"}
+    return {**artifacts, "sino_raw.spim": out / "sino_raw.spim"}
 
 
 def stage_learn(cfg: ExperimentConfig, out: Path) -> dict:
@@ -116,24 +118,22 @@ def stage_learn(cfg: ExperimentConfig, out: Path) -> dict:
     return {"transforms.ult": out / "transforms.ult"}
 
 
-def _fbp_or_zero_init(cfg: ExperimentConfig, l_tilde) -> ImageGrid:
+def _fbp(cfg: ExperimentConfig, l_tilde) -> ImageGrid:
+    """Filtered backprojection of the flat line integrals ``l_tilde``."""
     geom = cfg.geometry
-    if geom.beam_kind == "parallel":
-        sino_l = Sinogram(l_tilde.reshape(geom.n_views, geom.n_detectors))
-        img = fbp_reconstruct(sino_l, geom)
-        return ImageGrid(np.clip(img.data, 0.0, cfg.recon.x_max), img.spacing)
-    # the edge-preserving problem is strictly convex, so a zero start is fine
-    return ImageGrid(np.zeros(geom.image_dims), geom.pixel_spacing)
+    return fbp_reconstruct(Sinogram(l_tilde.reshape(geom.n_views, geom.n_detectors)), geom)
 
 
-def _reconstruct_ep(cfg: ExperimentConfig, out: Path, l_tilde, w_stat) -> ImageGrid:
+def _reconstruct_ep(cfg: ExperimentConfig, l_tilde, w_stat) -> ImageGrid:
     if cfg.recon.ep is None:
         raise ConfigurationError("recon.beta_ep must be set to run the edge-preserving method")
-    x0 = _fbp_or_zero_init(cfg, l_tilde)
-    img = pwls_ep_reconstruct(l_tilde, w_stat, cfg.geometry, cfg.recon, x0)
-    sio.write_spim(out / "x_pwls_ep.spim", img.data, img.spacing)
-    _export_pgm(out / "x_pwls_ep.pgm", img, cfg)
-    return img
+    geom = cfg.geometry
+    if geom.beam_kind == "parallel":
+        img = _fbp(cfg, l_tilde)
+        x0 = ImageGrid(np.clip(img.data, 0.0, cfg.recon.x_max), img.spacing)
+    else:  # the edge-preserving problem is strictly convex, so a zero start is fine
+        x0 = ImageGrid(np.zeros(geom.image_dims), geom.pixel_spacing)
+    return pwls_ep_reconstruct(l_tilde, w_stat, geom, cfg.recon, x0)
 
 
 def stage_reconstruct(cfg: ExperimentConfig, out: Path, method: str) -> dict:
@@ -155,11 +155,9 @@ def stage_reconstruct(cfg: ExperimentConfig, out: Path, method: str) -> dict:
     artifacts = {}
 
     if method == "fbp":
-        sino_l = Sinogram(l_tilde.reshape(geom.n_views, geom.n_detectors))
-        img = fbp_reconstruct(sino_l, geom)
+        img = _fbp(cfg, l_tilde)
     elif method == "pwls-ep":
-        img = _reconstruct_ep(cfg, out, l_tilde, w_stat)
-        artifacts["x_pwls_ep.spim"] = out / "x_pwls_ep.spim"
+        img = _reconstruct_ep(cfg, l_tilde, w_stat)
     else:
         tr_path = out / "transforms.ult"
         if not tr_path.exists():
@@ -173,8 +171,8 @@ def stage_reconstruct(cfg: ExperimentConfig, out: Path, method: str) -> dict:
         if ep_path.exists():  # the PWLS-EP initializer, cached on disk
             x0 = _load_image(ep_path, "edge-preserving initializer", geom.image_dims)
         else:
-            x0 = _reconstruct_ep(cfg, out, l_tilde, w_stat)
-            artifacts["x_pwls_ep.spim"] = ep_path
+            x0 = _reconstruct_ep(cfg, l_tilde, w_stat)
+            artifacts = _write_image(out, "x_pwls_ep", x0, cfg)
         if method == "spultra":
             img, trace = spultra_reconstruct(y_raw, cfg.model, union, geom, cfg.recon,
                                              x0, truth=truth, mu_water=cfg.metrics.mu_water)
@@ -184,11 +182,7 @@ def stage_reconstruct(cfg: ExperimentConfig, out: Path, method: str) -> dict:
                                                 mu_water=cfg.metrics.mu_water)
         trace.to_csv(out / f"trace_{slug}.csv")
 
-    if method != "pwls-ep":
-        sio.write_spim(out / f"x_{slug}.spim", img.data, img.spacing)
-        _export_pgm(out / f"x_{slug}.pgm", img, cfg)
-        artifacts[f"x_{slug}.spim"] = out / f"x_{slug}.spim"
-    return artifacts
+    return {**artifacts, **_write_image(out, f"x_{slug}", img, cfg)}
 
 
 def _eval_rois(cfg: ExperimentConfig, truth: ImageGrid) -> list[RoiMask]:

@@ -76,14 +76,7 @@ def simulate_prelog(x_true: ImageGrid, model: SpModel, geom: SystemGeometry,
     decides how to handle them.
     """
     l = forward_project(x_true, geom).ravel()
-    mean = model.i0 * np.exp(-model.f(l))
-    if deterministic:
-        y = mean.copy()
-    else:
-        gen = rng.make()
-        y = gen.poisson(mean).astype(np.float64)
-        if model.sigma2 > 0:
-            y += gen.normal(0.0, np.sqrt(model.sigma2), size=y.shape)
+    y = _draw(model.i0 * np.exp(-model.f(l)), np.sqrt(model.sigma2), rng, deterministic)
     return Sinogram(y.reshape(geom.n_views, geom.n_detectors))
 
 
@@ -96,7 +89,12 @@ def scale_dose(y_standard: np.ndarray, alpha_scale: float, sigma: float,
         raise ValueError("alpha_scale must be >= 1")
     if np.any(y_standard < 0):
         raise ValueError("standard-dose counts must be nonnegative")
-    mean = y_standard / alpha_scale
+    return _draw(y_standard / alpha_scale, sigma, rng, deterministic)
+
+
+def _draw(mean, sigma, rng: RngSpec, deterministic: bool) -> np.ndarray:
+    """Poisson counts around ``mean`` plus Gaussian noise of standard deviation
+    ``sigma`` when it is > 0; a copy of ``mean`` in deterministic mode."""
     if deterministic:
         return mean.copy()
     gen = rng.make()

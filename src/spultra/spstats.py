@@ -88,17 +88,24 @@ def neg_log_likelihood(l, counts, model: SpModel) -> float:
     tiny = u < _MEAN_FLOOR
     if np.any(tiny & (counts > 0)):
         log.warning("mean underflow on %d rays; clamping inside log", int(np.sum(tiny)))
-    u_safe = np.maximum(u, _MEAN_FLOOR)
-    return float(np.sum(u - counts * np.log(u_safe)))
+    return float(np.sum(_h(u, counts)))
+
+
+def _h(u, counts):
+    """Per-ray h from the shifted mean counts ``u``, floored inside the log."""
+    return u - counts * np.log(np.maximum(u, _MEAN_FLOOR))
 
 
 def likelihood_gradient(l, counts, model: SpModel) -> np.ndarray:
     """Per-ray derivative of h at l."""
-    l = _as_rays(l)
-    counts = _as_rays(counts)
+    return _gradient_at(_as_rays(l), _as_rays(counts), model)[0]
+
+
+def _gradient_at(l, counts, model: SpModel):
+    """h'(l) per ray, and the floored shifted mean counts it was formed from."""
     m = model.i0 * np.exp(-model.f(l))
-    u_safe = np.maximum(m + model.sigma2, _MEAN_FLOOR)
-    return m * model.f_dot(l) * (counts / u_safe - 1.0)
+    u = np.maximum(m + model.sigma2, _MEAN_FLOOR)
+    return m * model.f_dot(l) * (counts / u - 1.0), u
 
 
 def second_derivative_at_zero(counts, model: SpModel) -> np.ndarray:
@@ -120,17 +127,16 @@ def optimum_curvature(l_n, counts, model: SpModel) -> np.ndarray:
     """
     l_n = _as_rays(l_n)
     counts = _as_rays(counts)
-    return _curvature(l_n, counts, model, likelihood_gradient(l_n, counts, model))
+    return _curvature(l_n, counts, model, *_gradient_at(l_n, counts, model))
 
 
-def _curvature(l_n, counts, model: SpModel, d_h) -> np.ndarray:
-    """:func:`optimum_curvature` from the ray arrays and the gradient d_h at l_n."""
+def _curvature(l_n, counts, model: SpModel, d_h, u_n) -> np.ndarray:
+    """:func:`optimum_curvature` from the ray arrays, and the gradient d_h and
+    floored shifted mean counts u_n at l_n."""
     h0_dd = np.maximum(second_derivative_at_zero(counts, model), 0.0)
 
-    u0 = model.i0 + model.sigma2
-    h_at_0 = u0 - counts * np.log(u0)
-    u_n = np.maximum(model.mean_counts(l_n), _MEAN_FLOOR)
-    h_at_n = u_n - counts * np.log(u_n)
+    h_at_0 = _h(model.i0 + model.sigma2, counts)
+    h_at_n = _h(u_n, counts)
 
     c = h0_dd.copy()
     pos = l_n > 0
@@ -157,8 +163,8 @@ def surrogate_at(l_n, counts, model: SpModel) -> SurrogateState:
     """
     counts = _as_rays(counts)
     l_n = _as_rays(l_n)
-    d_h = likelihood_gradient(l_n, counts, model)
-    w = _curvature(l_n, counts, model, d_h)
+    d_h, u_n = _gradient_at(l_n, counts, model)
+    w = _curvature(l_n, counts, model, d_h, u_n)
     y_tilde = l_n - d_h / w
     return SurrogateState(w=w, d_h=d_h, y_tilde=y_tilde, l_n=l_n)
 
@@ -173,12 +179,10 @@ def surrogate_gap(state: SurrogateState, counts, model: SpModel, l_grid) -> floa
     """
     counts = _as_rays(counts)
     l_grid = np.asarray(l_grid, dtype=np.float64)
-    u0 = np.maximum(model.mean_counts(state.l_n), _MEAN_FLOOR)
-    h_n = u0 - counts * np.log(u0)
+    h_n = _h(model.mean_counts(state.l_n), counts)
     worst = -np.inf
     for lv in l_grid:
-        u = max(float(model.mean_counts(lv)), _MEAN_FLOOR)
-        h = u - counts * np.log(u)
+        h = _h(model.mean_counts(lv), counts)
         q = h_n + state.d_h * (lv - state.l_n) + 0.5 * state.w * (lv - state.l_n) ** 2
         worst = max(worst, float(np.max(h - q)))
     return worst

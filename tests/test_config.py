@@ -1,7 +1,10 @@
+import configparser
+import io
+
 import numpy as np
 import pytest
 
-from spultra.config import parse_config
+from spultra.config import _I0_MAX, parse_config
 from spultra.errors import ValidationError
 
 MINIMAL = """
@@ -249,15 +252,69 @@ def test_patch_larger_than_image_rejected(tmp_path):
     assert cfg.recon.patch.patch_side == 3
 
 
+VALID = MINIMAL + LEARNING.format(1) + """
+[recon]
+beta = 1
+gamma_c = 0.05
+N = 3
+beta_ep = 10
+
+[metrics]
+"""
+
+
+def with_value(section, key, value):
+    """``VALID`` with ``key = value`` set in ``[section]``."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
+    parser.read_string(VALID)
+    parser[section][key] = value
+    buf = io.StringIO()
+    parser.write(buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("model", "I0", "nan"), ("model", "I0", "inf"), ("model", "I0", "1e19"),
+    ("model", "sigma2", "nan"), ("learning", "lambda0", "inf"), ("recon", "beta", "nan"),
+    ("recon", "x_max", "inf"), ("recon", "x_max", "nan"), ("recon", "delta", "inf"),
+    ("metrics", "mu_water", "inf"),
+    ("geometry", "detector_spacing", "nan"), ("geometry", "angular_range", "inf"),
+    ("geometry", "pixel_spacing", "inf 3.5"), ("geometry", "pixel_spacing", "nan 3.5"),
+    ("geometry", "image_dims", "0 64"), ("geometry", "image_dims", "-3 64"),
+])
+def test_non_finite_or_out_of_range_number_rejected(tmp_path, section, key, value):
+    parse_config(write(tmp_path, VALID))
+    with pytest.raises(ValidationError) as err:
+        parse_config(write(tmp_path, with_value(section, key, value)))
+    assert len(err.value.errors) == 1
+    assert err.value.errors[0].startswith(f"{section}.{key}: ")
+
+
+def test_i0_bound_is_a_mean_the_poisson_sampler_takes(tmp_path):
+    cfg = parse_config(write(tmp_path, with_value("model", "I0", repr(_I0_MAX))))
+    assert cfg.model.i0 == _I0_MAX
+    np.random.default_rng(0).poisson(_I0_MAX)  # numpy raises from about 9.2e18
+
+
+@pytest.mark.parametrize("shape", ["0 0 3 3 0 nan", "0 0 inf 3 0 0.02"])
+def test_non_finite_shape_rejected(tmp_path, shape):
+    with pytest.raises(ValidationError) as err:
+        parse_config(write(tmp_path, MINIMAL + f"\n[phantom]\nshapes =\n    {shape}\n"))
+    assert err.value.errors == [f"phantom.shapes: values must be finite in {shape!r}"]
+
+
 @pytest.mark.parametrize("window,shown", [("1200 800", "1200.0 800.0"),
                                           ("1000 1000", "1000.0 1000.0"),
-                                          ("nan 1000", "nan 1000.0")])
+                                          ("nan 1000", None)])
 def test_metrics_window_must_increase(tmp_path, window, shown):
-    # caught when the config is read, not after the truth image is written
+    # caught when the config is read, not after the truth image is written;
+    # a NaN bound (shown None) fails as a non-finite number before any ordering
+    error = (f"metrics.window: must satisfy hi > lo, got {shown}" if shown
+             else "metrics.window: must be a finite number, got nan")
     with pytest.raises(ValidationError) as err:
         parse_config(write(tmp_path, MINIMAL + f"\n[metrics]\nwindow = {window}\n"))
-    assert [e for e in err.value.errors if e.startswith("metrics.")] \
-        == [f"metrics.window: must satisfy hi > lo, got {shown}"]
+    assert [e for e in err.value.errors if e.startswith("metrics.")] == [error]
 
 
 @pytest.mark.parametrize("roi,reason", [
@@ -265,6 +322,7 @@ def test_metrics_window_must_increase(tmp_path, window, shown):
     ("between 0.2 0.2 0.1", "covers no pixel centre"),  # pixel centres sit at +-0.5, +-1.5, ...
     ("negative 0 0 -12", "radius must be > 0"),
     ("flat 0 0 0", "radius must be > 0"),
+    ("everything 0 0 inf", "values must be finite"),
 ])
 def test_metrics_roi_must_cover_a_pixel(tmp_path, roi, reason):
     text = MINIMAL + f"\n[metrics]\nrois =\n    center 0 0 2\n    {roi}\n"

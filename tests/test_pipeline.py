@@ -262,6 +262,23 @@ def test_cli_seed_out_of_range_exits_1(tmp_path, where, seed, msg):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line, bad, msg", [
+    ("I0 = 10000", "I0 = inf", "model.I0: must be a finite number, got inf"),
+    ("image_dims = 32 32", "image_dims = -3 64", "geometry.image_dims: must be >= 1, got -3"),
+])
+def test_cli_invalid_number_exits_1_before_any_stage(tmp_path, line, bad, msg):
+    out = tmp_path / "bad"
+    cfg_path = write_config(tmp_path, out)
+    text = cfg_path.read_text()
+    assert line in text
+    cfg_path.write_text(text.replace(line, bad))
+    r = run_cli("all", "--config", str(cfg_path))
+    assert r.returncode == EXIT_ERROR
+    assert msg in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not out.exists()
+
+
 def test_recon_v_mismatch_with_transforms_exits_1(tmp_path, caplog):
     out = tmp_path / "vmis"
     cfg = parse_config(write_config(tmp_path, out))

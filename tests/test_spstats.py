@@ -168,13 +168,17 @@ def test_surrogate_at_takes_one_gradient(monkeypatch, s2):
     rng = np.random.default_rng(21)
     l_n = np.concatenate([[0.0], rng.uniform(0.0, 3.0, 40)])
     counts = np.maximum(model.mean_counts(l_n) + rng.normal(0, 20, l_n.size), 0.0)
-    calls = []
-    gradient = spstats.likelihood_gradient
-    monkeypatch.setattr(spstats, "likelihood_gradient",
-                        lambda *args: calls.append(1) or gradient(*args))
+    calls, means = [], []
+    # the one gradient evaluation also forms the only mean counts
+    gradient_at = spstats._gradient_at
+    monkeypatch.setattr(spstats, "_gradient_at",
+                        lambda *args: calls.append(1) or gradient_at(*args))
+    mean_counts = SpModel.mean_counts
+    monkeypatch.setattr(SpModel, "mean_counts",
+                        lambda *args: means.append(1) or mean_counts(*args))
     surr = surrogate_at(l_n, counts, model)
-    assert len(calls) == 1
-    assert surr.d_h.tobytes() == gradient(l_n, counts, model).tobytes()
+    assert len(calls) == 1 and not means
+    assert surr.d_h.tobytes() == likelihood_gradient(l_n, counts, model).tobytes()
     assert surr.w.tobytes() == optimum_curvature(l_n, counts, model).tobytes()
 
 
