@@ -20,7 +20,7 @@ from .errors import ConfigurationError, ValidationError
 from .geometry import SystemGeometry
 from .metrics import circle_mask
 from .recon import EpParams, ReconConfig
-from .sim import Ellipse, PhantomSpec
+from .sim import POISSON_MEAN_MAX, Ellipse, PhantomSpec
 from .spstats import SpModel
 from .ultra import PatchConfig
 
@@ -28,9 +28,6 @@ _REQUIRED = object()
 # the signed 64-bit range: the seed becomes a Philox key word, and larger
 # values overflow (from 2**64) or go through a lossy cast on the way
 _SEED_BOUNDS = dict(minimum=0, maximum=2 ** 63 - 1)
-# numpy's Poisson sampler rejects means above about 9.2e18 (the int64 range
-# less a margin), and a ray's mean count I0 exp(-f(l)) is at most I0 where f >= 0
-_I0_MAX = 9e18
 # what the plain converters expect, for their error message
 _EXPECTED = {int: "an integer", float: "a number"}
 
@@ -219,7 +216,7 @@ def parse_config(path) -> ExperimentConfig:
                                           SystemGeometry.source_to_detector),
                  image_dims=s.get("image_dims", _pair(int), minimum=1),
                  pixel_spacing=s.get("pixel_spacing", _pair(float),
-                                     SystemGeometry.pixel_spacing))
+                                     SystemGeometry.pixel_spacing, above=0.0))
         s.finish()
         if None not in g.values():
             try:
@@ -229,7 +226,7 @@ def parse_config(path) -> ExperimentConfig:
 
     if parser.has_section("model"):
         s = _Section("model", parser["model"], errors)
-        m = dict(i0=s.get("I0", float, above=0.0, maximum=_I0_MAX),
+        m = dict(i0=s.get("I0", float, above=0.0, maximum=POISSON_MEAN_MAX),
                  sigma2=s.get("sigma2", float, SpModel.sigma2, minimum=0.0),
                  s1=s.get("s1", float, SpModel.s1, above=0.0),
                  s2=s.get("s2", float, SpModel.s2))
@@ -255,9 +252,10 @@ def parse_config(path) -> ExperimentConfig:
             except ValueError as err:
                 errors.append(f"phantom.shapes: {err} in {line!r}")
         if lines is not None:
-            if cfg.geometry is None:
+            # an invalid [geometry] section has already been reported
+            if not parser.has_section("geometry"):
                 errors.append("phantom: requires a [geometry] section for the canvas")
-            else:
+            elif cfg.geometry is not None:
                 cfg.phantom = PhantomSpec(dims=cfg.geometry.image_dims,
                                           spacing=cfg.geometry.pixel_spacing,
                                           shapes=tuple(shapes))

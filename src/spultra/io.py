@@ -1,8 +1,9 @@
 """On-disk formats: binary image/sinogram container, 16-bit PGM exports,
-and the per-run manifest."""
+the run's CSV tables and the per-run manifest."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
@@ -67,6 +68,18 @@ def write_pgm(path, img_hu: np.ndarray, window=(800.0, 1200.0)) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P5\n{cols} {rows}\n65535\n".encode("ascii"))
         fh.write(pix.tobytes())
+
+
+def write_csv(path, header, rows) -> None:
+    """A CSV table: None is written as an empty field, a float (numpy floats
+    included) as ``%.17g`` so it reads back exactly, anything else by ``str``."""
+    def field(v):
+        return "" if v is None else f"{v:.17g}" if isinstance(v, (float, np.floating)) else v
+
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        wr.writerows([field(v) for v in row] for row in rows)
 
 
 def sha256_file(path) -> str:

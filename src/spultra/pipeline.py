@@ -9,7 +9,6 @@ mismatches against an existing manifest are reported.
 
 from __future__ import annotations
 
-import csv
 import logging
 from pathlib import Path
 
@@ -110,11 +109,7 @@ def stage_learn(cfg: ExperimentConfig, out: Path) -> dict:
     union, trace = learn_transforms(patches, lc.k, lc.gamma_c, lc.lambda0,
                                     lc.iters, seed=cfg.io.seed)
     save_transforms(out / "transforms.ult", union)
-    with open(out / "learn_trace.csv", "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["iter", "objective"])
-        for i, val in enumerate(trace):
-            wr.writerow([i + 1, f"{val:.17g}"])
+    sio.write_csv(out / "learn_trace.csv", ("iter", "objective"), enumerate(trace, start=1))
     return {"transforms.ult": out / "transforms.ult"}
 
 
@@ -223,13 +218,8 @@ def stage_evaluate(cfg: ExperimentConfig, out: Path) -> dict:
     if not found:
         raise MissingArtifact("no reconstructed images found (run 'reconstruct' first)")
 
-    path = out / "metrics.csv"
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["run_id", "method", "metric", "roi_label", "value"])
-        for row in rows:
-            wr.writerow([*row[:4], f"{row[4]:.17g}"])
-    return {"metrics.csv": path}
+    sio.write_csv(out / "metrics.csv", ("run_id", "method", "metric", "roi_label", "value"), rows)
+    return {"metrics.csv": out / "metrics.csv"}
 
 
 def _methods(cfg: ExperimentConfig, method: str | None) -> list[str]:

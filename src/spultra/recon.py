@@ -10,7 +10,6 @@ their data term fixed.
 
 from __future__ import annotations
 
-import csv
 import logging
 import time
 from dataclasses import dataclass, field
@@ -22,6 +21,7 @@ from scipy.sparse._sparsetools import csc_matvec, csr_matvec, dia_matvec
 from .errors import ConfigurationError, NumericalError
 from .geometry import (ImageGrid, Sinogram, SystemGeometry, compute_kappa,
                        forward_project, pixel_centres, system_matrix, weighted_gram_diag)
+from .io import write_csv
 from .metrics import RoiMask, rmse_roi
 from .spstats import SpModel, neg_log_likelihood, post_log_convert, surrogate_at
 # kept importable as recon.build_surrogate: the benchmark's tracer wraps it there
@@ -437,53 +437,34 @@ class EdgePreservingReg:
         return self.ep.beta_ep * g.reshape(-1)
 
 
+# the header of ``trace_<method>.csv``: ``labels_changed`` counts the patches
+# whose class the iteration's coding step changed, ``nonzero_frac`` is the
+# fraction of nonzero code entries after it
+TRACE_COLUMNS = ("iter", "objective", "data_term", "reg_term", "step_norm",
+                 "rmse_vs_truth", "wall_ms", "labels_changed", "nonzero_frac")
+
+
 @dataclass
 class ConvergenceTrace:
-    """Per-outer-iteration bookkeeping; written as CSV for inspection."""
+    """One list per column of ``TRACE_COLUMNS``; written as CSV for inspection."""
 
-    iters: list = field(default_factory=list)
-    objective: list = field(default_factory=list)
-    data_term: list = field(default_factory=list)
-    reg_term: list = field(default_factory=list)
-    step_norm: list = field(default_factory=list)
-    rmse_vs_truth: list = field(default_factory=list)
-    wall_ms: list = field(default_factory=list)
-    # patches whose class changed in this iteration's coding step, and the
-    # fraction of nonzero code entries after it; None at iteration 0
-    labels_changed: list = field(default_factory=list)
-    nonzero_frac: list = field(default_factory=list)
+    columns: dict = field(default_factory=lambda: {c: [] for c in TRACE_COLUMNS})
     # objective right after the image update, before re-coding; used by the
     # monotonicity checks, not written to disk
     objective_pre_coding: list = field(default_factory=list)
 
-    def append(self, n, obj, data, reg, step, rmse, ms, pre=None,
-               labels_changed=None, nonzero_frac=None):
-        self.iters.append(n)
-        self.objective.append(obj)
-        self.data_term.append(data)
-        self.reg_term.append(reg)
-        self.step_norm.append(step)
-        self.rmse_vs_truth.append(rmse)
-        self.wall_ms.append(ms)
-        self.labels_changed.append(labels_changed)
-        self.nonzero_frac.append(nonzero_frac)
+    def append(self, *, pre=None, **values):
+        """One row; a column missing from ``values`` is left empty (None)."""
+        unknown = sorted(values.keys() - self.columns.keys())
+        if unknown:
+            raise ValueError(f"unknown trace columns {unknown}")
+        for name, col in self.columns.items():
+            col.append(values.get(name))
         if pre is not None:
             self.objective_pre_coding.append(pre)
 
     def to_csv(self, path):
-        def fmt(v):
-            return "" if v is None else f"{v:.17g}"
-
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["iter", "objective", "data_term", "reg_term",
-                         "step_norm", "rmse_vs_truth", "wall_ms", "labels_changed",
-                         "nonzero_frac"])
-            for i in range(len(self.iters)):
-                wr.writerow([self.iters[i], fmt(self.objective[i]), fmt(self.data_term[i]),
-                             fmt(self.reg_term[i]), fmt(self.step_norm[i]),
-                             fmt(self.rmse_vs_truth[i]), fmt(self.wall_ms[i]),
-                             fmt(self.labels_changed[i]), fmt(self.nonzero_frac[i])])
+        write_csv(path, TRACE_COLUMNS, zip(*self.columns.values()))
 
 
 def _ultra_outer_loop(value, quadratic, system: SubsetSystem, w_stat: np.ndarray,
@@ -517,7 +498,8 @@ def _ultra_outer_loop(value, quadratic, system: SubsetSystem, w_stat: np.ndarray
     l = system.matrix @ x
     data = value(l)
     reg = cfg.beta * float(np.sum(state.tau * state.cost))
-    trace.append(0, data + reg, data, reg, None, rmse(x), None)
+    trace.append(iter=0, objective=data + reg, data_term=data, reg_term=reg,
+                 rmse_vs_truth=rmse(x))
 
     try:
         for n in range(cfg.n_outer):
@@ -534,15 +516,16 @@ def _ultra_outer_loop(value, quadratic, system: SubsetSystem, w_stat: np.ndarray
             reg_pre = cfg.beta * float(np.sum(state.tau * state.prev_cost))
             reg = cfg.beta * float(np.sum(state.tau * state.cost))
             ms = (time.perf_counter() - t0) * 1e3
-            trace.append(n + 1, data + reg, data, reg,
-                         float(np.linalg.norm(x_new - x)), rmse(x_new), ms,
-                         pre=data + reg_pre, labels_changed=state.labels_changed,
-                         nonzero_frac=state.nonzero_frac)
+            trace.append(pre=data + reg_pre, iter=n + 1, objective=data + reg, data_term=data,
+                         reg_term=reg, step_norm=float(np.linalg.norm(x_new - x)),
+                         rmse_vs_truth=rmse(x_new), wall_ms=ms,
+                         labels_changed=state.labels_changed, nonzero_frac=state.nonzero_frac)
             x = x_new
     except NumericalError as err:
         # keep the partial trace reachable so callers can flush it
         err.trace = trace
-        log.error("image update aborted at outer iteration %d: %s", len(trace.iters), err)
+        log.error("image update aborted at outer iteration %d: %s",
+                  len(trace.columns["iter"]), err)
         raise
 
     return ImageGrid(x.reshape(dims), geom.pixel_spacing), trace

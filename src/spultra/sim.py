@@ -13,8 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .geometry import ImageGrid, Sinogram, SystemGeometry, forward_project, pixel_centres
 from .spstats import SpModel
+
+# the largest mean numpy's Poisson sampler takes (it rejects means above about
+# 9.2e18, the int64 range less a margin). A ray's mean count I0 exp(-f(l)) is
+# at most I0 while f >= 0, but a negative s2 makes it grow on long rays.
+POISSON_MEAN_MAX = 9e18
 
 
 @dataclass(frozen=True)
@@ -76,7 +82,9 @@ def simulate_prelog(x_true: ImageGrid, model: SpModel, geom: SystemGeometry,
     decides how to handle them.
     """
     l = forward_project(x_true, geom).ravel()
-    y = _draw(model.i0 * np.exp(-model.f(l)), np.sqrt(model.sigma2), rng, deterministic)
+    with np.errstate(over="ignore"):  # a noisy _draw reports an infinite mean
+        mean = model.i0 * np.exp(-model.f(l))
+    y = _draw(mean, np.sqrt(model.sigma2), rng, deterministic)
     return Sinogram(y.reshape(geom.n_views, geom.n_detectors))
 
 
@@ -94,9 +102,14 @@ def scale_dose(y_standard: np.ndarray, alpha_scale: float, sigma: float,
 
 def _draw(mean, sigma, rng: RngSpec, deterministic: bool) -> np.ndarray:
     """Poisson counts around ``mean`` plus Gaussian noise of standard deviation
-    ``sigma`` when it is > 0; a copy of ``mean`` in deterministic mode."""
+    ``sigma`` when it is > 0; a copy of ``mean`` in deterministic mode. A
+    mean the sampler cannot take raises ConfigurationError."""
     if deterministic:
         return mean.copy()
+    peak = float(np.max(mean, initial=0.0))
+    if not peak <= POISSON_MEAN_MAX:  # also NaN
+        raise ConfigurationError(f"model.s2: the largest Poisson mean count is {peak:.6g}, "
+                                 f"above the sampler's limit {POISSON_MEAN_MAX:g}")
     gen = rng.make()
     y = gen.poisson(mean).astype(np.float64)
     if sigma > 0:

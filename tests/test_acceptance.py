@@ -285,9 +285,9 @@ def run7():
 
 def test_criterion_07_monotone_objective(run7):
     img, trace, cfg, elapsed = run7
-    obj = np.array(trace.objective)
+    obj = np.array(trace.columns["objective"])
     mono = bool(np.all(np.diff(obj) <= 1e-6 * np.abs(obj[:-1])))
-    coding = bool(np.all(np.array(trace.objective)[1:]
+    coding = bool(np.all(np.array(trace.columns["objective"])[1:]
                          <= np.array(trace.objective_pre_coding)))
     box = img.data.min() >= 0 and img.data.max() <= cfg.x_max
     ok = mono and coding and box and elapsed < 180.0
@@ -297,7 +297,7 @@ def test_criterion_07_monotone_objective(run7):
 
 def test_criterion_08_iterate_difference_decay(run7):
     _, trace, _, _ = run7
-    sn = trace.step_norm
+    sn = trace.columns["step_norm"]
     ratio = sn[50] / sn[1]
     _report(8, "step norm at n=50 at most 5% of step norm at n=1",
             ratio <= 0.05, f"ratio {ratio:.4f}")
@@ -347,7 +347,7 @@ def run9():
 
     hu = 1000.0 / 0.02
     rmse_ep = float(np.sqrt(np.mean((x_ep.data - truth.data) ** 2)) * hu)
-    return rmse_ep, tr_pw.rmse_vs_truth[-1], tr_sp.rmse_vs_truth[-1], elapsed
+    return rmse_ep, tr_pw.columns["rmse_vs_truth"][-1], tr_sp.columns["rmse_vs_truth"][-1], elapsed
 
 
 def test_criterion_09_dose_trend_reproduction(run9):

@@ -4,8 +4,9 @@ import io
 import numpy as np
 import pytest
 
-from spultra.config import _I0_MAX, parse_config
+from spultra.config import parse_config
 from spultra.errors import ValidationError
+from spultra.sim import POISSON_MEAN_MAX
 
 MINIMAL = """
 [geometry]
@@ -260,6 +261,10 @@ N = 3
 beta_ep = 10
 
 [metrics]
+
+[phantom]
+shapes =
+    0 0 3 3 0 0.02
 """
 
 
@@ -274,27 +279,45 @@ def with_value(section, key, value):
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("section,key,value", [
-    ("model", "I0", "nan"), ("model", "I0", "inf"), ("model", "I0", "1e19"),
-    ("model", "sigma2", "nan"), ("learning", "lambda0", "inf"), ("recon", "beta", "nan"),
-    ("recon", "x_max", "inf"), ("recon", "x_max", "nan"), ("recon", "delta", "inf"),
-    ("metrics", "mu_water", "inf"),
-    ("geometry", "detector_spacing", "nan"), ("geometry", "angular_range", "inf"),
-    ("geometry", "pixel_spacing", "inf 3.5"), ("geometry", "pixel_spacing", "nan 3.5"),
-    ("geometry", "image_dims", "0 64"), ("geometry", "image_dims", "-3 64"),
-])
-def test_non_finite_or_out_of_range_number_rejected(tmp_path, section, key, value):
+_FINITE = "must be a finite number, got"
+# (section, key, value, the one error expected); the geometry cases also check
+# that an invalid [geometry] section does not add a phantom error to its own
+INVALID_NUMBERS = [
+    ("model", "I0", "nan", f"model.I0: {_FINITE} nan"),
+    ("model", "I0", "inf", f"model.I0: {_FINITE} inf"),
+    ("model", "I0", "1e19", "model.I0: must be <= 9e+18, got 1e+19"),
+    ("model", "sigma2", "nan", f"model.sigma2: {_FINITE} nan"),
+    ("learning", "lambda0", "inf", f"learning.lambda0: {_FINITE} inf"),
+    ("recon", "beta", "nan", f"recon.beta: {_FINITE} nan"),
+    ("recon", "x_max", "inf", f"recon.x_max: {_FINITE} inf"),
+    ("recon", "x_max", "nan", f"recon.x_max: {_FINITE} nan"),
+    ("recon", "delta", "inf", f"recon.delta: {_FINITE} inf"),
+    ("metrics", "mu_water", "inf", f"metrics.mu_water: {_FINITE} inf"),
+    ("geometry", "detector_spacing", "nan", f"geometry.detector_spacing: {_FINITE} nan"),
+    ("geometry", "angular_range", "inf", f"geometry.angular_range: {_FINITE} inf"),
+    ("geometry", "pixel_spacing", "inf 3.5", f"geometry.pixel_spacing: {_FINITE} inf"),
+    ("geometry", "pixel_spacing", "nan 3.5", f"geometry.pixel_spacing: {_FINITE} nan"),
+    ("geometry", "pixel_spacing", "0 3.5", "geometry.pixel_spacing: must be > 0.0, got 0.0"),
+    ("geometry", "pixel_spacing", "3.5 -1",
+     "geometry.pixel_spacing: must be > 0.0, got -1.0"),
+    ("geometry", "image_dims", "0 64", "geometry.image_dims: must be >= 1, got 0"),
+    ("geometry", "image_dims", "-3 64", "geometry.image_dims: must be >= 1, got -3"),
+]
+
+
+@pytest.mark.parametrize("section,key,value,msg", INVALID_NUMBERS,
+                         ids=["-".join(case[:3]) for case in INVALID_NUMBERS])
+def test_non_finite_or_out_of_range_number_rejected(tmp_path, section, key, value, msg):
     parse_config(write(tmp_path, VALID))
     with pytest.raises(ValidationError) as err:
         parse_config(write(tmp_path, with_value(section, key, value)))
-    assert len(err.value.errors) == 1
-    assert err.value.errors[0].startswith(f"{section}.{key}: ")
+    assert err.value.errors == [msg]
 
 
 def test_i0_bound_is_a_mean_the_poisson_sampler_takes(tmp_path):
-    cfg = parse_config(write(tmp_path, with_value("model", "I0", repr(_I0_MAX))))
-    assert cfg.model.i0 == _I0_MAX
-    np.random.default_rng(0).poisson(_I0_MAX)  # numpy raises from about 9.2e18
+    cfg = parse_config(write(tmp_path, with_value("model", "I0", repr(POISSON_MEAN_MAX))))
+    assert cfg.model.i0 == POISSON_MEAN_MAX
+    np.random.default_rng(0).poisson(POISSON_MEAN_MAX)  # numpy raises from about 9.2e18
 
 
 @pytest.mark.parametrize("shape", ["0 0 3 3 0 nan", "0 0 inf 3 0 0.02"])

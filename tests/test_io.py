@@ -1,3 +1,4 @@
+import csv
 import struct
 from pathlib import Path
 
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spultra.errors import ConfigurationError
-from spultra.io import (read_manifest, read_spim, sha256_file, write_manifest, write_pgm,
-                        write_spim)
+from spultra.io import (read_manifest, read_spim, sha256_file, write_csv, write_manifest,
+                        write_pgm, write_spim)
 from spultra.ultra import TransformUnion, load_transforms, save_transforms
 
 
@@ -65,6 +66,72 @@ def test_pgm_export(tmp_path):
     assert vals[1, 1] == 65535      # above window
     with pytest.raises(ConfigurationError):
         write_pgm(path, img, window=(100.0, 100.0))
+
+
+# The three CSV writers that ``write_csv`` replaced, as they were: the
+# convergence trace (``iter`` as is, every other column formatted), the
+# learning trace (``iter`` as is, the objective formatted) and the metrics
+# table (four text columns, the value formatted).
+def _fmt(v):
+    return "" if v is None else f"{v:.17g}"
+
+
+def _old_trace_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        for row in rows:
+            wr.writerow([row[0], *map(_fmt, row[1:])])
+
+
+def _old_learn_csv(path, values):
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["iter", "objective"])
+        for i, val in enumerate(values):
+            wr.writerow([i + 1, f"{val:.17g}"])
+
+
+def _old_metrics_csv(path, rows):
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["run_id", "method", "metric", "roi_label", "value"])
+        for row in rows:
+            wr.writerow([*row[:4], f"{row[4]:.17g}"])
+
+
+_NUMBERS = [0.1, np.float64(1 / 3), -0.0, 1e-300, np.float64(-2.5e17), 12.0, 1e22,
+            np.float64(np.pi), 7, 0]
+
+
+def _same_bytes(tmp_path, old, new):
+    old(tmp_path / "old.csv")
+    new(tmp_path / "new.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_write_csv_matches_the_trace_writer(tmp_path):
+    header = ("iter", "objective", "step_norm", "labels_changed", "nonzero_frac")
+    rows = [(0, 10.0, None, None, None),
+            (1, np.float64(9.25), 0.1, 41, np.float64(0.125)),
+            (2, -0.0, 1e-300, 0, 1e-300),
+            (3, *_NUMBERS[4:8])]
+    _same_bytes(tmp_path, lambda p: _old_trace_csv(p, header, rows),
+                lambda p: write_csv(p, header, rows))
+
+
+def test_write_csv_matches_the_learning_writer(tmp_path):
+    values = np.array([float(v) for v in _NUMBERS])
+    _same_bytes(tmp_path, lambda p: _old_learn_csv(p, values),
+                lambda p: write_csv(p, ("iter", "objective"), enumerate(values, start=1)))
+
+
+def test_write_csv_matches_the_metrics_writer(tmp_path):
+    rows = [("abc-s1", "pwls-ep", "rmse_hu", "all", v) for v in _NUMBERS]
+    rows.append(("abc-s1", "fbp", "roi_mean_hu", "odd, \"label\"", np.float64(-1e-300)))
+    _same_bytes(tmp_path, lambda p: _old_metrics_csv(p, rows),
+                lambda p: write_csv(p, ("run_id", "method", "metric", "roi_label", "value"),
+                                    rows))
 
 
 def test_manifest_round_trip(tmp_path):

@@ -279,6 +279,24 @@ def test_cli_invalid_number_exits_1_before_any_stage(tmp_path, line, bad, msg):
     assert not out.exists()
 
 
+def test_cli_negative_s2_beyond_the_poisson_range_exits_1(tmp_path):
+    out = tmp_path / "s2"
+    cfg_path = write_config(tmp_path, out)
+    text = cfg_path.read_text()
+    assert "sigma2 = 25\n" in text
+    cfg_path.write_text(text.replace("sigma2 = 25\n", "sigma2 = 25\ns2 = -20\n"))
+    r = run_cli("simulate", "--config", str(cfg_path))
+    assert r.returncode == EXIT_ERROR
+    assert "Traceback" not in r.stderr
+    # log lines only: no traceback and no numpy overflow warning
+    assert all(line.startswith(("INFO ", "ERROR ")) for line in r.stderr.splitlines())
+    errors = [line for line in r.stderr.splitlines() if line.startswith("ERROR")]
+    assert len(errors) == 1
+    assert errors[0].startswith("ERROR spultra.pipeline: model.s2: the largest Poisson mean "
+                                "count is ")
+    assert not (out / "sino_raw.spim").exists()
+
+
 def test_recon_v_mismatch_with_transforms_exits_1(tmp_path, caplog):
     out = tmp_path / "vmis"
     cfg = parse_config(write_config(tmp_path, out))

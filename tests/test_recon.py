@@ -12,7 +12,7 @@ from spultra import recon
 from spultra.errors import ConfigurationError, NumericalError
 from spultra.geometry import (ImageGrid, Sinogram, SystemGeometry, compute_kappa,
                               forward_project, system_matrix)
-from spultra.recon import (ConvergenceTrace, EdgePreservingReg, EpParams,
+from spultra.recon import (TRACE_COLUMNS, ConvergenceTrace, EdgePreservingReg, EpParams,
                            ReconConfig, SubsetSystem, UltraQuadReg,
                            bit_reversal_order, ep_potential, ep_potential_dot,
                            fbp_reconstruct, objective_value,
@@ -436,7 +436,7 @@ def test_spultra_zero_outer_returns_x0():
     x0 = ImageGrid(np.full((16, 16), 0.01))
     img, trace = spultra_reconstruct(sino, model, union, geom, cfg0, x0)
     assert np.array_equal(img.data, x0.data)
-    assert len(trace.iters) == 1
+    assert len(trace.columns["iter"]) == 1
 
     l_t, w_t = post_log_convert(sino.ravel(), model)
     img2, trace2 = pwls_ultra_reconstruct(l_t, w_t, union, geom, cfg0, x0)
@@ -447,13 +447,14 @@ def test_spultra_monotone_objective_and_box():
     geom, model, truth, sino, union, cfg = _tiny_setup()
     x0 = ImageGrid(np.full((16, 16), 0.015))
     img, trace = spultra_reconstruct(sino, model, union, geom, cfg, x0, truth=truth)
-    obj = np.array(trace.objective)
+    obj = np.array(trace.columns["objective"])
     assert np.all(np.diff(obj) <= 1e-6 * np.abs(obj[:-1]))
     # the coding step never increases the objective, bit for bit
     pre = np.array(trace.objective_pre_coding)
     assert np.all(obj[1:] <= pre)
     assert img.data.min() >= 0 and img.data.max() <= cfg.x_max
-    assert len(trace.rmse_vs_truth) == len(obj) and trace.rmse_vs_truth[1] is not None
+    rmse = trace.columns["rmse_vs_truth"]
+    assert len(rmse) == len(obj) and rmse[1] is not None
 
 
 @pytest.mark.parametrize("method", ["spultra", "pwls-ultra"])
@@ -466,17 +467,18 @@ def test_trace_records_clustering_diagnostics(tmp_path, method):
         l_t, w_t = post_log_convert(sino.ravel(), model)
         _, trace = pwls_ultra_reconstruct(l_t, w_t, union, geom, cfg, x0)
     n_patches = cfg.patch.n_patches(geom.image_dims)
-    assert trace.labels_changed[0] is None and trace.nonzero_frac[0] is None
-    assert len(trace.labels_changed) == len(trace.nonzero_frac) == cfg.n_outer + 1
-    assert all(isinstance(c, int) and 0 <= c <= n_patches for c in trace.labels_changed[1:])
-    assert all(0.0 <= f <= 1.0 for f in trace.nonzero_frac[1:])
+    changed, nonzero = trace.columns["labels_changed"], trace.columns["nonzero_frac"]
+    assert changed[0] is None and nonzero[0] is None
+    assert len(changed) == len(nonzero) == cfg.n_outer + 1
+    assert all(isinstance(c, int) and 0 <= c <= n_patches for c in changed[1:])
+    assert all(0.0 <= f <= 1.0 for f in nonzero[1:])
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     rows = path.read_text().strip().splitlines()
     assert rows[1].endswith(",,")
     last = rows[-1].split(",")
-    assert int(last[-2]) == trace.labels_changed[-1]
-    assert float(last[-1]) == trace.nonzero_frac[-1]
+    assert int(last[-2]) == changed[-1]
+    assert float(last[-1]) == nonzero[-1]
 
 
 def test_pwls_ultra_monotone_objective():
@@ -484,7 +486,7 @@ def test_pwls_ultra_monotone_objective():
     l_t, w_t = post_log_convert(sino.ravel(), model)
     x0 = ImageGrid(np.full((16, 16), 0.015))
     img, trace = pwls_ultra_reconstruct(l_t, w_t, union, geom, cfg, x0)
-    obj = np.array(trace.objective)
+    obj = np.array(trace.columns["objective"])
     assert np.all(np.diff(obj) <= 1e-6 * np.abs(obj[:-1]))
     pre = np.array(trace.objective_pre_coding)
     assert np.all(obj[1:] <= pre)
@@ -588,17 +590,27 @@ def test_objective_lower_bound():
 
 def test_trace_csv_round_trip(tmp_path):
     trace = ConvergenceTrace()
-    trace.append(0, 10.0, 8.0, 2.0, None, None, None)
-    trace.append(1, 9.0, 7.5, 1.5, 0.3, 41.0, 12.5, labels_changed=7, nonzero_frac=0.25)
+    trace.append(iter=0, objective=10.0, data_term=8.0, reg_term=2.0)
+    trace.append(pre=9.5, iter=1, objective=9.0, data_term=7.5, reg_term=1.5, step_norm=0.3,
+                 rmse_vs_truth=41.0, wall_ms=12.5, labels_changed=7, nonzero_frac=0.25)
+    assert trace.objective_pre_coding == [9.5]
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == ("iter,objective,data_term,reg_term,step_norm,rmse_vs_truth,wall_ms,"
                         "labels_changed,nonzero_frac")
+    assert tuple(lines[0].split(",")) == TRACE_COLUMNS
     assert lines[1].startswith("0,10,8,2,,")
     assert lines[1].endswith(",,")
     assert lines[2].endswith(",12.5,7,0.25")
     assert len(lines) == 3
+
+
+def test_trace_rejects_an_unknown_column():
+    trace = ConvergenceTrace()
+    with pytest.raises(ValueError, match="unknown trace columns \\['wal_ms'\\]"):
+        trace.append(iter=0, objective=1.0, wal_ms=3.0)
+    assert all(col == [] for col in trace.columns.values())
 
 
 @pytest.mark.parametrize("method", ["spultra", "pwls-ultra"])
@@ -622,7 +634,7 @@ def test_ultra_abort_carries_partial_trace(monkeypatch, method):
             l_t, w_t = post_log_convert(sino.ravel(), model)
             pwls_ultra_reconstruct(l_t, w_t, union, geom, cfg, x0)
     trace = err.value.trace
-    assert trace.iters == [0, 1]
+    assert trace.columns["iter"] == [0, 1]
 
 
 @pytest.mark.parametrize("stride", [1, 2])
@@ -674,7 +686,8 @@ def test_spultra_initial_objective_is_reference_objective():
     tau = patch_weights(compute_kappa(geom, w_t), cfg.patch)
     x = ImageGrid(np.clip(x0.data, 0.0, cfg.x_max))
     state = sparse_code_and_cluster(x, union, cfg.gamma_c, tau, cfg.patch)
-    assert trace.objective[0] == objective_value(x, state, sino, model, union, cfg, geom)
+    assert trace.columns["objective"][0] == objective_value(x, state, sino, model, union,
+                                                             cfg, geom)
 
 
 def _random_reg_problem(rng, k, side, stride, dims):

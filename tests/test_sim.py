@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from spultra.errors import ConfigurationError
 from spultra.geometry import forward_project
-from spultra.sim import (Ellipse, PhantomSpec, RngSpec, make_phantom,
+from spultra.sim import (POISSON_MEAN_MAX, Ellipse, PhantomSpec, RngSpec, make_phantom,
                          nonpositive_fraction, scale_dose, simulate_prelog)
 from spultra.spstats import SpModel
 
@@ -47,6 +48,24 @@ def test_deterministic_mode_mean():
     zero = make_phantom(PhantomSpec(geom.image_dims, (1.0, 1.0), ()))
     sino0 = simulate_prelog(zero, model, geom, RngSpec(0), deterministic=True)
     assert np.allclose(sino0.data, model.i0)
+
+
+@pytest.mark.parametrize("s2", [-1.0, -30.0])
+def test_negative_s2_beyond_the_poisson_range_is_a_config_error(s2):
+    geom = small_parallel()
+    truth = make_phantom(PhantomSpec(geom.image_dims, (1.0, 1.0),
+                                     (Ellipse(0, 0, 4, 4, 0, 1.0),)))
+    model = SpModel(i0=1000.0, sigma2=25.0, s2=s2)
+    l = forward_project(truth, geom).data
+    with np.errstate(over="ignore"):  # at s2 = -30 the largest mean overflows to inf
+        peak = float(np.max(model.i0 * np.exp(-model.f(l))))
+    assert not peak <= POISSON_MEAN_MAX
+    with pytest.raises(ConfigurationError, match=r"^model\.s2: ") as err:
+        simulate_prelog(truth, model, geom, RngSpec(0))
+    assert f"{peak:.6g}" in str(err.value)
+    # a milder beam-hardening term stays within the sampler's range
+    y = simulate_prelog(truth, SpModel(i0=1000.0, sigma2=25.0, s2=-0.1), geom, RngSpec(0))
+    assert np.all(np.isfinite(y.data))
 
 
 def test_fixed_seed_reproducible_bytes():
