@@ -20,7 +20,11 @@ class NumericalError(RuntimeError):
     """Raised when a solver produces a non-finite value.
 
     Names the offending quantity and the inner step at which it appeared.
+    ``trace`` is the partial convergence trace when an ULTRA outer loop was
+    running, and None otherwise.
     """
+
+    trace = None
 
     def __init__(self, quantity, step):
         self.quantity = quantity

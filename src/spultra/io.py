@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -35,11 +36,14 @@ def write_spim(path, data: np.ndarray, spacing) -> None:
 
 
 def read_exact(fh, n: int, what: str) -> bytes:
-    """The next ``n`` bytes of ``fh``; a short read means a truncated file."""
-    data = fh.read(n)
-    if len(data) != n:
-        raise ConfigurationError(f"{what} truncated: expected {n} bytes, got {len(data)}")
-    return data
+    """The next ``n`` bytes of the file ``fh``; a header that asks for more
+    bytes than the file has left means a truncated or malformed file, which
+    is reported before anything is allocated."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise ConfigurationError(f"{fh.name}: {what} truncated: expected {n} bytes, "
+                                 f"got {left}")
+    return fh.read(n)
 
 
 def read_spim(path) -> tuple[np.ndarray, tuple[float, ...]]:
@@ -52,7 +56,7 @@ def read_spim(path) -> tuple[np.ndarray, tuple[float, ...]]:
             raise ConfigurationError(f"unsupported SPIM version {version}")
         dims = struct.unpack(f"<{ndims}I", read_exact(fh, 4 * ndims, "SPIM header"))
         spacing = struct.unpack(f"<{ndims}d", read_exact(fh, 8 * ndims, "SPIM header"))
-        payload = read_exact(fh, 8 * int(np.prod(dims)), "SPIM payload")
+        payload = read_exact(fh, 8 * math.prod(dims), "SPIM payload")
     data = np.frombuffer(payload, dtype="<f8")
     return data.reshape(dims).astype(np.float64), spacing
 

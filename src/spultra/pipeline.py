@@ -147,35 +147,45 @@ def stage_reconstruct(cfg: ExperimentConfig, out: Path, method: str) -> dict:
         truth = _load_image(truth_path, "truth", geom.image_dims)
 
     slug = _method_slug(method)
+    trace_path = out / f"trace_{slug}.csv"
     artifacts = {}
 
-    if method == "fbp":
-        img = _fbp(cfg, l_tilde)
-    elif method == "pwls-ep":
-        img = _reconstruct_ep(cfg, l_tilde, w_stat)
-    else:
-        tr_path = out / "transforms.ult"
-        if not tr_path.exists():
-            raise MissingArtifact(f"transform file not found (run 'learn' first): {tr_path}")
-        union = load_transforms(tr_path)
-        if union.v != cfg.recon.patch.v:
-            raise ConfigurationError(
-                f"recon.v: {cfg.recon.patch.v} does not match the learned transforms "
-                f"(v = {union.v} in {tr_path})")
-        ep_path = out / "x_pwls_ep.spim"
-        if ep_path.exists():  # the PWLS-EP initializer, cached on disk
-            x0 = _load_image(ep_path, "edge-preserving initializer", geom.image_dims)
+    try:
+        if method == "fbp":
+            img = _fbp(cfg, l_tilde)
+        elif method == "pwls-ep":
+            img = _reconstruct_ep(cfg, l_tilde, w_stat)
         else:
-            x0 = _reconstruct_ep(cfg, l_tilde, w_stat)
-            artifacts = _write_image(out, "x_pwls_ep", x0, cfg)
-        if method == "spultra":
-            img, trace = spultra_reconstruct(y_raw, cfg.model, union, geom, cfg.recon,
-                                             x0, truth=truth, mu_water=cfg.metrics.mu_water)
-        else:
-            img, trace = pwls_ultra_reconstruct(l_tilde, w_stat, union, geom, cfg.recon,
-                                                x0, truth=truth,
-                                                mu_water=cfg.metrics.mu_water)
-        trace.to_csv(out / f"trace_{slug}.csv")
+            tr_path = out / "transforms.ult"
+            if not tr_path.exists():
+                raise MissingArtifact(f"transform file not found (run 'learn' first): {tr_path}")
+            union = load_transforms(tr_path)
+            if union.v != cfg.recon.patch.v:
+                raise ConfigurationError(
+                    f"recon.v: {cfg.recon.patch.v} does not match the learned transforms "
+                    f"(v = {union.v} in {tr_path})")
+            ep_path = out / "x_pwls_ep.spim"
+            if ep_path.exists():  # the PWLS-EP initializer, cached on disk
+                x0 = _load_image(ep_path, "edge-preserving initializer", geom.image_dims)
+            else:
+                x0 = _reconstruct_ep(cfg, l_tilde, w_stat)
+                artifacts = _write_image(out, "x_pwls_ep", x0, cfg)
+            if method == "spultra":
+                img, trace = spultra_reconstruct(y_raw, cfg.model, union, geom, cfg.recon, x0,
+                                                 truth=truth, mu_water=cfg.metrics.mu_water)
+            else:
+                img, trace = pwls_ultra_reconstruct(l_tilde, w_stat, union, geom, cfg.recon,
+                                                    x0, truth=truth,
+                                                    mu_water=cfg.metrics.mu_water)
+            trace.to_csv(trace_path)
+    except NumericalError as err:
+        where = ""
+        if err.trace is not None:  # replaces the trace of any earlier complete run
+            err.trace.to_csv(trace_path)
+            where = (f" in outer iteration {len(err.trace.columns['iter'])}"
+                     f" (partial trace in {trace_path.name})")
+        log.error("%s: numerical abort%s: %s", method, where, err)
+        raise
 
     return {**artifacts, **_write_image(out, f"x_{slug}", img, cfg)}
 
@@ -269,13 +279,7 @@ def run_pipeline(cfg: ExperimentConfig, subcommand: str, method: str | None = No
     except MissingArtifact as err:
         log.error("%s", err)
         return EXIT_MISSING_INPUT
-    except NumericalError as err:
-        trace = getattr(err, "trace", None)
-        if trace is not None:
-            trace.to_csv(out / "trace_aborted.csv")
-            log.error("numerical abort (%s); partial trace flushed", err)
-        else:
-            log.error("numerical abort: %s", err)
+    except NumericalError:  # stage_reconstruct has logged it
         return EXIT_NUMERICAL
     except ConfigurationError as err:
         log.error("%s", err)

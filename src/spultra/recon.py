@@ -15,8 +15,9 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-# the kernels behind csr_matrix @ x, csr_matrix.T @ r and dia_matrix @ x
-from scipy.sparse._sparsetools import csc_matvec, csr_matvec, dia_matvec
+from scipy.sparse import dia_matrix
+# the kernels behind csr_matrix @ x and csr_matrix.T @ r
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 from .errors import ConfigurationError, NumericalError
 from .geometry import (ImageGrid, Sinogram, SystemGeometry, compute_kappa,
@@ -270,18 +271,19 @@ class UltraQuadReg:
     of :func:`regularizer_majorizer_diag`; it depends only on the transforms
     and tau, which a reconstruction keeps fixed, so it is computed once here.
 
-    At patch stride 1, H is stored once in DIA layout and rebuilt in place by
-    every update, so applying it costs one banded multiply. The coefficient
-    of offset o at pixel p sums, over the patch positions (a, b) of p, the
-    gathered Gram entry times tau of the patch at p - (a, b) if that patch
-    has the entry's class: one product of the gathered Grams
+    At patch stride 1, H is the ``dia_matrix`` ``h``, whose band is rebuilt
+    in place by every update, so applying it costs one banded multiply. The
+    coefficient of offset o at pixel p sums, over the patch positions (a, b)
+    of p, the gathered Gram entry times tau of the patch at p - (a, b) if
+    that patch has the entry's class: one product of the gathered Grams
     (:func:`gram_bands`) with the class maps of tau shifted over the patch
-    positions. DIA storage is column-indexed, ``band[i, q] = H[q - o_i, q]``.
-    The offsets are symmetric about ``o_m == 0`` and H is symmetric, so the
-    product with the Grams of ``o_m, ..., o_2m`` taken in reverse order lands
-    as rows ``0..m`` (offset -o holds ``H[q + o, q]``), and each row of a
-    positive offset o is that of -o shifted right by o. The first o entries
-    of that row lie outside H; they stay zero from the allocation. At stride
+    positions. DIA storage is column-indexed,
+    ``h.data[i, q] = H[q - o_i, q]`` for ``o_i = h.offsets[i]``. The offsets
+    are symmetric about ``o_m == 0`` and H is symmetric, so the product with
+    the Grams of ``o_m, ..., o_2m`` taken in reverse order lands as rows
+    ``0..m`` (offset -o holds ``H[q + o, q]``), and each row of a positive
+    offset o is that of -o shifted right by o. The first o entries of that
+    row lie outside H; they stay zero from the allocation. At stride
     >= 2 the band measured faster to apply but slow to build, and it raised
     the peak memory of a 128x128 run by 6-60%, so there H extracts the
     patches, applies the per-class Gram matrices (formed once here) and
@@ -298,9 +300,9 @@ class UltraQuadReg:
         if patch.stride == 1:
             offsets, gathered = gram_bands(union, patch, dims)
             self.m = offsets.size // 2
-            self.offsets = offsets.astype(np.int32)
             self._grams = np.ascontiguousarray(gathered[self.m:][::-1])
-            self.band = np.zeros((offsets.size, self.n))
+            self.h = dia_matrix((np.zeros((offsets.size, self.n)), offsets),
+                                shape=(self.n, self.n))
         else:
             self._grams = [t.T @ t for t in union.transforms]
         self.update(state)
@@ -324,18 +326,10 @@ class UltraQuadReg:
         for a in range(s):
             for b in range(s):
                 shifted[:, a, b, a:a + nr, b:b + nc] = maps
-        np.matmul(self._grams, shifted.reshape(k * self.patch.v, n), out=self.band[:m + 1])
-        for i, o in enumerate(self.offsets[m + 1:], start=1):
-            self.band[m + i, o:] = self.band[m - i, :n - o]
-
-    def _band_apply(self, x_flat: np.ndarray) -> np.ndarray:
-        # the compiled kernel reads x unchecked
-        if np.shape(x_flat) != (self.n,):
-            raise ValueError(f"x has shape {np.shape(x_flat)}, expected ({self.n},)")
-        y = np.zeros(self.n)
-        dia_matvec(self.n, self.n, self.offsets.size, self.n, self.offsets, self.band,
-                   x_flat, y)
-        return y
+        band = self.h.data
+        np.matmul(self._grams, shifted.reshape(k * self.patch.v, n), out=band[:m + 1])
+        for i, o in enumerate(self.h.offsets[m + 1:], start=1):
+            band[m + i, o:] = band[m - i, :n - o]
 
     def _patch_apply(self, x_flat: np.ndarray) -> np.ndarray:
         state = self._state
@@ -345,10 +339,8 @@ class UltraQuadReg:
         return accumulate_patches(out, self.dims, self.patch).reshape(-1)
 
     def grad(self, x_flat: np.ndarray) -> np.ndarray:
-        # a bound method kept on the instance would make a reference cycle,
-        # which holds the band until the cyclic collector runs
-        h = self._band_apply if self.patch.stride == 1 else self._patch_apply
-        return 2.0 * self.beta * (h(x_flat) - self._b)
+        hx = self.h @ x_flat if self.patch.stride == 1 else self._patch_apply(x_flat)
+        return 2.0 * self.beta * (hx - self._b)
 
 
 def ep_potential(t, delta: float, kind: str):
@@ -439,9 +431,11 @@ class EdgePreservingReg:
 
 # the header of ``trace_<method>.csv``: ``labels_changed`` counts the patches
 # whose class the iteration's coding step changed, ``nonzero_frac`` is the
-# fraction of nonzero code entries after it
+# fraction of nonzero code entries after it, and ``objective_pre_coding`` is
+# the objective between the image update and the coding step
 TRACE_COLUMNS = ("iter", "objective", "data_term", "reg_term", "step_norm",
-                 "rmse_vs_truth", "wall_ms", "labels_changed", "nonzero_frac")
+                 "rmse_vs_truth", "wall_ms", "labels_changed", "nonzero_frac",
+                 "objective_pre_coding")
 
 
 @dataclass
@@ -449,19 +443,14 @@ class ConvergenceTrace:
     """One list per column of ``TRACE_COLUMNS``; written as CSV for inspection."""
 
     columns: dict = field(default_factory=lambda: {c: [] for c in TRACE_COLUMNS})
-    # objective right after the image update, before re-coding; used by the
-    # monotonicity checks, not written to disk
-    objective_pre_coding: list = field(default_factory=list)
 
-    def append(self, *, pre=None, **values):
+    def append(self, **values):
         """One row; a column missing from ``values`` is left empty (None)."""
         unknown = sorted(values.keys() - self.columns.keys())
         if unknown:
             raise ValueError(f"unknown trace columns {unknown}")
         for name, col in self.columns.items():
             col.append(values.get(name))
-        if pre is not None:
-            self.objective_pre_coding.append(pre)
 
     def to_csv(self, path):
         write_csv(path, TRACE_COLUMNS, zip(*self.columns.values()))
@@ -516,16 +505,14 @@ def _ultra_outer_loop(value, quadratic, system: SubsetSystem, w_stat: np.ndarray
             reg_pre = cfg.beta * float(np.sum(state.tau * state.prev_cost))
             reg = cfg.beta * float(np.sum(state.tau * state.cost))
             ms = (time.perf_counter() - t0) * 1e3
-            trace.append(pre=data + reg_pre, iter=n + 1, objective=data + reg, data_term=data,
-                         reg_term=reg, step_norm=float(np.linalg.norm(x_new - x)),
+            trace.append(iter=n + 1, objective=data + reg, data_term=data, reg_term=reg,
+                         step_norm=float(np.linalg.norm(x_new - x)),
                          rmse_vs_truth=rmse(x_new), wall_ms=ms,
-                         labels_changed=state.labels_changed, nonzero_frac=state.nonzero_frac)
+                         labels_changed=state.labels_changed, nonzero_frac=state.nonzero_frac,
+                         objective_pre_coding=data + reg_pre)
             x = x_new
     except NumericalError as err:
-        # keep the partial trace reachable so callers can flush it
         err.trace = trace
-        log.error("image update aborted at outer iteration %d: %s",
-                  len(trace.columns["iter"]), err)
         raise
 
     return ImageGrid(x.reshape(dims), geom.pixel_spacing), trace

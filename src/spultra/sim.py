@@ -82,7 +82,7 @@ def simulate_prelog(x_true: ImageGrid, model: SpModel, geom: SystemGeometry,
     decides how to handle them.
     """
     l = forward_project(x_true, geom).ravel()
-    with np.errstate(over="ignore"):  # a noisy _draw reports an infinite mean
+    with np.errstate(over="ignore"):  # _draw reports an infinite mean
         mean = model.i0 * np.exp(-model.f(l))
     y = _draw(mean, np.sqrt(model.sigma2), rng, deterministic)
     return Sinogram(y.reshape(geom.n_views, geom.n_detectors))
@@ -102,14 +102,14 @@ def scale_dose(y_standard: np.ndarray, alpha_scale: float, sigma: float,
 
 def _draw(mean, sigma, rng: RngSpec, deterministic: bool) -> np.ndarray:
     """Poisson counts around ``mean`` plus Gaussian noise of standard deviation
-    ``sigma`` when it is > 0; a copy of ``mean`` in deterministic mode. A
-    mean the sampler cannot take raises ConfigurationError."""
-    if deterministic:
-        return mean.copy()
+    ``sigma`` when it is > 0; a copy of ``mean`` in deterministic mode. In
+    either mode a mean the sampler cannot take raises ConfigurationError."""
     peak = float(np.max(mean, initial=0.0))
     if not peak <= POISSON_MEAN_MAX:  # also NaN
         raise ConfigurationError(f"model.s2: the largest Poisson mean count is {peak:.6g}, "
                                  f"above the sampler's limit {POISSON_MEAN_MAX:g}")
+    if deterministic:
+        return mean.copy()
     gen = rng.make()
     y = gen.poisson(mean).astype(np.float64)
     if sigma > 0:

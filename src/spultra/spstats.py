@@ -192,24 +192,22 @@ def post_log_convert(y_raw, model: SpModel) -> tuple[np.ndarray, np.ndarray]:
     """Beam-hardening corrected line integrals and statistical weights.
 
     Non-positive counts are replaced by 1e-5 before the log. The quadratic
-    s2*l^2 + s1*l = log(i0/y) is solved for the root continuous with l = t/s1;
-    rays whose corrected value does not exist (negative discriminant) are
-    flagged and get l = 0, w = 0.
+    s2*l^2 + s1*l = t = log(i0/y) is solved for the root continuous with
+    l = t/s1, in the rationalized form 2t / (s1 + sqrt(s1^2 + 4 s2 t)): it
+    does not cancel at small s2 and is exactly t/s1 at s2 = 0. Rays whose
+    corrected value does not exist (negative discriminant) are flagged and
+    get l = 0, w = 0.
     """
     y = _as_rays(y_raw)
     y_pos = np.where(y <= 0, _COUNT_FLOOR, y)
     t = np.log(model.i0 / y_pos)
 
-    if model.s2 == 0.0:
-        l = t / model.s1
-        bad = np.zeros_like(l, dtype=bool)
-    else:
-        disc = model.s1 ** 2 + 4.0 * model.s2 * t
-        bad = disc < 0
-        root = (-model.s1 + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * model.s2)
-        l = np.where(bad, 0.0, root)
-        if np.any(bad):
-            log.warning("post-log conversion flagged %d rays (no real root)", int(bad.sum()))
+    disc = model.s1 ** 2 + 4.0 * model.s2 * t
+    bad = disc < 0
+    l = 2.0 * t / (model.s1 + np.sqrt(np.maximum(disc, 0.0)))
+    l[bad] = 0.0
+    if np.any(bad):
+        log.warning("post-log conversion flagged %d rays (no real root)", int(bad.sum()))
 
     w = model.f_dot(l) ** 2 * y_pos ** 2 / (y_pos + model.sigma2)
     w[bad] = 0.0

@@ -287,8 +287,7 @@ def test_criterion_07_monotone_objective(run7):
     img, trace, cfg, elapsed = run7
     obj = np.array(trace.columns["objective"])
     mono = bool(np.all(np.diff(obj) <= 1e-6 * np.abs(obj[:-1])))
-    coding = bool(np.all(np.array(trace.columns["objective"])[1:]
-                         <= np.array(trace.objective_pre_coding)))
+    coding = bool(np.all(obj[1:] <= np.array(trace.columns["objective_pre_coding"][1:])))
     box = img.data.min() >= 0 and img.data.max() <= cfg.x_max
     ok = mono and coding and box and elapsed < 180.0
     _report(7, "objective non-increasing (1e-6 slack), coding step exact, box held",

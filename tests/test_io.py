@@ -187,6 +187,27 @@ def test_interrupted_manifest_write_keeps_previous_manifest(tmp_path, monkeypatc
     assert read_manifest(path)["config_hash"] == "cafe"
 
 
+# headers that ask for more bytes than any file holds: the payload size
+# overflowed int64, or the read would have to allocate it first
+MALFORMED = {
+    "spim dims 4e9 x 4e9": (read_spim, b"SPIM" + struct.pack("<II2I2d", 1, 2, 4_000_000_000,
+                                                             4_000_000_000, 1.0, 1.0)),
+    "spim ndims 3e9": (read_spim, b"SPIM" + struct.pack("<II", 1, 3_000_000_000)),
+    "ult K = v = 4e9": (load_transforms, b"ULTR" + struct.pack("<II", 4_000_000_000,
+                                                               4_000_000_000)),
+    "ult v = 100000": (load_transforms, b"ULTR" + struct.pack("<II", 3, 100_000)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_header_is_a_truncated_file(tmp_path, case):
+    reader, header = MALFORMED[case]
+    path = tmp_path / "malformed"
+    path.write_bytes(header + bytes(64))
+    with pytest.raises(ConfigurationError, match="truncated: expected .* bytes, got "):
+        reader(path)
+
+
 @settings(deadline=None)
 @given(data=st.data())
 def test_every_truncated_prefix_rejected(tmp_path_factory, data):

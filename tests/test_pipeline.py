@@ -1,12 +1,16 @@
+import csv
 import json
+import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spultra.config import parse_config
 from spultra.io import read_manifest, read_spim, sha256_file
-from spultra.pipeline import EXIT_ERROR, EXIT_MISSING_INPUT, EXIT_OK, METHODS, run_pipeline
+from spultra.pipeline import (EXIT_ERROR, EXIT_MISSING_INPUT, EXIT_NUMERICAL, EXIT_OK, METHODS,
+                              run_pipeline)
 
 from conftest import run_cli
 
@@ -84,6 +88,18 @@ def test_all_pipeline_end_to_end(tmp_path):
     manifest = read_manifest(out / "manifest.json")
     assert manifest["seed"] == 7
     assert "metrics.csv" in manifest["artifacts"]
+
+    # neither half-step of an outer iteration raises the objective: the image
+    # update within the 1e-6 slack of the monotone checks, the coding step exactly
+    for method in ("pwls_ultra", "spultra"):
+        with open(out / f"trace_{method}.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == cfg.recon.n_outer + 1
+        assert rows[0]["objective_pre_coding"] == ""
+        for prev, row in zip(rows, rows[1:]):
+            before, pre = float(prev["objective"]), float(row["objective_pre_coding"])
+            assert pre <= before + 1e-6 * abs(before)
+            assert float(row["objective"]) <= pre
 
 
 def test_reconstruct_without_simulate_exits_2(tmp_path):
@@ -285,16 +301,86 @@ def test_cli_negative_s2_beyond_the_poisson_range_exits_1(tmp_path):
     text = cfg_path.read_text()
     assert "sigma2 = 25\n" in text
     cfg_path.write_text(text.replace("sigma2 = 25\n", "sigma2 = 25\ns2 = -20\n"))
-    r = run_cli("simulate", "--config", str(cfg_path))
+    # the noisy draw and its deterministic mean alike
+    for flags in ([], ["--deterministic-noise"]):
+        r = run_cli("simulate", "--config", str(cfg_path), *flags)
+        assert r.returncode == EXIT_ERROR
+        assert "Traceback" not in r.stderr
+        # log lines only: no traceback and no numpy overflow warning
+        assert all(line.startswith(("INFO ", "ERROR ")) for line in r.stderr.splitlines())
+        errors = [line for line in r.stderr.splitlines() if line.startswith("ERROR")]
+        assert len(errors) == 1
+        assert errors[0].startswith("ERROR spultra.pipeline: model.s2: the largest Poisson "
+                                    "mean count is ")
+        assert not (out / "sino_raw.spim").exists()
+
+
+def test_cli_malformed_artifact_header_exits_1(tmp_path):
+    out = tmp_path / "hdr"
+    cfg_path = write_config(tmp_path, out)
+    assert run_cli("simulate", "--config", str(cfg_path)).returncode == EXIT_OK
+    sino = out / "sino_raw.spim"
+    raw = bytearray(sino.read_bytes())
+    raw[12:20] = (4_000_000_000).to_bytes(4, "little") * 2  # dims 4e9 x 4e9
+    sino.write_bytes(bytes(raw))
+    r = run_cli("reconstruct", "--config", str(cfg_path), "--method", "fbp")
     assert r.returncode == EXIT_ERROR
     assert "Traceback" not in r.stderr
-    # log lines only: no traceback and no numpy overflow warning
-    assert all(line.startswith(("INFO ", "ERROR ")) for line in r.stderr.splitlines())
     errors = [line for line in r.stderr.splitlines() if line.startswith("ERROR")]
     assert len(errors) == 1
-    assert errors[0].startswith("ERROR spultra.pipeline: model.s2: the largest Poisson mean "
-                                "count is ")
-    assert not (out / "sino_raw.spim").exists()
+    assert errors[0].startswith(f"ERROR spultra.pipeline: {sino}: SPIM payload truncated: "
+                                "expected 128000000000000000000 bytes")
+
+
+def _one_iteration_waterdisk64(tmp_path, **values) -> Path:
+    """``configs/waterdisk64.ini`` with one iteration of every loop, writing
+    under ``tmp_path/out``, and the keys of ``values`` set to their values."""
+    text = (Path(__file__).resolve().parents[1] / "configs" / "waterdisk64.ini").read_text()
+    values = {"iters": "1", "N": "1", "ep_iters": "1", "out_dir": str(tmp_path / "out"),
+              **values}
+    for key, value in values.items():
+        text, n = re.subn(rf"(?m)^{key}\s*=.*$", f"{key} = {value}", text)
+        assert n == 1, key
+    path = tmp_path / "one_iteration.ini"
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("key, method", [("beta", "pwls-ultra"), ("beta_ep", "pwls-ep")])
+def test_cli_numerical_abort_exits_3_and_names_the_method(tmp_path, key, method):
+    r = run_cli("all", "--config", str(_one_iteration_waterdisk64(tmp_path, **{key: "1e308"})))
+    assert r.returncode == EXIT_NUMERICAL
+    assert "Traceback" not in r.stderr
+    errors = [line for line in r.stderr.splitlines() if line.startswith("ERROR")]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"ERROR spultra.pipeline: {method}: numerical abort")
+    out = tmp_path / "out"
+    assert not (out / f"x_{method.replace('-', '_')}.spim").exists()
+    # the method's own trace file, and no other
+    traces = sorted(p.name for p in out.glob("trace*.csv"))
+    if method == "pwls-ultra":
+        assert "in outer iteration 1 (partial trace in trace_pwls_ultra.csv)" in errors[0]
+        assert traces == ["trace_pwls_ultra.csv"]
+        lines = (out / "trace_pwls_ultra.csv").read_text().splitlines()
+        assert len(lines) == 2
+        assert lines[1].startswith("0,")
+    else:
+        assert traces == []
+
+
+def test_partial_trace_replaces_a_complete_one(stale_run, tmp_path, caplog):
+    out = tmp_path / "run"
+    shutil.copytree(stale_run, out)
+    trace = out / "trace_pwls_ultra.csv"
+    assert len(trace.read_text().splitlines()) == 3  # the header and iterations 0 and 1
+    p = tmp_path / "abort.ini"
+    p.write_text(_quick(CONFIG).replace("PLACEHOLDER", str(out))
+                 .replace("beta = 20000", "beta = 1e308"))
+    with caplog.at_level("ERROR"):
+        assert run_pipeline(parse_config(p), "reconstruct", method="pwls-ultra") \
+            == EXIT_NUMERICAL
+    assert [r.message.split(":")[0] for r in caplog.records] == ["pwls-ultra"]
+    assert len(trace.read_text().splitlines()) == 2
 
 
 def test_recon_v_mismatch_with_transforms_exits_1(tmp_path, caplog):

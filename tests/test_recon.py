@@ -450,8 +450,9 @@ def test_spultra_monotone_objective_and_box():
     obj = np.array(trace.columns["objective"])
     assert np.all(np.diff(obj) <= 1e-6 * np.abs(obj[:-1]))
     # the coding step never increases the objective, bit for bit
-    pre = np.array(trace.objective_pre_coding)
-    assert np.all(obj[1:] <= pre)
+    pre = trace.columns["objective_pre_coding"]
+    assert pre[0] is None
+    assert np.all(obj[1:] <= np.array(pre[1:]))
     assert img.data.min() >= 0 and img.data.max() <= cfg.x_max
     rmse = trace.columns["rmse_vs_truth"]
     assert len(rmse) == len(obj) and rmse[1] is not None
@@ -475,10 +476,10 @@ def test_trace_records_clustering_diagnostics(tmp_path, method):
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     rows = path.read_text().strip().splitlines()
-    assert rows[1].endswith(",,")
+    assert rows[1].endswith(",,,")
     last = rows[-1].split(",")
-    assert int(last[-2]) == changed[-1]
-    assert float(last[-1]) == nonzero[-1]
+    assert int(last[-3]) == changed[-1]
+    assert float(last[-2]) == nonzero[-1]
 
 
 def test_pwls_ultra_monotone_objective():
@@ -488,8 +489,9 @@ def test_pwls_ultra_monotone_objective():
     img, trace = pwls_ultra_reconstruct(l_t, w_t, union, geom, cfg, x0)
     obj = np.array(trace.columns["objective"])
     assert np.all(np.diff(obj) <= 1e-6 * np.abs(obj[:-1]))
-    pre = np.array(trace.objective_pre_coding)
-    assert np.all(obj[1:] <= pre)
+    pre = trace.columns["objective_pre_coding"]
+    assert pre[0] is None
+    assert np.all(obj[1:] <= np.array(pre[1:]))
 
 
 def test_pwls_ultra_beta_zero_is_constrained_wls():
@@ -591,18 +593,19 @@ def test_objective_lower_bound():
 def test_trace_csv_round_trip(tmp_path):
     trace = ConvergenceTrace()
     trace.append(iter=0, objective=10.0, data_term=8.0, reg_term=2.0)
-    trace.append(pre=9.5, iter=1, objective=9.0, data_term=7.5, reg_term=1.5, step_norm=0.3,
-                 rmse_vs_truth=41.0, wall_ms=12.5, labels_changed=7, nonzero_frac=0.25)
-    assert trace.objective_pre_coding == [9.5]
+    trace.append(iter=1, objective=9.0, data_term=7.5, reg_term=1.5, step_norm=0.3,
+                 rmse_vs_truth=41.0, wall_ms=12.5, labels_changed=7, nonzero_frac=0.25,
+                 objective_pre_coding=9.5)
+    assert trace.columns["objective_pre_coding"] == [None, 9.5]
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == ("iter,objective,data_term,reg_term,step_norm,rmse_vs_truth,wall_ms,"
-                        "labels_changed,nonzero_frac")
+                        "labels_changed,nonzero_frac,objective_pre_coding")
     assert tuple(lines[0].split(",")) == TRACE_COLUMNS
     assert lines[1].startswith("0,10,8,2,,")
-    assert lines[1].endswith(",,")
-    assert lines[2].endswith(",12.5,7,0.25")
+    assert lines[1].endswith(",,,")
+    assert lines[2].endswith(",12.5,7,0.25,9.5")
     assert len(lines) == 3
 
 
@@ -740,9 +743,9 @@ def test_banded_gradient_matches_patch_gradient(side, k, extra_rows, extra_cols,
     if stride == 1:
         # the banded multiply never reads the heads of the positive offsets'
         # rows, so compare the storage too: they stay zero
-        assert np.array_equal(reg.band, fresh.band)
-        for i, o in enumerate(reg.offsets[reg.m + 1:], start=1):
-            assert not np.any(reg.band[reg.m + i, :o])
+        assert np.array_equal(reg.h.data, fresh.h.data)
+        for i, o in enumerate(reg.h.offsets[reg.m + 1:], start=1):
+            assert not np.any(reg.h.data[reg.m + i, :o])
 
 
 @pytest.mark.parametrize("stride", [1, 2, 3])
@@ -773,13 +776,26 @@ def test_regularizer_is_freed_without_the_cyclic_collector(stride):
     union, patch, state, x = _random_reg_problem(rng, 2, 3, stride, dims)
     reg = UltraQuadReg(union, state, 1.1, patch, dims)
     reg.grad(x)
-    ref = weakref.ref(reg)
+    refs = [weakref.ref(reg)]
+    if stride == 1:  # the operator and the band it multiplies by in place
+        refs += [weakref.ref(reg.h), weakref.ref(reg.h.data)]
     gc.disable()
     try:
         del reg
-        assert ref() is None
+        assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_regularizer_gradient_rejects_a_wrong_length(stride):
+    rng = np.random.default_rng(60 + stride)
+    dims = (9, 10)
+    union, patch, state, x = _random_reg_problem(rng, 2, 3, stride, dims)
+    reg = UltraQuadReg(union, state, 1.1, patch, dims)
+    for bad in (x[:-1], np.append(x, 0.0)):
+        with pytest.raises(ValueError):
+            reg.grad(bad)
 
 
 def test_stride2_gradient_matches_finite_differences():

@@ -60,12 +60,15 @@ def test_negative_s2_beyond_the_poisson_range_is_a_config_error(s2):
     with np.errstate(over="ignore"):  # at s2 = -30 the largest mean overflows to inf
         peak = float(np.max(model.i0 * np.exp(-model.f(l))))
     assert not peak <= POISSON_MEAN_MAX
-    with pytest.raises(ConfigurationError, match=r"^model\.s2: ") as err:
-        simulate_prelog(truth, model, geom, RngSpec(0))
-    assert f"{peak:.6g}" in str(err.value)
-    # a milder beam-hardening term stays within the sampler's range
-    y = simulate_prelog(truth, SpModel(i0=1000.0, sigma2=25.0, s2=-0.1), geom, RngSpec(0))
-    assert np.all(np.isfinite(y.data))
+    # the noisy draw and its deterministic mean alike
+    for deterministic in (False, True):
+        with pytest.raises(ConfigurationError, match=r"^model\.s2: ") as err:
+            simulate_prelog(truth, model, geom, RngSpec(0), deterministic=deterministic)
+        assert f"{peak:.6g}" in str(err.value)
+        # a milder beam-hardening term stays within the sampler's range
+        y = simulate_prelog(truth, SpModel(i0=1000.0, sigma2=25.0, s2=-0.1), geom,
+                            RngSpec(0), deterministic=deterministic)
+        assert np.all(np.isfinite(y.data))
 
 
 def test_fixed_seed_reproducible_bytes():

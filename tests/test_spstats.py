@@ -275,11 +275,24 @@ def test_post_log_quadratic_zero_root():
 
 
 def test_post_log_quadratic_inverts_forward():
-    model = SpModel(i0=1000.0, sigma2=0.0, s1=0.9, s2=0.02)
-    for l_true in (0.1, 1.0, 3.0):
-        y = model.i0 * np.exp(-model.f(l_true))
-        l, _ = post_log_convert([y], model)
-        assert l[0] == pytest.approx(l_true, rel=1e-12)
+    # at s2 = 1e-12 the textbook root (-s1 + sqrt(disc)) / (2 s2) cancels to
+    # a relative error of up to 3e-4
+    for s2 in (0.02, 1e-12):
+        model = SpModel(i0=1000.0, sigma2=0.0, s1=0.9, s2=s2)
+        for l_true in (0.1, 1.0, 3.0):
+            y = model.i0 * np.exp(-model.f(l_true))
+            l, _ = post_log_convert([y], model)
+            assert l[0] == pytest.approx(l_true, rel=1e-12)
+
+
+def test_post_log_without_beam_hardening_is_log_over_s1():
+    rng = np.random.default_rng(8)
+    y = np.concatenate([rng.uniform(-5.0, 2e4, 5000), [0.0, 1e-300, 3000.0, 1e6]])
+    for s1 in (1.0, 0.9, 1.37, 3e-3):
+        model = SpModel(i0=3000.0, sigma2=25.0, s1=s1)
+        l, _ = post_log_convert(y, model)
+        want = np.log(model.i0 / np.where(y <= 0, 1e-5, y)) / s1
+        assert l.tobytes() == want.tobytes()
 
 
 def test_post_log_negative_discriminant_flagged():
