@@ -28,6 +28,13 @@ _REQUIRED = object()
 # the signed 64-bit range: the seed becomes a Philox key word, and larger
 # values overflow (from 2**64) or go through a lossy cast on the way
 _SEED_BOUNDS = dict(minimum=0, maximum=2 ** 63 - 1)
+# the coding threshold is squared (a Python float raises OverflowError past
+# about 1.3e154), and the square is summed over patches and multiplied by beta
+_GAMMA_C_MAX = 1e150
+# HU images are 1000 mu / mu_water, and SSIM multiplies fourth powers of them:
+# at this bound an attenuation of 1 mm^-1 is 1e9 HU, and SSIM stays finite
+# up to about 1e76 HU
+_MU_WATER_MIN = 1e-6
 # what the plain converters expect, for their error message
 _EXPECTED = {int: "an integer", float: "a number"}
 
@@ -265,7 +272,7 @@ def parse_config(path) -> ExperimentConfig:
         s = _Section("learning", parser["learning"], errors)
         lc = dict(k=s.get("K", int, minimum=1), v=s.get("v", int, minimum=1),
                   stride=s.get("stride", int, LearningConfig.stride, minimum=1),
-                  gamma_c=s.get("gamma_c", float, above=0.0),
+                  gamma_c=s.get("gamma_c", float, above=0.0, maximum=_GAMMA_C_MAX),
                   lambda0=s.get("lambda0", float, above=0.0),
                   iters=s.get("iters", int, LearningConfig.iters, minimum=1),
                   n_patches=s.get("n_patches", int, LearningConfig.n_patches, minimum=1))
@@ -278,7 +285,7 @@ def parse_config(path) -> ExperimentConfig:
 
     if parser.has_section("metrics"):
         s = _Section("metrics", parser["metrics"], errors)
-        mu = s.get("mu_water", float, MetricsConfig.mu_water, above=0.0)
+        mu = s.get("mu_water", float, MetricsConfig.mu_water, minimum=_MU_WATER_MIN)
         window = s.get("window", _pair(float), MetricsConfig.window)
         roi_lines = s.get("rois", _lines, MetricsConfig.rois)
         s.finish()
@@ -316,7 +323,7 @@ def parse_config(path) -> ExperimentConfig:
     if parser.has_section("recon"):
         s = _Section("recon", parser["recon"], errors)
         beta = s.get("beta", float, minimum=0.0)
-        gamma_c = s.get("gamma_c", float, above=0.0)
+        gamma_c = s.get("gamma_c", float, above=0.0, maximum=_GAMMA_C_MAX)
         n_outer = s.get("N", int, minimum=0)
         n_inner = s.get("P", int, ReconConfig.n_inner, minimum=1)
         n_sub = s.get("M", int, ReconConfig.n_subsets, minimum=1)

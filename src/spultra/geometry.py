@@ -1,28 +1,39 @@
 """2D scan geometry and the matched forward/back projection pair.
 
-The system model is assembled once per geometry as a sparse matrix whose
+The system model is assembled once per geometry as a sparse operator whose
 entries are exact ray/pixel intersection lengths (Siddon-style tracing).
-Forward and back projection share the same matrix, so the pair is an exact
-adjoint by construction, which the iterative solvers rely on.
+Forward and back projection share the same stored entries, so the pair is
+an exact adjoint by construction, which the iterative solvers rely on.
+
+The operator (:class:`SystemMatrix`) stores one view per orbit of the
+square image's symmetries where the scan has them (:func:`_view_table`):
+the other views read a traced view's rows through a pixel permutation,
+with their detectors in reverse. That halves the stored bytes and changes a
+mapped row from its own trace by rounding only. Any other geometry traces
+and stores every view, as a plain CSR matrix would.
 
 Assembly writes the CSR arrays directly: rays are traced in chunks, each
 chunk's entries are sorted by pixel within their ray and repeated
 (ray, pixel) pairs are summed, so the result equals ``coo_matrix.tocsr()``
 of the traced triplets. Each chunk goes straight into the final arrays,
-which grow in place, and a chunk's temporaries are about 1 MiB each, so the
-assembly peaks near the size of the matrix itself (about 1.06 times it at
-128x128, 1.3 times at 64x64).
+which grow in place, and a chunk's temporaries are about 1 MiB each; the
+other kinds' index rows are then filled in chunks of the same size. So the
+assembly peaks near the stored size itself (about 1.03 times it at
+128x128, 1.16 times at 64x64).
 """
 
 from __future__ import annotations
 
 import functools
 import logging
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+# the kernels behind csr_matrix @ x and csr_matrix.T @ y
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 from .errors import ConfigurationError
 
@@ -239,10 +250,145 @@ def _csr_rows(ray, pix, w, n_rays: int, n_pixels: int):
     return counts, pix.astype(np.int32 if n_pixels <= _INT32_MAX else np.int64), w
 
 
-def _build_matrix(geom: SystemGeometry) -> sp.csr_matrix:
+def _pixel_permutations(n: int, dtype) -> np.ndarray:
+    """Where each symmetry kind but the identity carries the pixels of an
+    n x n image, one row per kind: ``perm[k - 1, r * n + c]`` is the index of
+    the pixel (r, c) lands on. Kind 1 is the transpose (r, c) -> (c, r),
+    kind 2 the clockwise rotation by 90 degrees (r, c) -> (c, n - 1 - r) and
+    kind 3 their composition (r, c) -> (n - 1 - r, c), which reflects the
+    image top to bottom."""
+    idx = np.arange(n * n, dtype=dtype).reshape(n, n)
+    return np.stack([idx.T.ravel(), idx[:, ::-1].T.ravel(), idx[::-1].ravel()])
+
+
+def _view_table(geom: SystemGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(traced, block, kind)``: the views whose rays are traced, and for
+    every view the index into ``traced`` of the view it is mapped from and
+    the symmetry kind (:func:`_pixel_permutations`) that maps it.
+
+    A parallel-beam scan of a square image with square pixels over pi with
+    an even view count ``2 q`` is symmetric under the square's symmetries:
+    the view at angle t in (0, pi/4) maps to pi/2 - t by the transpose, to
+    t + pi/2 by the rotation and to pi - t by their composition, each with
+    its detector offsets negated (its detectors in reverse). So only the
+    views with angles in [0, pi/4] are traced, and view q at pi/2 too: its
+    rays lie along pixel edges, where the tracer breaks ties to the other
+    side. Any other geometry traces every view and maps each to itself."""
+    n_views = geom.n_views
+    views = np.arange(n_views)
+    q, odd = divmod(n_views, 2)
+    symmetric = (geom.beam_kind == "parallel" and not odd
+                 and geom.image_dims[0] == geom.image_dims[1]
+                 and geom.pixel_spacing[0] == geom.pixel_spacing[1]
+                 and math.isclose(geom.angular_range, math.pi, rel_tol=1e-12))
+    if not symmetric:
+        return views, views, np.zeros(n_views, dtype=np.int64)
+    traced = np.append(np.arange(q // 2 + 1), q)
+    kind = np.select([(2 * views <= q) | (views == q), views < q, 2 * views <= 3 * q],
+                     [0, 1, 2], 3)
+    source = np.choose(kind, [views, q - views, views - q, 2 * q - views])
+    return traced, np.searchsorted(traced, source), kind
+
+
+class SystemMatrix:
+    """The (n_rays, n_pixels) intersection-length matrix, stored once per
+    symmetry orbit of its views (:func:`_view_table`).
+
+    The traced views' rows are one CSR structure: ``data`` and ``indptr``,
+    and one column-index row per symmetry kind in ``indices`` (shape
+    ``(kinds, nnz)``), row k holding the pixels the kind-k permutation maps
+    the traced row's pixels to. View v reads block ``view_block[v]`` of the
+    traced rows through ``indices[view_kind[v]]``, with its detectors in
+    reverse unless the kind is the identity. ``view_rows[v]`` is that
+    ``(indptr slice, indices row, detector step)``. ``@`` and
+    :meth:`rmatvec` run scipy's compiled CSR and CSC kernels once per run of
+    views of one kind over consecutive traced blocks, so on a geometry
+    where every view maps to itself (one kind, one run) they give the
+    products of the plain CSR matrix bit for bit.
+    """
+
+    def __init__(self, geom: SystemGeometry, data, indices, indptr, view_block, view_kind):
+        self.shape = (geom.n_rays, geom.n_pixels)
+        self.n_detectors = nd = geom.n_detectors
+        self.data, self.indices, self.indptr = data, indices, indptr
+        self.view_block, self.view_kind = view_block, view_kind
+        self.view_rows = [(indptr[b * nd:(b + 1) * nd + 1], indices[k], -1 if k else 1)
+                          for b, k in zip(view_block.tolist(), view_kind.tolist())]
+        # the views in runs of one kind over consecutive traced blocks, so that
+        # a whole product makes one kernel call per run rather than per view
+        order = np.lexsort((view_block, view_kind))
+        cuts = np.flatnonzero((np.diff(view_kind[order]) != 0)
+                              | (np.diff(view_block[order]) != 1)) + 1
+        self._runs = []
+        for views in np.split(order, cuts):
+            b, k = view_block[views[0]], view_kind[views[0]]
+            self._runs.append((indptr[b * nd:(b + views.size) * nd + 1], indices[k], views,
+                               -1 if k else 1))
+
+    @property
+    def nnz(self) -> int:
+        """Stored nonzeros: those of the traced views."""
+        return self.data.size
+
+    @property
+    def nbytes(self) -> int:
+        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
+
+    @staticmethod
+    def _vector(v, n: int, name: str) -> np.ndarray:
+        # the compiled kernels read and write their vectors unchecked
+        v = np.ascontiguousarray(v, dtype=np.float64)
+        if v.shape != (n,):
+            raise ValueError(f"{name} has shape {v.shape}, expected ({n},)")
+        return v
+
+    def __matmul__(self, x) -> np.ndarray:
+        """``A x`` for a flat image ``x``."""
+        x = self._vector(x, self.shape[1], "x")
+        nd, n_pixels = self.n_detectors, self.shape[1]
+        y = np.empty((len(self.view_rows), nd))
+        for ptr, idx, views, step in self._runs:
+            r = np.zeros((views.size, nd))
+            csr_matvec(r.size, n_pixels, ptr, idx, self.data, x, r.reshape(-1))
+            y[views] = r[:, ::step]
+        return y.reshape(-1)
+
+    def rmatvec(self, y) -> np.ndarray:
+        """``A^T y`` for a flat sinogram ``y``."""
+        y = self._vector(y, self.shape[0], "y").reshape(-1, self.n_detectors)
+        nd, n_pixels = self.n_detectors, self.shape[1]
+        g = np.zeros(n_pixels)
+        for ptr, idx, views, step in self._runs:
+            csc_matvec(n_pixels, views.size * nd, ptr, idx, self.data,
+                       np.ascontiguousarray(y[views, ::step]).reshape(-1), g)
+        return g
+
+    def block(self, views) -> sp.csr_matrix:
+        """The rows of ``views`` (view by view, detectors in order) gathered
+        into a new CSR matrix, each row's entries in their stored order."""
+        views = np.asarray(views, dtype=np.int64)
+        nd = self.n_detectors
+        det = np.arange(nd)
+        kind = self.view_kind[views]
+        rows = (self.view_block[views, None] * nd
+                + np.where(kind[:, None] > 0, nd - 1 - det, det)).ravel()
+        start = self.indptr[rows].astype(np.int64)
+        counts = self.indptr[rows + 1] - start
+        indptr = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        pos = np.repeat(start - indptr[:-1], counts) + np.arange(indptr[-1])
+        entry_kind = np.repeat(np.repeat(kind, nd), counts)
+        return sp.csr_matrix((self.data[pos], self.indices[entry_kind, pos], indptr),
+                             shape=(rows.size, self.shape[1]))
+
+
+def _build_matrix(geom: SystemGeometry) -> SystemMatrix:
     t0 = time.perf_counter()
-    src, dst = _ray_endpoints(geom)
-    n_rays, n_pixels = geom.n_rays, geom.n_pixels
+    traced, view_block, view_kind = _view_table(geom)
+    nd, n_pixels = geom.n_detectors, geom.n_pixels
+    src, dst = (e.reshape(geom.n_views, nd, 2)[traced].reshape(-1, 2)
+                for e in _ray_endpoints(geom))
+    n_rays = src.shape[0]
     chunk = max(1, _CHUNK_ELEMENTS // (sum(geom.image_dims) + 2))
     indptr = np.zeros(n_rays + 1, dtype=np.int64)
     # each chunk is written straight into the final arrays, grown in place by
@@ -265,16 +411,28 @@ def _build_matrix(geom: SystemGeometry) -> sp.csr_matrix:
         nnz = end
         del counts, pix, w  # freed before the next chunk is traced
     np.cumsum(indptr, out=indptr)
-    mat = sp.csr_matrix((data, indices, indptr.astype(indices.dtype)), shape=(n_rays, n_pixels))
-    mib = (data.nbytes + indices.nbytes + mat.indptr.nbytes) / 2**20
-    log.info("system matrix: %d nonzeros, %.1f MiB, built in %.2f s",
-             nnz, mib, time.perf_counter() - t0)
+    # the other kinds' rows are remapped in chunks, so no index array of the
+    # full length is ever cast to int64 (as a single np.take would); the
+    # indices are in range, and mode="clip" writes to ``out`` unbuffered
+    kinds = int(view_kind.max()) + 1
+    indices.resize(kinds * nnz, refcheck=False)
+    indices = indices.reshape(kinds, nnz)
+    if kinds > 1:
+        perms = _pixel_permutations(geom.image_dims[0], indices.dtype)
+        for k in range(1, kinds):
+            for start in range(0, nnz, _CHUNK_ELEMENTS):
+                stop = min(start + _CHUNK_ELEMENTS, nnz)
+                np.take(perms[k - 1], indices[0, start:stop], out=indices[k, start:stop],
+                        mode="clip")
+    mat = SystemMatrix(geom, data, indices, indptr.astype(indices.dtype), view_block, view_kind)
+    log.info("system matrix: %d nonzeros, %.1f MiB, %d of %d views traced, built in %.2f s",
+             nnz, mat.nbytes / 2**20, traced.size, geom.n_views, time.perf_counter() - t0)
     return mat
 
 
 @functools.lru_cache(maxsize=8)
-def system_matrix(geom: SystemGeometry) -> sp.csr_matrix:
-    """The (n_rays, n_pixels) intersection-length matrix, cached per geometry."""
+def system_matrix(geom: SystemGeometry) -> SystemMatrix:
+    """The system matrix operator, cached per geometry."""
     return _build_matrix(geom)
 
 
@@ -283,7 +441,7 @@ def matrix_sums(geom: SystemGeometry) -> tuple[np.ndarray, np.ndarray]:
     """Row sums ``A 1`` (per ray) and column sums ``A^T 1`` (per pixel) of
     :func:`system_matrix`, cached per geometry and read-only."""
     a = system_matrix(geom)
-    sums = a @ np.ones(geom.n_pixels), a.T @ np.ones(geom.n_rays)
+    sums = a @ np.ones(geom.n_pixels), a.rmatvec(np.ones(geom.n_rays))
     for v in sums:
         v.flags.writeable = False
     return sums
@@ -310,7 +468,7 @@ def back_project(sino: Sinogram, geom: SystemGeometry) -> ImageGrid:
             f"sinogram shape {sino.data.shape} does not match geometry "
             f"({geom.n_views}, {geom.n_detectors})"
         )
-    x = system_matrix(geom).T @ sino.ravel()
+    x = system_matrix(geom).rmatvec(sino.ravel())
     return ImageGrid(x.reshape(geom.image_dims), geom.pixel_spacing)
 
 
@@ -326,7 +484,7 @@ def _check_weights(w, geom: SystemGeometry) -> np.ndarray:
 def weighted_gram_diag(geom: SystemGeometry, w: np.ndarray) -> ImageGrid:
     """Diagonal of the weighted normal matrix, per pixel: sum_i a_ij w_i (A 1)_i."""
     w = _check_weights(w, geom)
-    diag = system_matrix(geom).T @ (w * matrix_sums(geom)[0])
+    diag = system_matrix(geom).rmatvec(w * matrix_sums(geom)[0])
     return ImageGrid(diag.reshape(geom.image_dims), geom.pixel_spacing)
 
 
@@ -336,7 +494,7 @@ def compute_kappa(geom: SystemGeometry, w: np.ndarray) -> ImageGrid:
 
     Pixels crossed by no ray get 0.
     """
-    num = system_matrix(geom).T @ _check_weights(w, geom)
+    num = system_matrix(geom).rmatvec(_check_weights(w, geom))
     den = matrix_sums(geom)[1]
     kappa = np.zeros(geom.n_pixels)
     covered = den > 0

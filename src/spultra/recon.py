@@ -97,15 +97,14 @@ def bit_reversal_order(m: int) -> list[int]:
 
 
 class _SubsetBlocks(dict):
-    """Subset row blocks of the cached matrix, each gathered on first access."""
+    """Subset row blocks of the cached operator, each gathered on first access."""
 
     def __init__(self, matrix, geom: SystemGeometry, m: int):
         super().__init__()
         self._matrix, self._geom, self._m = matrix, geom, m
 
     def __missing__(self, s):
-        rays = np.arange(self._geom.n_rays).reshape(-1, self._geom.n_detectors)[s::self._m]
-        block = self[s] = self._matrix[rays.reshape(-1)]
+        block = self[s] = self._matrix.block(np.arange(s, self._geom.n_views, self._m))
         return block
 
 
@@ -115,14 +114,18 @@ class SubsetSystem:
     Subset s holds views congruent to s modulo M; subsets are processed in
     bit-reversal order for gradient balance. A subset is a strided view: its
     gradient makes one pass over the subset's views in ascending order: for
-    each view it runs scipy's compiled CSR kernel over the view's row block of
-    the cached matrix in place, forms that view's weighted residual, and
-    backprojects it with the CSC kernel at once, while the block is still in
-    cache. Every ray's sum and the order of accumulation into the gradient
-    are those of a product with the gathered subset block, so the result is
-    the same bit for bit.
-    ``sub[s]`` is that block, gathered on first access for inspection (the
-    benchmark's byte probe reads it); the solver never reads it.
+    each view it runs scipy's compiled CSR kernel over the view's stored row
+    block of the cached operator in place (``matrix.view_rows``), forms that
+    view's weighted residual, and backprojects it with the CSC kernel at
+    once, while the block is still in cache. A view mapped by a symmetry
+    reads its detectors in reverse, so its weights and targets are read
+    reversed, as views of the sinogram rows. Every ray's sum and the order
+    of accumulation into the gradient are those of a product with the
+    gathered subset block whose rows are taken in that order, so the result
+    is the same bit for bit.
+    ``sub[s]`` is the subset's block, gathered on first access for
+    inspection (the benchmark's byte probe reads it); the solver never
+    reads it.
     """
 
     def __init__(self, geom: SystemGeometry, m: int):
@@ -150,12 +153,12 @@ class SubsetSystem:
         g = np.zeros(npix)
         for v in range(s, self.geom.n_views, self.m):
             # one view's rows, read twice while they are still in cache
-            ptr = a.indptr[v * nd:(v + 1) * nd + 1]
+            ptr, idx, step = a.view_rows[v]
             r.fill(0.0)
-            csr_matvec(nd, npix, ptr, a.indices, a.data, x, r)
-            r -= y_tilde[v]
-            r *= w[v]
-            csc_matvec(npix, nd, ptr, a.indices, a.data, r, g)
+            csr_matvec(nd, npix, ptr, idx, a.data, x, r)
+            r -= y_tilde[v, ::step]
+            r *= w[v, ::step]
+            csc_matvec(npix, nd, ptr, idx, a.data, r, g)
         g *= self.m
         return g
 
@@ -175,7 +178,8 @@ def os_lalm_image_update(x0: np.ndarray, system: SubsetSystem, w: np.ndarray,
     as written; ``d_a * x`` is formed once per step and serves both eta and
     the next step's s. One finiteness check covers the workspace per step;
     on failure, the first non-finite iterate in the order s, x, zeta, g, eta
-    is reported.
+    is reported. Overflow and invalid values inside a step are left to that
+    check, so a numerical abort prints no numpy warnings.
     """
     passes = cfg.n_inner if n_passes is None else n_passes
     m, alpha = system.m, cfg.alpha
@@ -193,41 +197,42 @@ def os_lalm_image_update(x0: np.ndarray, system: SubsetSystem, w: np.ndarray,
     np.multiply(d_a, x, out=dax)
     np.subtract(dax, zeta, out=eta)
 
-    for t in range(passes * m):
-        rho = rho_schedule(t, alpha)
-        # s = rho (d_a x - eta) + (1 - rho) g
-        np.subtract(dax, eta, out=s)
-        s *= rho
-        np.multiply(g, 1.0 - rho, out=step)
-        s += step
-        # x = clip(x - (s + grad) / (rho d_a + d_r), 0, x_max)
-        np.multiply(d_a, rho, out=denom)
-        denom += d_r
-        denom[frozen] = 1.0
-        np.add(s, reg.grad(x), out=step)
-        step /= denom
-        step[frozen] = 0.0
-        x -= step
-        np.clip(x, 0.0, cfg.x_max, out=x)
-        zeta[:] = system.subset_gradient(system.order[t % m], x, w, y_tilde)
-        # g = rho / (rho + 1) (alpha zeta + (1 - alpha) g) + g / (rho + 1),
-        # with denom and step as scratch
-        np.multiply(zeta, alpha, out=denom)
-        np.multiply(g, 1.0 - alpha, out=step)
-        denom += step
-        denom *= rho / (rho + 1.0)
-        g /= rho + 1.0
-        g += denom
-        # eta = alpha (d_a x - zeta) + (1 - alpha) eta
-        np.multiply(d_a, x, out=dax)
-        np.subtract(dax, zeta, out=step)
-        step *= alpha
-        eta *= 1.0 - alpha
-        eta += step
-        if not np.isfinite(state).all():
-            for name, vec in zip(("s", "x", "zeta", "g", "eta"), state):
-                if not np.isfinite(vec).all():
-                    raise NumericalError(name, t)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for t in range(passes * m):
+            rho = rho_schedule(t, alpha)
+            # s = rho (d_a x - eta) + (1 - rho) g
+            np.subtract(dax, eta, out=s)
+            s *= rho
+            np.multiply(g, 1.0 - rho, out=step)
+            s += step
+            # x = clip(x - (s + grad) / (rho d_a + d_r), 0, x_max)
+            np.multiply(d_a, rho, out=denom)
+            denom += d_r
+            denom[frozen] = 1.0
+            np.add(s, reg.grad(x), out=step)
+            step /= denom
+            step[frozen] = 0.0
+            x -= step
+            np.clip(x, 0.0, cfg.x_max, out=x)
+            zeta[:] = system.subset_gradient(system.order[t % m], x, w, y_tilde)
+            # g = rho / (rho + 1) (alpha zeta + (1 - alpha) g) + g / (rho + 1),
+            # with denom and step as scratch
+            np.multiply(zeta, alpha, out=denom)
+            np.multiply(g, 1.0 - alpha, out=step)
+            denom += step
+            denom *= rho / (rho + 1.0)
+            g /= rho + 1.0
+            g += denom
+            # eta = alpha (d_a x - zeta) + (1 - alpha) eta
+            np.multiply(d_a, x, out=dax)
+            np.subtract(dax, zeta, out=step)
+            step *= alpha
+            eta *= 1.0 - alpha
+            eta += step
+            if not np.isfinite(state).all():
+                for name, vec in zip(("s", "x", "zeta", "g", "eta"), state):
+                    if not np.isfinite(vec).all():
+                        raise NumericalError(name, t)
     return x.copy()
 
 
@@ -416,17 +421,20 @@ class EdgePreservingReg:
         return self.ep.beta_ep * total
 
     def grad(self, x_flat: np.ndarray) -> np.ndarray:
+        """The gradient; an overflow leaves non-finite values, without a
+        numpy warning, for the solver's finiteness check to report."""
         x = x_flat.reshape(self.dims)
         g = np.zeros(self.dims)
         fluxes = []
-        for c, nb, weight in self._pairs:
-            flux = weight * ep_potential_dot(x[c] - x[nb], self.ep.delta,
-                                             self.ep.potential_kind)
-            g[c] += flux
-            fluxes.append(flux)
-        for (_, nb, _), flux in zip(self._pairs[::-1], fluxes[::-1]):
-            g[nb] -= flux
-        return self.ep.beta_ep * g.reshape(-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c, nb, weight in self._pairs:
+                flux = weight * ep_potential_dot(x[c] - x[nb], self.ep.delta,
+                                                 self.ep.potential_kind)
+                g[c] += flux
+                fluxes.append(flux)
+            for (_, nb, _), flux in zip(self._pairs[::-1], fluxes[::-1]):
+                g[nb] -= flux
+            return self.ep.beta_ep * g.reshape(-1)
 
 
 # the header of ``trace_<method>.csv``: ``labels_changed`` counts the patches

@@ -1,11 +1,15 @@
 import configparser
 import io
+import math
+import warnings
 
 import numpy as np
 import pytest
 
 from spultra.config import parse_config
 from spultra.errors import ValidationError
+from spultra.geometry import ImageGrid
+from spultra.metrics import ssim, to_hu
 from spultra.sim import POISSON_MEAN_MAX
 
 MINIMAL = """
@@ -293,6 +297,11 @@ INVALID_NUMBERS = [
     ("recon", "x_max", "nan", f"recon.x_max: {_FINITE} nan"),
     ("recon", "delta", "inf", f"recon.delta: {_FINITE} inf"),
     ("metrics", "mu_water", "inf", f"metrics.mu_water: {_FINITE} inf"),
+    ("metrics", "mu_water", "1e-200", "metrics.mu_water: must be >= 1e-06, got 1e-200"),
+    ("metrics", "mu_water", "1e-100", "metrics.mu_water: must be >= 1e-06, got 1e-100"),
+    ("metrics", "mu_water", "0", "metrics.mu_water: must be >= 1e-06, got 0.0"),
+    ("learning", "gamma_c", "1e300", "learning.gamma_c: must be <= 1e+150, got 1e+300"),
+    ("recon", "gamma_c", "1e300", "recon.gamma_c: must be <= 1e+150, got 1e+300"),
     ("geometry", "detector_spacing", "nan", f"geometry.detector_spacing: {_FINITE} nan"),
     ("geometry", "angular_range", "inf", f"geometry.angular_range: {_FINITE} inf"),
     ("geometry", "pixel_spacing", "inf 3.5", f"geometry.pixel_spacing: {_FINITE} inf"),
@@ -318,6 +327,23 @@ def test_i0_bound_is_a_mean_the_poisson_sampler_takes(tmp_path):
     cfg = parse_config(write(tmp_path, with_value("model", "I0", repr(POISSON_MEAN_MAX))))
     assert cfg.model.i0 == POISSON_MEAN_MAX
     np.random.default_rng(0).poisson(POISSON_MEAN_MAX)  # numpy raises from about 9.2e18
+
+
+def test_gamma_c_and_mu_water_bounds_keep_the_arithmetic_finite(tmp_path):
+    text = with_value("recon", "gamma_c", "1e150").replace("gamma_c = 0.1", "gamma_c = 1e150")
+    text = text.replace("[metrics]", "[metrics]\nmu_water = 1e-6")
+    cfg = parse_config(write(tmp_path, text))
+    assert cfg.learning.gamma_c == cfg.recon.gamma_c == 1e150
+    assert math.isfinite(cfg.recon.gamma_c ** 2 * 1e6)  # raises OverflowError past ~1.3e154
+    assert cfg.metrics.mu_water == 1e-6
+    # SSIM of HU images of an attenuation map up to 1 mm^-1, with no warning
+    rng = np.random.default_rng(0)
+    truth = ImageGrid(rng.random((16, 16)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = ssim(to_hu(ImageGrid(truth.data + 0.1 * rng.random((16, 16))), 1e-6),
+                     to_hu(truth, 1e-6))
+    assert 0.0 < value < 1.0
 
 
 @pytest.mark.parametrize("shape", ["0 0 3 3 0 nan", "0 0 inf 3 0 0.02"])

@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spultra import geometry
@@ -164,7 +164,7 @@ def test_matrix_sums_cached_read_only(small_geom):
     a = system_matrix(small_geom)
     rows, cols = matrix_sums(small_geom)
     assert rows.tobytes() == (a @ np.ones(small_geom.n_pixels)).tobytes()
-    assert cols.tobytes() == (a.T @ np.ones(small_geom.n_rays)).tobytes()
+    assert cols.tobytes() == a.rmatvec(np.ones(small_geom.n_rays)).tobytes()
     for sums in (rows, cols):
         with pytest.raises(ValueError, match="read-only"):
             sums[0] = 1.0
@@ -293,36 +293,103 @@ def _small_geometries(draw):
         pixel_spacing=(draw(_spacing), draw(_spacing)), **fan)
 
 
+def _full_trace(geom):
+    """Every view traced and mapped to itself: the matrix as it was stored
+    before views were mapped by the image's symmetries."""
+    views = np.arange(geom.n_views)
+    with mock.patch.object(geometry, "_view_table",
+                           lambda g: (views, views, np.zeros_like(views))):
+        return geometry._build_matrix(geom)
+
+
+def _traced_rows(mat):
+    """The traced views' rows, as stored, as a CSR matrix."""
+    return sp.csr_matrix((mat.data, mat.indices[0], mat.indptr),
+                         shape=(mat.indptr.size - 1, mat.shape[1]))
+
+
 @settings(deadline=None, max_examples=80)
 @given(geom=_small_geometries(), chunk_elements=st.integers(1, 400))
+@example(geom=SystemGeometry("parallel", n_detectors=9, n_views=12, detector_spacing=1.0,
+                             angular_range=np.pi, image_dims=(6, 6)), chunk_elements=7)
 def test_direct_csr_assembly_matches_coo_reference(geom, chunk_elements):
-    # small chunks put chunk boundaries inside and between views
+    # small chunks put chunk boundaries inside and between views; the traced
+    # views' rows are the reference's bit for bit, and every other kind's
+    # column indices are the traced ones permuted
     with mock.patch.object(geometry, "_CHUNK_ELEMENTS", chunk_elements):
         got = geometry._build_matrix(geom)
-    _assert_same_csr(got, _coo_reference(geom)[0])
+    traced, _, kind = geometry._view_table(geom)
+    nd = geom.n_detectors
+    rays = (traced[:, None] * nd + np.arange(nd)).reshape(-1)
+    _assert_same_csr(_traced_rows(got), _coo_reference(geom)[0][rays])
+    assert got.indices.shape == (kind.max() + 1, got.nnz)
+    if got.indices.shape[0] > 1:
+        perms = geometry._pixel_permutations(geom.image_dims[0], got.indices.dtype)
+        assert np.array_equal(got.indices[1:], perms[:, got.indices[0]])
 
 
 def test_direct_csr_assembly_merges_repeated_pairs():
     cfg = parse_config(Path(__file__).resolve().parents[1] / "configs" / "waterdisk64.ini")
     ref, n_triplets = _coo_reference(cfg.geometry)
-    got = geometry._build_matrix(cfg.geometry)
+    got = _traced_rows(_full_trace(cfg.geometry))
     assert n_triplets > got.nnz  # some (ray, pixel) pairs are traced twice
     _assert_same_csr(got, ref)
 
 
-# measured tracemalloc peaks: 1.061x the 100 MiB matrix at 128x128, 1.343x the
-# 14 MiB matrix at 64x64, where the ~1 MiB chunk temporaries weigh more
-@pytest.mark.parametrize("geom, bound", [
-    (SystemGeometry("parallel", n_detectors=160, n_views=360, detector_spacing=2.2,
-                    angular_range=np.pi, image_dims=(128, 128), pixel_spacing=(2.7, 2.7)),
-     1.10),
-    (SystemGeometry("parallel", n_detectors=96, n_views=180, detector_spacing=2.6,
-                    angular_range=np.pi, image_dims=(64, 64), pixel_spacing=(3.5, 3.5)),
-     1.40),
-], ids=["128x128", "64x64"])
+_BENCHMARK_GEOMETRIES = [
+    SystemGeometry("parallel", n_detectors=160, n_views=360, detector_spacing=2.2,
+                   angular_range=np.pi, image_dims=(128, 128), pixel_spacing=(2.7, 2.7)),
+    SystemGeometry("parallel", n_detectors=96, n_views=180, detector_spacing=2.6,
+                   angular_range=np.pi, image_dims=(64, 64), pixel_spacing=(3.5, 3.5)),
+]
+
+
+@pytest.mark.parametrize("geom", _BENCHMARK_GEOMETRIES, ids=["128x128", "64x64"])
+def test_mapped_views_match_a_trace_of_every_view(geom):
+    # views with angles in [0, pi/4] and the one at pi/2 are traced; every
+    # other row comes from a symmetry of the square and differs from its own
+    # trace by rounding only, except for a near-zero segment now and then
+    mat = geometry._build_matrix(geom)
+    full = _full_trace(geom)
+    q = geom.n_views // 2
+    assert np.array_equal(geometry._view_table(geom)[0], np.append(np.arange(q // 2 + 1), q))
+    assert mat.indices.shape == (4, mat.nnz) and mat.indices.dtype == np.int32
+    assert mat.nbytes < 0.52 * full.nbytes
+    nd = geom.n_detectors
+    for views in np.array_split(np.arange(geom.n_views), 12):
+        got, ref = mat.block(views), full.block(views)
+        scale = abs(ref).max(axis=1).toarray().ravel()
+        assert np.all(abs(got - ref).max(axis=1).toarray().ravel() <= 1e-12 * scale)
+        sums = np.asarray(got.sum(axis=1) - ref.sum(axis=1)).ravel()
+        assert np.all(np.abs(sums) <= 1e-12 * scale)
+        counts = np.abs(np.diff(got.indptr) - np.diff(ref.indptr)).reshape(-1, nd)
+        assert counts.sum(axis=1).max() <= 2
+
+
+@pytest.mark.parametrize("geom", [
+    SystemGeometry("fan", n_detectors=24, n_views=36, detector_spacing=2.0,
+                   angular_range=np.pi, image_dims=(16, 16), pixel_spacing=(1.0, 1.0),
+                   source_to_iso=40.0, source_to_detector=80.0),
+    SystemGeometry("parallel", n_detectors=24, n_views=36, detector_spacing=1.0,
+                   angular_range=np.pi, image_dims=(16, 15), pixel_spacing=(1.0, 1.0)),
+], ids=["fan", "non-square"])
+def test_geometry_without_the_symmetry_traces_every_view(geom):
+    mat = geometry._build_matrix(geom)
+    views = np.arange(geom.n_views)
+    assert np.array_equal(mat.view_block, views) and not mat.view_kind.any()
+    assert mat.indices.shape == (1, mat.nnz)
+    _assert_same_csr(_traced_rows(mat), _coo_reference(geom)[0])
+    _assert_same_csr(mat.block(views), _coo_reference(geom)[0])
+
+
+# measured tracemalloc peaks: 1.03x the 51 MiB stored matrix at 128x128 and
+# 1.16x the 7.3 MiB one at 64x64, where the ~1 MiB chunk temporaries weigh more
+@pytest.mark.parametrize("geom, bound", list(zip(_BENCHMARK_GEOMETRIES, (1.10, 1.40))),
+                         ids=["128x128", "64x64"])
 def test_assembly_peak_memory_near_one_matrix(geom, bound):
     # each chunk goes straight into the final arrays, so no chunk list and
-    # its concatenation coexist, and a chunk's temporaries are cache-sized
+    # its concatenation coexist, a chunk's temporaries are cache-sized, and
+    # the index rows of the symmetry kinds are filled in chunks as well
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -344,5 +411,5 @@ def test_matrix_build_logged_once_per_geometry(caplog):
         system_matrix(geom)
     msgs = [r.getMessage() for r in caplog.records if r.name == "spultra.geometry"]
     assert len(msgs) == 1
-    assert re.fullmatch(rf"system matrix: {mat.nnz} nonzeros, \d+\.\d MiB, built in "
-                        rf"\d+\.\d\d s", msgs[0]), msgs[0]
+    assert re.fullmatch(rf"system matrix: {mat.nnz} nonzeros, \d+\.\d MiB, 5 of 5 views "
+                        rf"traced, built in \d+\.\d\d s", msgs[0]), msgs[0]

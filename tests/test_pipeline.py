@@ -281,6 +281,10 @@ def test_cli_seed_out_of_range_exits_1(tmp_path, where, seed, msg):
 @pytest.mark.parametrize("line, bad, msg", [
     ("I0 = 10000", "I0 = inf", "model.I0: must be a finite number, got inf"),
     ("image_dims = 32 32", "image_dims = -3 64", "geometry.image_dims: must be >= 1, got -3"),
+    ("gamma_c = 0.0008", "gamma_c = 1e300", "learning.gamma_c: must be <= 1e+150, got 1e+300"),
+    ("gamma_c = 0.0004", "gamma_c = 1e300", "recon.gamma_c: must be <= 1e+150, got 1e+300"),
+    ("mu_water = 0.02", "mu_water = 1e-200", "metrics.mu_water: must be >= 1e-06, got 1e-200"),
+    ("mu_water = 0.02", "mu_water = 1e-100", "metrics.mu_water: must be >= 1e-06, got 1e-100"),
 ])
 def test_cli_invalid_number_exits_1_before_any_stage(tmp_path, line, bad, msg):
     out = tmp_path / "bad"
@@ -351,6 +355,7 @@ def test_cli_numerical_abort_exits_3_and_names_the_method(tmp_path, key, method)
     r = run_cli("all", "--config", str(_one_iteration_waterdisk64(tmp_path, **{key: "1e308"})))
     assert r.returncode == EXIT_NUMERICAL
     assert "Traceback" not in r.stderr
+    assert "Warning" not in r.stderr  # the abort is reported by its log line only
     errors = [line for line in r.stderr.splitlines() if line.startswith("ERROR")]
     assert len(errors) == 1
     assert errors[0].startswith(f"ERROR spultra.pipeline: {method}: numerical abort")
