@@ -35,6 +35,11 @@ _GAMMA_C_MAX = 1e150
 # at this bound an attenuation of 1 mm^-1 is 1e9 HU, and SSIM stays finite
 # up to about 1e76 HU
 _MU_WATER_MIN = 1e-6
+# s1 and I0 + sigma2 are squared as Python floats (OverflowError past about
+# 1.3e154), and the post-log line integrals (about log(I0 / y) / s1) and
+# their weights (which scale with s1^2) must stay finite at any I0 and s2
+_S1_BOUNDS = dict(minimum=1e-6, maximum=1e6)
+_SIGMA2_MAX = 1e150
 # what the plain converters expect, for their error message
 _EXPECTED = {int: "an integer", float: "a number"}
 
@@ -234,8 +239,9 @@ def parse_config(path) -> ExperimentConfig:
     if parser.has_section("model"):
         s = _Section("model", parser["model"], errors)
         m = dict(i0=s.get("I0", float, above=0.0, maximum=POISSON_MEAN_MAX),
-                 sigma2=s.get("sigma2", float, SpModel.sigma2, minimum=0.0),
-                 s1=s.get("s1", float, SpModel.s1, above=0.0),
+                 sigma2=s.get("sigma2", float, SpModel.sigma2, minimum=0.0,
+                              maximum=_SIGMA2_MAX),
+                 s1=s.get("s1", float, SpModel.s1, **_S1_BOUNDS),
                  s2=s.get("s2", float, SpModel.s2))
         s.finish()
         if None not in m.values():

@@ -300,11 +300,12 @@ class SystemMatrix:
     the traced row's pixels to. View v reads block ``view_block[v]`` of the
     traced rows through ``indices[view_kind[v]]``, with its detectors in
     reverse unless the kind is the identity. ``view_rows[v]`` is that
-    ``(indptr slice, indices row, detector step)``. ``@`` and
-    :meth:`rmatvec` run scipy's compiled CSR and CSC kernels once per run of
-    views of one kind over consecutive traced blocks, so on a geometry
-    where every view maps to itself (one kind, one run) they give the
-    products of the plain CSR matrix bit for bit.
+    ``(indptr slice, indices row, detector step)``; every product here and
+    :meth:`block` read the stored arrays through it, one view at a time, the
+    products with scipy's compiled CSR and CSC kernels. ``@`` and
+    :meth:`rmatvec` take the views in stored order, kind by kind and then by
+    traced block, so on a geometry where every view maps to itself they give
+    the products of the plain CSR matrix bit for bit.
     """
 
     def __init__(self, geom: SystemGeometry, data, indices, indptr, view_block, view_kind):
@@ -314,16 +315,7 @@ class SystemMatrix:
         self.view_block, self.view_kind = view_block, view_kind
         self.view_rows = [(indptr[b * nd:(b + 1) * nd + 1], indices[k], -1 if k else 1)
                           for b, k in zip(view_block.tolist(), view_kind.tolist())]
-        # the views in runs of one kind over consecutive traced blocks, so that
-        # a whole product makes one kernel call per run rather than per view
-        order = np.lexsort((view_block, view_kind))
-        cuts = np.flatnonzero((np.diff(view_kind[order]) != 0)
-                              | (np.diff(view_block[order]) != 1)) + 1
-        self._runs = []
-        for views in np.split(order, cuts):
-            b, k = view_block[views[0]], view_kind[views[0]]
-            self._runs.append((indptr[b * nd:(b + views.size) * nd + 1], indices[k], views,
-                               -1 if k else 1))
+        self._stored_order = np.lexsort((view_block, view_kind)).tolist()
 
     @property
     def nnz(self) -> int:
@@ -345,41 +337,60 @@ class SystemMatrix:
     def __matmul__(self, x) -> np.ndarray:
         """``A x`` for a flat image ``x``."""
         x = self._vector(x, self.shape[1], "x")
-        nd, n_pixels = self.n_detectors, self.shape[1]
-        y = np.empty((len(self.view_rows), nd))
-        for ptr, idx, views, step in self._runs:
-            r = np.zeros((views.size, nd))
-            csr_matvec(r.size, n_pixels, ptr, idx, self.data, x, r.reshape(-1))
-            y[views] = r[:, ::step]
+        y = np.empty((len(self.view_rows), self.n_detectors))
+        r = np.empty(self.n_detectors)
+        for v in self._stored_order:
+            ptr, idx, step = self.view_rows[v]
+            r.fill(0.0)
+            csr_matvec(r.size, x.size, ptr, idx, self.data, x, r)
+            y[v] = r[::step]
         return y.reshape(-1)
 
     def rmatvec(self, y) -> np.ndarray:
         """``A^T y`` for a flat sinogram ``y``."""
         y = self._vector(y, self.shape[0], "y").reshape(-1, self.n_detectors)
-        nd, n_pixels = self.n_detectors, self.shape[1]
+        g = np.zeros(self.shape[1])
+        for v in self._stored_order:
+            ptr, idx, step = self.view_rows[v]
+            csc_matvec(g.size, y.shape[1], ptr, idx, self.data,
+                       np.ascontiguousarray(y[v, ::step]), g)
+        return g
+
+    def residual_backprojection(self, views, x, w, y_tilde) -> np.ndarray:
+        """``A_V^T (w_V (A_V x - y_V))`` over the rows of ``views``.
+
+        The views are taken in the given order, and each view's rows are
+        read by the CSR kernel and then, while they are still in cache, by
+        the CSC kernel. A mapped view's weights and targets are read with its
+        detectors reversed, so every ray's sum and the order of accumulation
+        are those of a product with :meth:`block` of ``views``, its rows
+        taken in the order the pass reads them, bit for bit.
+        """
+        n_rays, n_pixels = self.shape
+        x = self._vector(x, n_pixels, "x")
+        w = self._vector(w, n_rays, "w").reshape(-1, self.n_detectors)
+        y_tilde = self._vector(y_tilde, n_rays, "y_tilde").reshape(-1, self.n_detectors)
+        r = np.empty(self.n_detectors)
         g = np.zeros(n_pixels)
-        for ptr, idx, views, step in self._runs:
-            csc_matvec(n_pixels, views.size * nd, ptr, idx, self.data,
-                       np.ascontiguousarray(y[views, ::step]).reshape(-1), g)
+        for v in views:
+            ptr, idx, step = self.view_rows[v]
+            r.fill(0.0)
+            csr_matvec(r.size, n_pixels, ptr, idx, self.data, x, r)
+            r -= y_tilde[v, ::step]
+            r *= w[v, ::step]
+            csc_matvec(n_pixels, r.size, ptr, idx, self.data, r, g)
         return g
 
     def block(self, views) -> sp.csr_matrix:
         """The rows of ``views`` (view by view, detectors in order) gathered
         into a new CSR matrix, each row's entries in their stored order."""
-        views = np.asarray(views, dtype=np.int64)
-        nd = self.n_detectors
-        det = np.arange(nd)
-        kind = self.view_kind[views]
-        rows = (self.view_block[views, None] * nd
-                + np.where(kind[:, None] > 0, nd - 1 - det, det)).ravel()
-        start = self.indptr[rows].astype(np.int64)
-        counts = self.indptr[rows + 1] - start
-        indptr = np.zeros(rows.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        pos = np.repeat(start - indptr[:-1], counts) + np.arange(indptr[-1])
-        entry_kind = np.repeat(np.repeat(kind, nd), counts)
-        return sp.csr_matrix((self.data[pos], self.indices[entry_kind, pos], indptr),
-                             shape=(rows.size, self.shape[1]))
+        blocks = []
+        for v in views:
+            ptr, idx, step = self.view_rows[v]
+            rows = slice(ptr[0], ptr[-1])
+            blocks.append(sp.csr_matrix((self.data[rows], idx[rows], ptr - ptr[0]),
+                                        shape=(self.n_detectors, self.shape[1]))[::step])
+        return sp.vstack(blocks, format="csr")
 
 
 def _build_matrix(geom: SystemGeometry) -> SystemMatrix:

@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import dia_matrix
-# the kernels behind csr_matrix @ x and csr_matrix.T @ r
-from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 from .errors import ConfigurationError, NumericalError
 from .geometry import (ImageGrid, Sinogram, SystemGeometry, compute_kappa,
@@ -113,16 +111,9 @@ class SubsetSystem:
 
     Subset s holds views congruent to s modulo M; subsets are processed in
     bit-reversal order for gradient balance. A subset is a strided view: its
-    gradient makes one pass over the subset's views in ascending order: for
-    each view it runs scipy's compiled CSR kernel over the view's stored row
-    block of the cached operator in place (``matrix.view_rows``), forms that
-    view's weighted residual, and backprojects it with the CSC kernel at
-    once, while the block is still in cache. A view mapped by a symmetry
-    reads its detectors in reverse, so its weights and targets are read
-    reversed, as views of the sinogram rows. Every ray's sum and the order
-    of accumulation into the gradient are those of a product with the
-    gathered subset block whose rows are taken in that order, so the result
-    is the same bit for bit.
+    gradient is one :meth:`SystemMatrix.residual_backprojection` pass over
+    the subset's views in ascending order, which reads the cached operator
+    in place, view by view.
     ``sub[s]`` is the subset's block, gathered on first access for
     inspection (the benchmark's byte probe reads it); the solver never
     reads it.
@@ -141,24 +132,8 @@ class SubsetSystem:
 
     def subset_gradient(self, s: int, x: np.ndarray, w, y_tilde) -> np.ndarray:
         """M-scaled weighted residual backprojection over subset s."""
-        a, nd, npix = self.matrix, self.geom.n_detectors, self.geom.n_pixels
-        # the compiled kernels read x unchecked, and a view-by-view pass would
-        # silently misalign weights or targets of another length
-        for name, vec, n in (("x", x, npix), ("w", w, self.geom.n_rays),
-                             ("y_tilde", y_tilde, self.geom.n_rays)):
-            if np.shape(vec) != (n,):
-                raise ValueError(f"{name} has shape {np.shape(vec)}, expected ({n},)")
-        w, y_tilde = w.reshape(-1, nd), y_tilde.reshape(-1, nd)
-        r = np.empty(nd)
-        g = np.zeros(npix)
-        for v in range(s, self.geom.n_views, self.m):
-            # one view's rows, read twice while they are still in cache
-            ptr, idx, step = a.view_rows[v]
-            r.fill(0.0)
-            csr_matvec(nd, npix, ptr, idx, a.data, x, r)
-            r -= y_tilde[v, ::step]
-            r *= w[v, ::step]
-            csc_matvec(npix, nd, ptr, idx, a.data, r, g)
+        g = self.matrix.residual_backprojection(range(s, self.geom.n_views, self.m),
+                                                x, w, y_tilde)
         g *= self.m
         return g
 

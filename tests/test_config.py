@@ -11,6 +11,7 @@ from spultra.errors import ValidationError
 from spultra.geometry import ImageGrid
 from spultra.metrics import ssim, to_hu
 from spultra.sim import POISSON_MEAN_MAX
+from spultra.spstats import post_log_convert, second_derivative_at_zero
 
 MINIMAL = """
 [geometry]
@@ -291,6 +292,11 @@ INVALID_NUMBERS = [
     ("model", "I0", "inf", f"model.I0: {_FINITE} inf"),
     ("model", "I0", "1e19", "model.I0: must be <= 9e+18, got 1e+19"),
     ("model", "sigma2", "nan", f"model.sigma2: {_FINITE} nan"),
+    ("model", "sigma2", "1e300", "model.sigma2: must be <= 1e+150, got 1e+300"),
+    ("model", "s1", "1e300", "model.s1: must be <= 1000000.0, got 1e+300"),
+    ("model", "s1", "1e154", "model.s1: must be <= 1000000.0, got 1e+154"),
+    ("model", "s1", "1e-300", "model.s1: must be >= 1e-06, got 1e-300"),
+    ("model", "s1", "0", "model.s1: must be >= 1e-06, got 0.0"),
     ("learning", "lambda0", "inf", f"learning.lambda0: {_FINITE} inf"),
     ("recon", "beta", "nan", f"recon.beta: {_FINITE} nan"),
     ("recon", "x_max", "inf", f"recon.x_max: {_FINITE} inf"),
@@ -344,6 +350,22 @@ def test_gamma_c_and_mu_water_bounds_keep_the_arithmetic_finite(tmp_path):
         value = ssim(to_hu(ImageGrid(truth.data + 0.1 * rng.random((16, 16))), 1e-6),
                      to_hu(truth, 1e-6))
     assert 0.0 < value < 1.0
+
+
+@pytest.mark.parametrize("s1", ["1e-6", "1e6"])
+def test_s1_and_sigma2_bounds_keep_the_arithmetic_finite(tmp_path, s1):
+    text = with_value("model", "s1", s1).replace(
+        "I0 = 1000", f"I0 = {POISSON_MEAN_MAX!r}\nsigma2 = 1e150")
+    model = parse_config(write(tmp_path, text)).model
+    assert (model.i0, model.sigma2, model.s1) == (POISSON_MEAN_MAX, 1e150, float(s1))
+    # the squares that raised OverflowError past ~1.3e154, and the post-log
+    # line integrals and weights of counts from zero to I0, with no warning
+    counts = np.array([0.0, 1.0, 1e3, POISSON_MEAN_MAX])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curvature = second_derivative_at_zero(counts, model)
+        l, w = post_log_convert(counts, model)
+    assert np.isfinite(curvature).all() and np.isfinite(l).all() and np.isfinite(w).all()
 
 
 @pytest.mark.parametrize("shape", ["0 0 3 3 0 nan", "0 0 inf 3 0 0.02"])
