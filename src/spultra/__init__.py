@@ -10,10 +10,10 @@ from .geometry import (ImageGrid, Sinogram, SystemGeometry, back_project,
                        compute_kappa, forward_project, weighted_gram_diag)
 from .metrics import RoiMask, line_profile, rmse_roi, roi_stats, ssim, to_hu
 from .recon import (ConvergenceTrace, EpParams, ReconConfig, fbp_reconstruct,
-                    objective_value, os_lalm_image_update, pwls_ep_reconstruct,
-                    pwls_ultra_reconstruct, rho_schedule, spultra_reconstruct)
-from .sim import (Ellipse, PhantomSpec, RngSpec, make_phantom,
-                  nonpositive_fraction, scale_dose, simulate_prelog)
+                    os_lalm_image_update, pwls_ep_reconstruct, pwls_ultra_reconstruct,
+                    rho_schedule, spultra_reconstruct)
+from .sim import (Ellipse, PhantomSpec, make_phantom, nonpositive_fraction,
+                  scale_dose, simulate_prelog)
 from .spstats import (SpModel, SurrogateState, build_surrogate,
                       likelihood_gradient, neg_log_likelihood,
                       optimum_curvature, post_log_convert)

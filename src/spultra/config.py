@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ValidationError
 from .geometry import SystemGeometry
-from .metrics import circle_mask
+from .metrics import DEFAULT_MU_WATER, circle_mask
 from .recon import EpParams, ReconConfig
 from .sim import POISSON_MEAN_MAX, Ellipse, PhantomSpec
 from .spstats import SpModel
@@ -32,9 +32,18 @@ _SEED_BOUNDS = dict(minimum=0, maximum=2 ** 63 - 1)
 # about 1.3e154), and the square is summed over patches and multiplied by beta
 _GAMMA_C_MAX = 1e150
 # HU images are 1000 mu / mu_water, and SSIM multiplies fourth powers of them:
-# at this bound an attenuation of 1 mm^-1 is 1e9 HU, and SSIM stays finite
-# up to about 1e76 HU
-_MU_WATER_MIN = 1e-6
+# at the lower bound an attenuation of 1 mm^-1 is 1e9 HU, and SSIM stays
+# finite up to about 1e76 HU; from a mu_water of about 1e80 those products
+# underflow and SSIM divides 0 by 0
+_MU_WATER_BOUNDS = dict(minimum=1e-6, maximum=1e6)
+# a scan past one turn repeats its views
+_ANGULAR_RANGE_MAX = 2 * math.pi
+# the filtered backprojection's ramp filter scales with 1 / detector_spacing
+# and overflows at about 1e-300 mm
+_DETECTOR_SPACING_MIN = 1e-6
+# phantoms and ROI masks square pixel coordinates, which overflow at 1e300 mm
+# pixels, and a run at 1e150 mm already ends with a non-finite image
+_PIXEL_SPACING_MAX = 1e6
 # s1 and I0 + sigma2 are squared as Python floats (OverflowError past about
 # 1.3e154), and the post-log line integrals (about log(I0 / y) / s1) and
 # their weights (which scale with s1^2) must stay finite at any I0 and s2
@@ -75,7 +84,7 @@ class LearningConfig:
 
 @dataclass(frozen=True)
 class MetricsConfig:
-    mu_water: float = 0.02
+    mu_water: float = DEFAULT_MU_WATER
     rois: tuple = ()
     window: tuple[float, float] = (800.0, 1200.0)
 
@@ -221,14 +230,17 @@ def parse_config(path) -> ExperimentConfig:
         g = dict(beam_kind=s.get("beam", str, "parallel", choices={"parallel", "fan"}),
                  n_detectors=s.get("n_detectors", int, minimum=1),
                  n_views=s.get("n_views", int, minimum=1),
-                 detector_spacing=s.get("detector_spacing", float, above=0.0),
-                 angular_range=s.get("angular_range", float, np.pi, above=0.0),
+                 detector_spacing=s.get("detector_spacing", float,
+                                        minimum=_DETECTOR_SPACING_MIN),
+                 angular_range=s.get("angular_range", float, np.pi, above=0.0,
+                                     maximum=_ANGULAR_RANGE_MAX),
                  source_to_iso=s.get("source_to_iso", float, SystemGeometry.source_to_iso),
                  source_to_detector=s.get("source_to_detector", float,
                                           SystemGeometry.source_to_detector),
                  image_dims=s.get("image_dims", _pair(int), minimum=1),
                  pixel_spacing=s.get("pixel_spacing", _pair(float),
-                                     SystemGeometry.pixel_spacing, above=0.0))
+                                     SystemGeometry.pixel_spacing, above=0.0,
+                                     maximum=_PIXEL_SPACING_MAX))
         s.finish()
         if None not in g.values():
             try:
@@ -291,7 +303,7 @@ def parse_config(path) -> ExperimentConfig:
 
     if parser.has_section("metrics"):
         s = _Section("metrics", parser["metrics"], errors)
-        mu = s.get("mu_water", float, MetricsConfig.mu_water, minimum=_MU_WATER_MIN)
+        mu = s.get("mu_water", float, MetricsConfig.mu_water, **_MU_WATER_BOUNDS)
         window = s.get("window", _pair(float), MetricsConfig.window)
         roi_lines = s.get("rois", _lines, MetricsConfig.rois)
         s.finish()

@@ -326,6 +326,15 @@ class SystemMatrix:
     def nbytes(self) -> int:
         return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
 
+    @functools.cached_property
+    def sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row sums ``A 1`` (per ray) and column sums ``A^T 1`` (per pixel),
+        formed on first use and read-only."""
+        sums = self @ np.ones(self.shape[1]), self.rmatvec(np.ones(self.shape[0]))
+        for v in sums:
+            v.flags.writeable = False
+        return sums
+
     @staticmethod
     def _vector(v, n: int, name: str) -> np.ndarray:
         # the compiled kernels read and write their vectors unchecked
@@ -447,17 +456,6 @@ def system_matrix(geom: SystemGeometry) -> SystemMatrix:
     return _build_matrix(geom)
 
 
-@functools.lru_cache(maxsize=8)
-def matrix_sums(geom: SystemGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """Row sums ``A 1`` (per ray) and column sums ``A^T 1`` (per pixel) of
-    :func:`system_matrix`, cached per geometry and read-only."""
-    a = system_matrix(geom)
-    sums = a @ np.ones(geom.n_pixels), a.rmatvec(np.ones(geom.n_rays))
-    for v in sums:
-        v.flags.writeable = False
-    return sums
-
-
 def _check_image(img: ImageGrid, geom: SystemGeometry):
     if img.dims != geom.image_dims:
         raise ConfigurationError(
@@ -494,8 +492,8 @@ def _check_weights(w, geom: SystemGeometry) -> np.ndarray:
 
 def weighted_gram_diag(geom: SystemGeometry, w: np.ndarray) -> ImageGrid:
     """Diagonal of the weighted normal matrix, per pixel: sum_i a_ij w_i (A 1)_i."""
-    w = _check_weights(w, geom)
-    diag = system_matrix(geom).rmatvec(w * matrix_sums(geom)[0])
+    a = system_matrix(geom)
+    diag = a.rmatvec(_check_weights(w, geom) * a.sums[0])
     return ImageGrid(diag.reshape(geom.image_dims), geom.pixel_spacing)
 
 
@@ -505,8 +503,9 @@ def compute_kappa(geom: SystemGeometry, w: np.ndarray) -> ImageGrid:
 
     Pixels crossed by no ray get 0.
     """
-    num = system_matrix(geom).rmatvec(_check_weights(w, geom))
-    den = matrix_sums(geom)[1]
+    a = system_matrix(geom)
+    num = a.rmatvec(_check_weights(w, geom))
+    den = a.sums[1]
     kappa = np.zeros(geom.n_pixels)
     covered = den > 0
     kappa[covered] = np.sqrt(num[covered] / den[covered])

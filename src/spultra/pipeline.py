@@ -21,7 +21,7 @@ from .geometry import ImageGrid, Sinogram
 from .metrics import RoiMask, circle_mask, rmse_roi, roi_stats, ssim, to_hu
 from .recon import (fbp_reconstruct, pwls_ep_reconstruct, pwls_ultra_reconstruct,
                     spultra_reconstruct)
-from .sim import RngSpec, make_phantom, nonpositive_fraction, simulate_prelog
+from .sim import make_phantom, nonpositive_fraction, simulate_prelog
 from .spstats import post_log_convert
 from .ultra import (PatchConfig, extract_patches, learn_transforms,
                     load_transforms, save_transforms)
@@ -87,8 +87,8 @@ def stage_simulate(cfg: ExperimentConfig, out: Path, deterministic: bool) -> dic
     truth = make_phantom(cfg.phantom)
     artifacts = _write_image(out, "x_true", truth, cfg)
 
-    sino = simulate_prelog(truth, cfg.model, cfg.geometry,
-                           RngSpec(cfg.io.seed), deterministic=deterministic)
+    sino = simulate_prelog(truth, cfg.model, cfg.geometry, cfg.io.seed,
+                           deterministic=deterministic)
     sio.write_spim(out / "sino_raw.spim", sino.data, _sino_spacing(cfg.geometry))
     log.info("non-positive fraction: %.4f%%", 100 * nonpositive_fraction(sino.data))
     return {**artifacts, "sino_raw.spim": out / "sino_raw.spim"}
@@ -123,9 +123,8 @@ def _reconstruct_ep(cfg: ExperimentConfig, l_tilde, w_stat) -> ImageGrid:
     if cfg.recon.ep is None:
         raise ConfigurationError("recon.beta_ep must be set to run the edge-preserving method")
     geom = cfg.geometry
-    if geom.beam_kind == "parallel":
-        img = _fbp(cfg, l_tilde)
-        x0 = ImageGrid(np.clip(img.data, 0.0, cfg.recon.x_max), img.spacing)
+    if geom.beam_kind == "parallel":  # the solver clips the start to the box
+        x0 = _fbp(cfg, l_tilde)
     else:  # the edge-preserving problem is strictly convex, so a zero start is fine
         x0 = ImageGrid(np.zeros(geom.image_dims), geom.pixel_spacing)
     return pwls_ep_reconstruct(l_tilde, w_stat, geom, cfg.recon, x0)

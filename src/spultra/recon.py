@@ -19,16 +19,17 @@ from scipy.sparse import dia_matrix
 
 from .errors import ConfigurationError, NumericalError
 from .geometry import (ImageGrid, Sinogram, SystemGeometry, compute_kappa,
-                       forward_project, pixel_centres, system_matrix, weighted_gram_diag)
+                       pixel_centres, system_matrix, weighted_gram_diag)
 from .io import write_csv
-from .metrics import RoiMask, rmse_roi
+from .metrics import DEFAULT_MU_WATER, RoiMask, rmse_roi
 from .spstats import SpModel, neg_log_likelihood, post_log_convert, surrogate_at
-# kept importable as recon.build_surrogate: the benchmark's tracer wraps it there
-from .spstats import build_surrogate  # noqa: F401
 from .ultra import (PatchConfig, SparseState, TransformUnion, accumulate_patches,
                     classwise_apply, extract_patches, patch_weights,
-                    regularizer_majorizer_diag, regularizer_value,
-                    sparse_code_and_cluster)
+                    regularizer_majorizer_diag, sparse_code_and_cluster)
+# unused here, kept importable as recon.<name>: the benchmark's tracer wraps them
+from .geometry import forward_project  # noqa: F401
+from .spstats import build_surrogate  # noqa: F401
+from .ultra import regularizer_value  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -83,8 +84,6 @@ def rho_schedule(t: int, alpha: float) -> float:
 
 def bit_reversal_order(m: int) -> list[int]:
     """Bit-reversal permutation of 0..m-1 (padded to a power of two, filtered)."""
-    if m == 1:
-        return [0]
     bits = (m - 1).bit_length()
     out = []
     for i in range(1 << bits):
@@ -503,7 +502,7 @@ def _ultra_outer_loop(value, quadratic, system: SubsetSystem, w_stat: np.ndarray
 
 def spultra_reconstruct(y_raw: Sinogram, model: SpModel, union: TransformUnion,
                         geom: SystemGeometry, cfg: ReconConfig, x0: ImageGrid,
-                        truth: ImageGrid | None = None, mu_water: float = 0.02,
+                        truth: ImageGrid | None = None, mu_water: float = DEFAULT_MU_WATER,
                         ) -> tuple[ImageGrid, ConvergenceTrace]:
     """Shifted-Poisson reconstruction with the transform-union regularizer.
 
@@ -530,7 +529,7 @@ def spultra_reconstruct(y_raw: Sinogram, model: SpModel, union: TransformUnion,
 def pwls_ultra_reconstruct(l_tilde: np.ndarray, w_stat: np.ndarray,
                            union: TransformUnion, geom: SystemGeometry,
                            cfg: ReconConfig, x0: ImageGrid,
-                           truth: ImageGrid | None = None, mu_water: float = 0.02,
+                           truth: ImageGrid | None = None, mu_water: float = DEFAULT_MU_WATER,
                            ) -> tuple[ImageGrid, ConvergenceTrace]:
     """Post-log weighted-least-squares counterpart: the data term stays fixed,
     so the weighted diagonal is computed once and no surrogate is rebuilt."""
@@ -560,8 +559,7 @@ def pwls_ep_reconstruct(l_tilde: np.ndarray, w_stat: np.ndarray,
     reg = EdgePreservingReg(kappa.data.reshape(-1), cfg.ep, dims)
     system = SubsetSystem(geom, cfg.n_subsets)
     d_a = system.gram_diag(w_stat)
-    x = np.clip(x0.data.reshape(-1), 0.0, cfg.x_max)
-    x = os_lalm_image_update(x, system, w_stat, l_tilde, d_a, reg, cfg,
+    x = os_lalm_image_update(x0.data.reshape(-1), system, w_stat, l_tilde, d_a, reg, cfg,
                              n_passes=cfg.ep.iters)
     return ImageGrid(x.reshape(dims), geom.pixel_spacing)
 
@@ -601,13 +599,3 @@ def fbp_reconstruct(sino: Sinogram, geom: SystemGeometry) -> ImageGrid:
         weight *= 0.5
     return ImageGrid(out * weight, geom.pixel_spacing)
 
-
-def objective_value(x: ImageGrid, state: SparseState, y_raw: Sinogram,
-                    model: SpModel, union: TransformUnion, cfg: ReconConfig,
-                    geom: SystemGeometry) -> float:
-    """Penalized-likelihood objective: shifted-Poisson data term plus regularizer."""
-    counts = np.maximum(y_raw.ravel() + model.sigma2, 0.0)
-    l = forward_project(x, geom).ravel()
-    data = neg_log_likelihood(l, counts, model)
-    reg = regularizer_value(x, state, union, cfg.beta, cfg.gamma_c, cfg.patch)
-    return data + reg

@@ -50,16 +50,6 @@ class PhantomSpec:
     shapes: tuple[Ellipse, ...] = ()
 
 
-@dataclass(frozen=True)
-class RngSpec:
-    """Seed of the counter-based (Philox) generator."""
-
-    seed: int
-
-    def make(self) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(key=self.seed))
-
-
 def make_phantom(spec: PhantomSpec) -> ImageGrid:
     """Rasterize the shapes; a pixel takes the value of the last shape covering
     its center."""
@@ -74,7 +64,7 @@ def make_phantom(spec: PhantomSpec) -> ImageGrid:
 
 
 def simulate_prelog(x_true: ImageGrid, model: SpModel, geom: SystemGeometry,
-                    rng: RngSpec, deterministic: bool = False) -> Sinogram:
+                    seed: int, deterministic: bool = False) -> Sinogram:
     """Raw pre-log counts for the given true image.
 
     Per ray the mean is the beam-hardened attenuated intensity (without the
@@ -84,12 +74,12 @@ def simulate_prelog(x_true: ImageGrid, model: SpModel, geom: SystemGeometry,
     l = forward_project(x_true, geom).ravel()
     with np.errstate(over="ignore"):  # _draw reports an infinite mean
         mean = model.i0 * np.exp(-model.f(l))
-    y = _draw(mean, np.sqrt(model.sigma2), rng, deterministic)
+    y = _draw(mean, np.sqrt(model.sigma2), seed, deterministic)
     return Sinogram(y.reshape(geom.n_views, geom.n_detectors))
 
 
 def scale_dose(y_standard: np.ndarray, alpha_scale: float, sigma: float,
-               rng: RngSpec, deterministic: bool = False) -> np.ndarray:
+               seed: int, deterministic: bool = False) -> np.ndarray:
     """Synthesize a lower-dose scan from standard-dose raw counts by scaling
     the Poisson mean down by ``alpha_scale`` and adding electronic noise."""
     y_standard = np.asarray(y_standard, dtype=np.float64)
@@ -97,20 +87,21 @@ def scale_dose(y_standard: np.ndarray, alpha_scale: float, sigma: float,
         raise ValueError("alpha_scale must be >= 1")
     if np.any(y_standard < 0):
         raise ValueError("standard-dose counts must be nonnegative")
-    return _draw(y_standard / alpha_scale, sigma, rng, deterministic)
+    return _draw(y_standard / alpha_scale, sigma, seed, deterministic)
 
 
-def _draw(mean, sigma, rng: RngSpec, deterministic: bool) -> np.ndarray:
+def _draw(mean, sigma, seed: int, deterministic: bool) -> np.ndarray:
     """Poisson counts around ``mean`` plus Gaussian noise of standard deviation
-    ``sigma`` when it is > 0; a copy of ``mean`` in deterministic mode. In
-    either mode a mean the sampler cannot take raises ConfigurationError."""
+    ``sigma`` when it is > 0, from the Philox stream keyed by ``seed``; a copy
+    of ``mean`` in deterministic mode. In either mode a mean the sampler
+    cannot take raises ConfigurationError."""
     peak = float(np.max(mean, initial=0.0))
     if not peak <= POISSON_MEAN_MAX:  # also NaN
         raise ConfigurationError(f"model.s2: the largest Poisson mean count is {peak:.6g}, "
                                  f"above the sampler's limit {POISSON_MEAN_MAX:g}")
     if deterministic:
         return mean.copy()
-    gen = rng.make()
+    gen = np.random.Generator(np.random.Philox(key=seed))
     y = gen.poisson(mean).astype(np.float64)
     if sigma > 0:
         y += gen.normal(0.0, sigma, size=y.shape)

@@ -20,7 +20,7 @@ from spultra.pipeline import EXIT_OK, run_pipeline
 from spultra.recon import (EpParams, ReconConfig, UltraQuadReg, fbp_reconstruct,
                            pwls_ep_reconstruct, pwls_ultra_reconstruct,
                            rho_schedule, spultra_reconstruct)
-from spultra.sim import (Ellipse, PhantomSpec, RngSpec, make_phantom,
+from spultra.sim import (Ellipse, PhantomSpec, make_phantom,
                          nonpositive_fraction, simulate_prelog)
 from spultra.spstats import (SpModel, SurrogateState, likelihood_gradient,
                              neg_log_likelihood, optimum_curvature,
@@ -263,7 +263,7 @@ def run7():
                           image_dims=(64, 64), pixel_spacing=(3.5, 3.5))
     model = SpModel(i0=3e3, sigma2=25.0)
     truth = make_phantom(FOUR_ELLIPSE_64)
-    sino = simulate_prelog(truth, model, geom, RngSpec(11))
+    sino = simulate_prelog(truth, model, geom, 11)
     l_t, w_t = post_log_convert(sino.ravel(), model)
 
     patch = PatchConfig(8, 1)
@@ -320,7 +320,7 @@ def run9():
     truth = make_phantom(phantom)
     model = SpModel(i0=2e3, sigma2=25.0)
     t0 = time.perf_counter()
-    sino = simulate_prelog(truth, model, geom, RngSpec(21))
+    sino = simulate_prelog(truth, model, geom, 21)
     l_t, w_t = post_log_convert(sino.ravel(), model)
 
     patch_learn = PatchConfig(8, 1)
@@ -369,7 +369,7 @@ def test_criterion_10_nonpositive_fraction_monotone():
                                      (Ellipse(0, 0, 163.0, 163.0, 0, 0.02),)))
     fracs = []
     for i0 in (1e4, 5e3, 3e3, 2e3):
-        sino = simulate_prelog(truth, SpModel(i0=i0, sigma2=25.0), geom, RngSpec(7))
+        sino = simulate_prelog(truth, SpModel(i0=i0, sigma2=25.0), geom, 7)
         fracs.append(nonpositive_fraction(sino.data))
     ok = fracs[0] > 0 and all(b > a for a, b in zip(fracs, fracs[1:]))
     _report(10, "non-positive fraction strictly increases as dose drops", ok,

@@ -306,13 +306,20 @@ INVALID_NUMBERS = [
     ("metrics", "mu_water", "1e-200", "metrics.mu_water: must be >= 1e-06, got 1e-200"),
     ("metrics", "mu_water", "1e-100", "metrics.mu_water: must be >= 1e-06, got 1e-100"),
     ("metrics", "mu_water", "0", "metrics.mu_water: must be >= 1e-06, got 0.0"),
+    ("metrics", "mu_water", "1e300", "metrics.mu_water: must be <= 1000000.0, got 1e+300"),
     ("learning", "gamma_c", "1e300", "learning.gamma_c: must be <= 1e+150, got 1e+300"),
     ("recon", "gamma_c", "1e300", "recon.gamma_c: must be <= 1e+150, got 1e+300"),
     ("geometry", "detector_spacing", "nan", f"geometry.detector_spacing: {_FINITE} nan"),
+    ("geometry", "detector_spacing", "1e-300",
+     "geometry.detector_spacing: must be >= 1e-06, got 1e-300"),
     ("geometry", "angular_range", "inf", f"geometry.angular_range: {_FINITE} inf"),
+    ("geometry", "angular_range", "1e300",
+     f"geometry.angular_range: must be <= {2 * math.pi}, got 1e+300"),
     ("geometry", "pixel_spacing", "inf 3.5", f"geometry.pixel_spacing: {_FINITE} inf"),
     ("geometry", "pixel_spacing", "nan 3.5", f"geometry.pixel_spacing: {_FINITE} nan"),
     ("geometry", "pixel_spacing", "0 3.5", "geometry.pixel_spacing: must be > 0.0, got 0.0"),
+    ("geometry", "pixel_spacing", "1e300 1e300",
+     "geometry.pixel_spacing: must be <= 1000000.0, got 1e+300"),
     ("geometry", "pixel_spacing", "3.5 -1",
      "geometry.pixel_spacing: must be > 0.0, got -1.0"),
     ("geometry", "image_dims", "0 64", "geometry.image_dims: must be >= 1, got 0"),

@@ -14,8 +14,8 @@ from spultra import geometry
 from spultra.config import parse_config
 from spultra.errors import ConfigurationError
 from spultra.geometry import (ImageGrid, Sinogram, SystemGeometry, back_project,
-                              compute_kappa, forward_project, matrix_sums,
-                              pixel_centres, system_matrix, weighted_gram_diag)
+                              compute_kappa, forward_project, pixel_centres,
+                              system_matrix, weighted_gram_diag)
 from spultra.recon import SubsetSystem
 
 from conftest import dense_system, small_parallel
@@ -162,27 +162,30 @@ def test_kappa_dense_oracle(small_geom):
 
 def test_matrix_sums_cached_read_only(small_geom):
     a = system_matrix(small_geom)
-    rows, cols = matrix_sums(small_geom)
+    rows, cols = a.sums
     assert rows.tobytes() == (a @ np.ones(small_geom.n_pixels)).tobytes()
     assert cols.tobytes() == a.rmatvec(np.ones(small_geom.n_rays)).tobytes()
     for sums in (rows, cols):
         with pytest.raises(ValueError, match="read-only"):
             sums[0] = 1.0
-    assert matrix_sums(small_geom)[0] is rows
+    assert system_matrix(small_geom).sums[0] is rows
 
 
 def test_matrix_sums_computed_once_per_geometry():
-    # a geometry no other test uses, so the cache does not hold it yet
+    # a geometry no other test uses, so neither its matrix nor its sums exist yet
     geom = SystemGeometry("parallel", n_detectors=7, n_views=6, detector_spacing=1.4,
                           angular_range=np.pi, image_dims=(4, 5), pixel_spacing=(1.2, 0.8))
     w = np.linspace(0.5, 2.0, geom.n_rays)
-    misses = matrix_sums.cache_info().misses
-    for m in (1, 2, 3):
-        system = SubsetSystem(geom, m)
-        assert system.gram_diag(w).tobytes() == \
-            weighted_gram_diag(geom, w).data.reshape(-1).tobytes()
-        compute_kappa(geom, w)
-    assert matrix_sums.cache_info().misses == misses + 1
+    # here only the sums call A @ x (for A 1), so its calls count their formations
+    with mock.patch.object(geometry.SystemMatrix, "__matmul__", autospec=True,
+                           side_effect=geometry.SystemMatrix.__matmul__) as matmul:
+        for m in (1, 2, 3):
+            system = SubsetSystem(geom, m)
+            assert system.gram_diag(w).tobytes() == \
+                weighted_gram_diag(geom, w).data.reshape(-1).tobytes()
+            compute_kappa(geom, w)
+    assert matmul.call_count == 1
+    assert "sums" in vars(system_matrix(geom))
 
 
 def test_pixel_centres_sit_inside_the_traced_pixels():

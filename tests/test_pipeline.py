@@ -285,6 +285,14 @@ def test_cli_seed_out_of_range_exits_1(tmp_path, where, seed, msg):
     ("gamma_c = 0.0004", "gamma_c = 1e300", "recon.gamma_c: must be <= 1e+150, got 1e+300"),
     ("mu_water = 0.02", "mu_water = 1e-200", "metrics.mu_water: must be >= 1e-06, got 1e-200"),
     ("mu_water = 0.02", "mu_water = 1e-100", "metrics.mu_water: must be >= 1e-06, got 1e-100"),
+    ("mu_water = 0.02", "mu_water = 1e300", "metrics.mu_water: must be <= 1000000.0, got 1e+300"),
+    ("detector_spacing = 2.0", "detector_spacing = 1e-300",
+     "geometry.detector_spacing: must be >= 1e-06, got 1e-300"),
+    ("detector_spacing = 2.0", "detector_spacing = 2.0\nangular_range = 1e300",
+     "geometry.angular_range: must be <= 6.283185307179586, got 1e+300"),
+    # rejected before the ROI check squares the pixel coordinates
+    ("pixel_spacing = 3.0 3.0", "pixel_spacing = 1e300 1e300",
+     "geometry.pixel_spacing: must be <= 1000000.0, got 1e+300"),
 ])
 def test_cli_invalid_number_exits_1_before_any_stage(tmp_path, line, bad, msg):
     out = tmp_path / "bad"
@@ -295,7 +303,7 @@ def test_cli_invalid_number_exits_1_before_any_stage(tmp_path, line, bad, msg):
     r = run_cli("all", "--config", str(cfg_path))
     assert r.returncode == EXIT_ERROR
     assert msg in r.stderr
-    assert "Traceback" not in r.stderr
+    assert "Traceback" not in r.stderr and "Warning" not in r.stderr
     assert not out.exists()
 
 
@@ -371,6 +379,19 @@ def test_cli_numerical_abort_exits_3_and_names_the_method(tmp_path, key, method)
         assert lines[1].startswith("0,")
     else:
         assert traces == []
+
+
+@pytest.mark.parametrize("key, value", [("angular_range", "6.283185307179586"),
+                                        ("detector_spacing", "1e-6"), ("mu_water", "1e6"),
+                                        ("pixel_spacing", "1e6 1e6")])
+def test_cli_run_at_a_geometry_or_metrics_bound_is_clean(tmp_path, key, value):
+    path = _one_iteration_waterdisk64(tmp_path, **{key: value})
+    if key == "pixel_spacing":  # the ROIs, given in mm, cover no centre of 1 km pixels
+        path.write_text(re.sub(r"(?m)^rois =\n(    .*\n)+", "", path.read_text()))
+    r = run_cli("all", "--config", str(path))
+    assert r.returncode == EXIT_OK, r.stderr
+    assert "Traceback" not in r.stderr and "Warning" not in r.stderr
+    assert (tmp_path / "out" / "metrics.csv").exists()
 
 
 def test_partial_trace_replaces_a_complete_one(stale_run, tmp_path, caplog):

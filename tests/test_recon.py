@@ -15,11 +15,10 @@ from spultra.geometry import (ImageGrid, Sinogram, SystemGeometry, compute_kappa
 from spultra.recon import (TRACE_COLUMNS, ConvergenceTrace, EdgePreservingReg, EpParams,
                            ReconConfig, SubsetSystem, UltraQuadReg,
                            bit_reversal_order, ep_potential, ep_potential_dot,
-                           fbp_reconstruct, objective_value,
-                           os_lalm_image_update, pwls_ep_reconstruct,
+                           fbp_reconstruct, os_lalm_image_update, pwls_ep_reconstruct,
                            pwls_ultra_reconstruct, rho_schedule, spultra_reconstruct)
-from spultra.sim import Ellipse, PhantomSpec, RngSpec, make_phantom, simulate_prelog
-from spultra.spstats import SpModel, post_log_convert
+from spultra.sim import Ellipse, PhantomSpec, make_phantom, simulate_prelog
+from spultra.spstats import SpModel, neg_log_likelihood, post_log_convert
 from spultra.ultra import (PatchConfig, SparseState, TransformUnion, accumulate_patches,
                            extract_patches, initial_transform, patch_weights,
                            regularizer_value, sparse_code_and_cluster)
@@ -428,7 +427,7 @@ def _tiny_setup(seed=0, i0=2000.0):
     truth = make_phantom(PhantomSpec((16, 16), (1.0, 1.0),
                                      (Ellipse(0, 0, 7, 7, 0, 0.02),
                                       Ellipse(2, 1, 3, 2, 0.4, 0.035))))
-    sino = simulate_prelog(truth, model, geom, RngSpec(seed))
+    sino = simulate_prelog(truth, model, geom, seed)
     union = TransformUnion(initial_transform(16)[None, :, :])
     cfg = ReconConfig(beta=5.0, gamma_c=1e-3, n_outer=6, n_inner=2, n_subsets=2,
                       x_max=0.1, patch=PatchConfig(4, 2))
@@ -526,7 +525,7 @@ def test_noiseless_consistent_recovery():
     truth = make_phantom(PhantomSpec((32, 32), (1.0, 1.0),
                                      (Ellipse(0, 0, 14, 14, 0, 0.02),
                                       Ellipse(-4, 3, 5, 4, 0.2, 0.03))))
-    sino = simulate_prelog(truth, model, geom, RngSpec(0), deterministic=True)
+    sino = simulate_prelog(truth, model, geom, 0, deterministic=True)
     union = TransformUnion(initial_transform(16)[None, :, :])
     cfg = ReconConfig(beta=1e-6, gamma_c=5e-5, n_outer=120, n_inner=10, n_subsets=4,
                       x_max=0.1, patch=PatchConfig(4, 1))
@@ -544,7 +543,7 @@ def test_noiseless_consistent_recovery():
 def test_majorizer_sandwich_across_outer_iteration():
     # the dropped-constant relation: L(x_next) <= 0.5||y~ - A x_next||_W^2 + Qc
     # where Qc = L(x_n) - 0.5 ||d_h||^2_{W^{-1}}
-    from spultra.spstats import build_surrogate, neg_log_likelihood
+    from spultra.spstats import build_surrogate
     geom, model, truth, sino, union, cfg = _tiny_setup(seed=6)
     counts = np.maximum(sino.ravel() + model.sigma2, 0.0)
     a = system_matrix(geom)
@@ -562,6 +561,16 @@ def test_majorizer_sandwich_across_outer_iteration():
         assert lhs <= phi + q_c + 1e-7 * (1 + abs(lhs))
 
 
+def objective_value(x: ImageGrid, state: SparseState, y_raw: Sinogram, model: SpModel,
+                    union: TransformUnion, cfg: ReconConfig, geom: SystemGeometry) -> float:
+    """Reference penalized-likelihood objective, formed independently of the
+    solver's bookkeeping: shifted-Poisson data term plus regularizer."""
+    counts = np.maximum(y_raw.ravel() + model.sigma2, 0.0)
+    l = forward_project(x, geom).ravel()
+    data = neg_log_likelihood(l, counts, model)
+    return data + regularizer_value(x, state, union, cfg.beta, cfg.gamma_c, cfg.patch)
+
+
 def test_objective_value_beta_zero_and_additivity():
     geom, model, truth, sino, union, cfg = _tiny_setup(seed=2)
     x = ImageGrid(np.clip(truth.data, 0, 0.1))
@@ -570,7 +579,6 @@ def test_objective_value_beta_zero_and_additivity():
     tau = patch_weights(compute_kappa(geom, w_t), cfg.patch)
     state = sparse_code_and_cluster(x, union, cfg.gamma_c, tau, cfg.patch)
 
-    from spultra.spstats import neg_log_likelihood
     cfg0 = ReconConfig(beta=0.0, gamma_c=cfg.gamma_c, n_outer=1, patch=cfg.patch)
     g0 = objective_value(x, state, sino, model, union, cfg0, geom)
     l = forward_project(x, geom).ravel()

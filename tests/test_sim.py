@@ -3,7 +3,7 @@ import pytest
 
 from spultra.errors import ConfigurationError
 from spultra.geometry import forward_project
-from spultra.sim import (POISSON_MEAN_MAX, Ellipse, PhantomSpec, RngSpec, make_phantom,
+from spultra.sim import (POISSON_MEAN_MAX, Ellipse, PhantomSpec, make_phantom,
                          nonpositive_fraction, scale_dose, simulate_prelog)
 from spultra.spstats import SpModel
 
@@ -41,12 +41,12 @@ def test_deterministic_mode_mean():
     model = SpModel(i0=100.0, sigma2=25.0, s1=1.1, s2=0.01)
     truth = make_phantom(PhantomSpec(geom.image_dims, (1.0, 1.0),
                                      (Ellipse(0, 0, 3, 3, 0, 0.05),)))
-    sino = simulate_prelog(truth, model, geom, RngSpec(0), deterministic=True)
+    sino = simulate_prelog(truth, model, geom, 0, deterministic=True)
     l = forward_project(truth, geom).data
     assert np.allclose(sino.data, model.i0 * np.exp(-(model.s1 * l + model.s2 * l * l)))
 
     zero = make_phantom(PhantomSpec(geom.image_dims, (1.0, 1.0), ()))
-    sino0 = simulate_prelog(zero, model, geom, RngSpec(0), deterministic=True)
+    sino0 = simulate_prelog(zero, model, geom, 0, deterministic=True)
     assert np.allclose(sino0.data, model.i0)
 
 
@@ -63,11 +63,11 @@ def test_negative_s2_beyond_the_poisson_range_is_a_config_error(s2):
     # the noisy draw and its deterministic mean alike
     for deterministic in (False, True):
         with pytest.raises(ConfigurationError, match=r"^model\.s2: ") as err:
-            simulate_prelog(truth, model, geom, RngSpec(0), deterministic=deterministic)
+            simulate_prelog(truth, model, geom, 0, deterministic=deterministic)
         assert f"{peak:.6g}" in str(err.value)
         # a milder beam-hardening term stays within the sampler's range
         y = simulate_prelog(truth, SpModel(i0=1000.0, sigma2=25.0, s2=-0.1), geom,
-                            RngSpec(0), deterministic=deterministic)
+                            0, deterministic=deterministic)
         assert np.all(np.isfinite(y.data))
 
 
@@ -76,10 +76,10 @@ def test_fixed_seed_reproducible_bytes():
     model = SpModel(i0=1000.0, sigma2=25.0)
     truth = make_phantom(PhantomSpec(geom.image_dims, (1.0, 1.0),
                                      (Ellipse(0, 0, 3, 3, 0, 0.03),)))
-    a = simulate_prelog(truth, model, geom, RngSpec(42)).data
-    b = simulate_prelog(truth, model, geom, RngSpec(42)).data
+    a = simulate_prelog(truth, model, geom, 42).data
+    b = simulate_prelog(truth, model, geom, 42).data
     assert a.tobytes() == b.tobytes()
-    c = simulate_prelog(truth, model, geom, RngSpec(43)).data
+    c = simulate_prelog(truth, model, geom, 43).data
     assert a.tobytes() != c.tobytes()
 
 
@@ -95,8 +95,7 @@ def test_simulated_mean_within_standard_errors():
     sums = np.zeros(geom.n_rays)
     sums2 = np.zeros(geom.n_rays)
     for i in range(20):
-        rng = RngSpec(1000 + i)
-        y = simulate_prelog(truth, model, geom, rng).ravel()
+        y = simulate_prelog(truth, model, geom, 1000 + i).ravel()
         sums += y
     # 20 sinograms is cheap; draw the rest from one long stream per ray
     gen = np.random.Generator(np.random.Philox(key=7))
@@ -126,15 +125,15 @@ def test_shifted_variance_matches_mean():
 
 
 def test_scale_dose_identity_and_mean():
-    rng = RngSpec(3)
+    seed = 3
     y_std = np.full(2000, 400.0)
-    same = scale_dose(y_std, 1.0, 0.0, rng, deterministic=True)
+    same = scale_dose(y_std, 1.0, 0.0, seed, deterministic=True)
     assert np.array_equal(same, y_std)
 
-    scaled = scale_dose(y_std, 8.0, 5.0, rng)
+    scaled = scale_dose(y_std, 8.0, 5.0, seed)
     assert scaled.mean() == pytest.approx(50.0, abs=3 * np.sqrt((50 + 25) / 2000))
     with pytest.raises(ValueError):
-        scale_dose(y_std, 0.5, 1.0, rng)
+        scale_dose(y_std, 0.5, 1.0, seed)
 
 
 def test_scale_dose_high_factor_produces_nonpositives():
@@ -143,7 +142,7 @@ def test_scale_dose_high_factor_produces_nonpositives():
     gen = np.random.Generator(np.random.Philox(key=2))
     y_std = gen.poisson(2000.0, 20000).astype(np.float64)
     assert np.all(y_std > 0)
-    low = scale_dose(y_std, 200.0, 5.0, RngSpec(4))
+    low = scale_dose(y_std, 200.0, 5.0, 4)
     frac = nonpositive_fraction(low)
     assert frac > 0.0
     assert frac < 0.5
@@ -166,7 +165,7 @@ def test_nonpositive_fraction_monotone_in_dose():
     fracs = []
     for i0 in (1e4, 5e3, 3e3, 2e3):
         model = SpModel(i0=i0, sigma2=25.0)
-        sino = simulate_prelog(truth, model, geom, RngSpec(7))
+        sino = simulate_prelog(truth, model, geom, 7)
         fracs.append(nonpositive_fraction(sino.data))
     assert fracs[0] > 0
     assert all(b > a for a, b in zip(fracs, fracs[1:]))
