@@ -115,24 +115,6 @@ class ImageGrid:
         return self.data.shape
 
 
-@dataclass
-class Sinogram:
-    """Per-ray measurements, shape (n_views, n_detectors).
-
-    Values may be raw counts or line integrals depending on the stage.
-    """
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.ndim != 2:
-            raise ConfigurationError("Sinogram data must be 2D (n_views, n_detectors)")
-
-    def ravel(self) -> np.ndarray:
-        return self.data.reshape(-1)
-
-
 def _ray_endpoints(geom: SystemGeometry) -> tuple[np.ndarray, np.ndarray]:
     """Source/destination points for every ray, each (n_rays, 2), view-major order."""
     angles = geom.view_angles()
@@ -463,21 +445,22 @@ def _check_image(img: ImageGrid, geom: SystemGeometry):
         )
 
 
-def forward_project(img: ImageGrid, geom: SystemGeometry) -> Sinogram:
-    """Line integrals of ``img`` along every ray (mm^-1 * mm, dimensionless)."""
+def forward_project(img: ImageGrid, geom: SystemGeometry) -> np.ndarray:
+    """Line integrals of ``img`` along every ray (mm^-1 * mm, dimensionless),
+    shape (n_views, n_detectors)."""
     _check_image(img, geom)
     y = system_matrix(geom) @ img.data.reshape(-1)
-    return Sinogram(y.reshape(geom.n_views, geom.n_detectors))
+    return y.reshape(geom.n_views, geom.n_detectors)
 
 
-def back_project(sino: Sinogram, geom: SystemGeometry) -> ImageGrid:
+def back_project(sino: np.ndarray, geom: SystemGeometry) -> ImageGrid:
     """Adjoint of :func:`forward_project`, using identical intersection weights."""
-    if sino.data.shape != (geom.n_views, geom.n_detectors):
+    if np.shape(sino) != (geom.n_views, geom.n_detectors):
         raise ConfigurationError(
-            f"sinogram shape {sino.data.shape} does not match geometry "
+            f"sinogram shape {np.shape(sino)} does not match geometry "
             f"({geom.n_views}, {geom.n_detectors})"
         )
-    x = system_matrix(geom).rmatvec(sino.ravel())
+    x = system_matrix(geom).rmatvec(np.ravel(sino))
     return ImageGrid(x.reshape(geom.image_dims), geom.pixel_spacing)
 
 

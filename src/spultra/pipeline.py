@@ -17,7 +17,7 @@ import numpy as np
 from . import io as sio
 from .config import ExperimentConfig
 from .errors import ConfigurationError, NumericalError
-from .geometry import ImageGrid, Sinogram
+from .geometry import ImageGrid
 from .metrics import RoiMask, circle_mask, rmse_roi, roi_stats, ssim, to_hu
 from .recon import (fbp_reconstruct, pwls_ep_reconstruct, pwls_ultra_reconstruct,
                     spultra_reconstruct)
@@ -89,8 +89,8 @@ def stage_simulate(cfg: ExperimentConfig, out: Path, deterministic: bool) -> dic
 
     sino = simulate_prelog(truth, cfg.model, cfg.geometry, cfg.io.seed,
                            deterministic=deterministic)
-    sio.write_spim(out / "sino_raw.spim", sino.data, _sino_spacing(cfg.geometry))
-    log.info("non-positive fraction: %.4f%%", 100 * nonpositive_fraction(sino.data))
+    sio.write_spim(out / "sino_raw.spim", sino, _sino_spacing(cfg.geometry))
+    log.info("non-positive fraction: %.4f%%", 100 * nonpositive_fraction(sino))
     return {**artifacts, "sino_raw.spim": out / "sino_raw.spim"}
 
 
@@ -116,7 +116,7 @@ def stage_learn(cfg: ExperimentConfig, out: Path) -> dict:
 def _fbp(cfg: ExperimentConfig, l_tilde) -> ImageGrid:
     """Filtered backprojection of the flat line integrals ``l_tilde``."""
     geom = cfg.geometry
-    return fbp_reconstruct(Sinogram(l_tilde.reshape(geom.n_views, geom.n_detectors)), geom)
+    return fbp_reconstruct(l_tilde.reshape(geom.n_views, geom.n_detectors), geom)
 
 
 def _reconstruct_ep(cfg: ExperimentConfig, l_tilde, w_stat) -> ImageGrid:
@@ -135,9 +135,8 @@ def stage_reconstruct(cfg: ExperimentConfig, out: Path, method: str) -> dict:
     if method not in METHODS:
         raise ConfigurationError(f"unknown method {method!r}; choose from {METHODS}")
     geom = cfg.geometry
-    raw, _ = _read_sized(out / "sino_raw.spim", "raw sinogram (run 'simulate' first)",
-                         (geom.n_views, geom.n_detectors))
-    y_raw = Sinogram(raw)
+    y_raw, _ = _read_sized(out / "sino_raw.spim", "raw sinogram (run 'simulate' first)",
+                           (geom.n_views, geom.n_detectors))
     l_tilde, w_stat = post_log_convert(y_raw.ravel(), cfg.model)
 
     truth = None
@@ -202,6 +201,7 @@ def stage_evaluate(cfg: ExperimentConfig, out: Path) -> dict:
                         cfg.geometry.image_dims if cfg.geometry else None)
     rois = _eval_rois(cfg, truth)
     mu_water = cfg.metrics.mu_water
+    hu_truth = to_hu(truth, mu_water)
     run_id = f"{cfg.config_hash[:8]}-s{cfg.io.seed}"
 
     rows = []
@@ -214,7 +214,6 @@ def stage_evaluate(cfg: ExperimentConfig, out: Path) -> dict:
         found = True
         img = _load_image(path, method, truth.dims)
         hu_img = to_hu(img, mu_water)
-        hu_truth = to_hu(truth, mu_water)
         rows.append((run_id, method, "rmse_hu", rois[0].label,
                      rmse_roi(img, truth, rois[0], mu_water)))
         # the default 8-pixel window, shrunk to fit images narrower than it

@@ -18,8 +18,8 @@ import numpy as np
 from scipy.sparse import dia_matrix
 
 from .errors import ConfigurationError, NumericalError
-from .geometry import (ImageGrid, Sinogram, SystemGeometry, compute_kappa,
-                       pixel_centres, system_matrix, weighted_gram_diag)
+from .geometry import (ImageGrid, SystemGeometry, compute_kappa, pixel_centres,
+                       system_matrix, weighted_gram_diag)
 from .io import write_csv
 from .metrics import DEFAULT_MU_WATER, RoiMask, rmse_roi
 from .spstats import SpModel, neg_log_likelihood, post_log_convert, surrogate_at
@@ -439,8 +439,8 @@ class ConvergenceTrace:
 
 
 def _ultra_outer_loop(value, quadratic, system: SubsetSystem, w_stat: np.ndarray,
-                      union: TransformUnion, geom: SystemGeometry, cfg: ReconConfig,
-                      x0: ImageGrid, truth: ImageGrid | None, mu_water: float,
+                      union: TransformUnion, cfg: ReconConfig, x0: ImageGrid,
+                      truth: ImageGrid | None, mu_water: float,
                       ) -> tuple[ImageGrid, ConvergenceTrace]:
     """Alternate image updates with sparse coding and clustering.
 
@@ -453,6 +453,7 @@ def _ultra_outer_loop(value, quadratic, system: SubsetSystem, w_stat: np.ndarray
     that also scores the codes before and after (the regularizer terms of
     the trace). A numerical abort carries the partial trace as ``err.trace``.
     """
+    geom = system.geom
     dims = geom.image_dims
     tau = patch_weights(compute_kappa(geom, w_stat), cfg.patch)
     x = np.clip(x0.data.reshape(-1), 0.0, cfg.x_max)
@@ -500,7 +501,7 @@ def _ultra_outer_loop(value, quadratic, system: SubsetSystem, w_stat: np.ndarray
     return ImageGrid(x.reshape(dims), geom.pixel_spacing), trace
 
 
-def spultra_reconstruct(y_raw: Sinogram, model: SpModel, union: TransformUnion,
+def spultra_reconstruct(y_raw: np.ndarray, model: SpModel, union: TransformUnion,
                         geom: SystemGeometry, cfg: ReconConfig, x0: ImageGrid,
                         truth: ImageGrid | None = None, mu_water: float = DEFAULT_MU_WATER,
                         ) -> tuple[ImageGrid, ConvergenceTrace]:
@@ -511,8 +512,9 @@ def spultra_reconstruct(y_raw: Sinogram, model: SpModel, union: TransformUnion,
     data diagonal) at the current image, from the projection the data term
     was evaluated at.
     """
-    counts = np.maximum(y_raw.ravel() + model.sigma2, 0.0)
-    _, w_stat = post_log_convert(y_raw.ravel(), model)
+    y_raw = np.asarray(y_raw, dtype=np.float64).reshape(-1)
+    counts = np.maximum(y_raw + model.sigma2, 0.0)
+    _, w_stat = post_log_convert(y_raw, model)
     system = SubsetSystem(geom, cfg.n_subsets)
 
     def value(l):
@@ -522,8 +524,8 @@ def spultra_reconstruct(y_raw: Sinogram, model: SpModel, union: TransformUnion,
         surr = surrogate_at(l, counts, model)
         return surr.w, surr.y_tilde, system.gram_diag(surr.w)
 
-    return _ultra_outer_loop(value, quadratic, system, w_stat, union, geom, cfg, x0,
-                             truth, mu_water)
+    return _ultra_outer_loop(value, quadratic, system, w_stat, union, cfg, x0, truth,
+                             mu_water)
 
 
 def pwls_ultra_reconstruct(l_tilde: np.ndarray, w_stat: np.ndarray,
@@ -543,7 +545,7 @@ def pwls_ultra_reconstruct(l_tilde: np.ndarray, w_stat: np.ndarray,
         return 0.5 * float(np.sum(w_stat * r * r))
 
     return _ultra_outer_loop(value, lambda l: (w_stat, l_tilde, d_a), system, w_stat,
-                             union, geom, cfg, x0, truth, mu_water)
+                             union, cfg, x0, truth, mu_water)
 
 
 def pwls_ep_reconstruct(l_tilde: np.ndarray, w_stat: np.ndarray,
@@ -564,7 +566,7 @@ def pwls_ep_reconstruct(l_tilde: np.ndarray, w_stat: np.ndarray,
     return ImageGrid(x.reshape(dims), geom.pixel_spacing)
 
 
-def fbp_reconstruct(sino: Sinogram, geom: SystemGeometry) -> ImageGrid:
+def fbp_reconstruct(sino: np.ndarray, geom: SystemGeometry) -> ImageGrid:
     """Filtered backprojection of a parallel-beam line-integral sinogram.
 
     Frequency-domain ramp with rectangular apodization, zero-padded to the
@@ -576,7 +578,7 @@ def fbp_reconstruct(sino: Sinogram, geom: SystemGeometry) -> ImageGrid:
     if geom.n_views < 8:
         log.warning("only %d views; reconstruction will be severely undersampled",
                     geom.n_views)
-    p = sino.data
+    p = np.asarray(sino, dtype=np.float64)
     if p.shape != (geom.n_views, geom.n_detectors):
         raise ConfigurationError("sinogram shape does not match geometry")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import ImageGrid, Sinogram, SystemGeometry, forward_project, pixel_centres
+from .geometry import ImageGrid, SystemGeometry, forward_project, pixel_centres
 from .spstats import SpModel
 
 # the largest mean numpy's Poisson sampler takes (it rejects means above about
@@ -64,8 +64,8 @@ def make_phantom(spec: PhantomSpec) -> ImageGrid:
 
 
 def simulate_prelog(x_true: ImageGrid, model: SpModel, geom: SystemGeometry,
-                    seed: int, deterministic: bool = False) -> Sinogram:
-    """Raw pre-log counts for the given true image.
+                    seed: int, deterministic: bool = False) -> np.ndarray:
+    """Raw pre-log counts for the given true image, shape (n_views, n_detectors).
 
     Per ray the mean is the beam-hardened attenuated intensity (without the
     electronic shift). Non-positive outcomes are kept; downstream conversion
@@ -75,7 +75,7 @@ def simulate_prelog(x_true: ImageGrid, model: SpModel, geom: SystemGeometry,
     with np.errstate(over="ignore"):  # _draw reports an infinite mean
         mean = model.i0 * np.exp(-model.f(l))
     y = _draw(mean, np.sqrt(model.sigma2), seed, deterministic)
-    return Sinogram(y.reshape(geom.n_views, geom.n_detectors))
+    return y.reshape(geom.n_views, geom.n_detectors)
 
 
 def scale_dose(y_standard: np.ndarray, alpha_scale: float, sigma: float,

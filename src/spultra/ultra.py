@@ -73,7 +73,14 @@ class TransformUnion:
         if self.transforms.ndim != 3 or self.transforms.shape[1] != self.transforms.shape[2] \
                 or self.transforms.shape[0] == 0:
             raise ConfigurationError("transforms must be (K, v, v) with K >= 1")
+        with np.errstate(over="ignore"):  # ||O||_F^2 bounds every entry of O^T O
+            fro2 = np.square(self.transforms).sum(axis=(1, 2))
         for k in range(self.k):
+            if not np.isfinite(self.transforms[k]).all():
+                raise ConfigurationError(f"transform {k} has a non-finite entry")
+            if not np.isfinite(fro2[k]):
+                raise ConfigurationError(f"transform {k} has a squared Frobenius norm "
+                                         f"above the float64 range")
             sign, _ = np.linalg.slogdet(self.transforms[k])
             if sign == 0:
                 raise ConfigurationError(f"transform {k} is singular")
@@ -419,4 +426,7 @@ def load_transforms(path) -> TransformUnion:
             raise ConfigurationError(f"not a transform file: bad magic {magic!r}")
         k, v = struct.unpack("<II", read_exact(fh, 8, "transform file header"))
         data = np.frombuffer(read_exact(fh, 8 * k * v * v, "transform file"), dtype="<f8")
-    return TransformUnion(data.reshape(k, v, v).astype(np.float64))
+    try:
+        return TransformUnion(data.reshape(k, v, v).astype(np.float64))
+    except ConfigurationError as err:
+        raise ConfigurationError(f"{path}: {err}") from None

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from spultra.config import parse_config
-from spultra.geometry import (ImageGrid, Sinogram, SystemGeometry, back_project,
+from spultra.geometry import (ImageGrid, SystemGeometry, back_project,
                               compute_kappa, forward_project, weighted_gram_diag)
 from spultra.metrics import RoiMask, rmse_roi, ssim, to_hu
 from spultra.pipeline import EXIT_OK, run_pipeline
@@ -50,7 +50,7 @@ def test_criterion_01_adjoint_identity():
             x = rng.standard_normal(geom.n_pixels)
             y = rng.standard_normal(geom.n_rays)
             ax = forward_project(ImageGrid(x.reshape(geom.image_dims)), geom).ravel()
-            aty = back_project(Sinogram(y.reshape(geom.n_views, geom.n_detectors)),
+            aty = back_project(y.reshape(geom.n_views, geom.n_detectors),
                                geom).data.reshape(-1)
             ok &= abs(ax @ y - x @ aty) <= 1e-10 * np.linalg.norm(ax) * np.linalg.norm(y)
     elapsed = time.perf_counter() - t0
@@ -73,7 +73,7 @@ def test_criterion_02_dense_oracle_equivalence():
         ok &= np.max(np.abs(fwd - dense @ x)) <= 1e-12 * max(1.0, np.abs(dense @ x).max())
 
         y = rng.random(geom.n_rays)
-        bck = back_project(Sinogram(y.reshape(geom.n_views, geom.n_detectors)),
+        bck = back_project(y.reshape(geom.n_views, geom.n_detectors),
                            geom).data.reshape(-1)
         expect = dense.T @ y
         ok &= np.max(np.abs(bck - expect)) <= 1e-12 * max(1.0, np.abs(expect).max())
@@ -273,7 +273,7 @@ def run7():
     sel.sort()
     union, _ = learn_transforms(tp[:, sel], 3, 4e-4, 0.031, 25, seed=0)
 
-    x_fbp = fbp_reconstruct(Sinogram(l_t.reshape(geom.n_views, geom.n_detectors)), geom)
+    x_fbp = fbp_reconstruct(l_t.reshape(geom.n_views, geom.n_detectors), geom)
     x0 = ImageGrid(np.clip(x_fbp.data, 0, 0.1), x_fbp.spacing)
     cfg = ReconConfig(beta=1e4, gamma_c=4e-4, n_outer=50, n_inner=4, n_subsets=6,
                       x_max=0.1, patch=patch)
@@ -330,7 +330,7 @@ def run9():
     sel.sort()
     union, _ = learn_transforms(tp[:, sel], 5, 4e-4, 0.031, 30, seed=0)
 
-    x_fbp = fbp_reconstruct(Sinogram(l_t.reshape(geom.n_views, geom.n_detectors)), geom)
+    x_fbp = fbp_reconstruct(l_t.reshape(geom.n_views, geom.n_detectors), geom)
     x_fbp = ImageGrid(np.clip(x_fbp.data, 0, 0.1), x_fbp.spacing)
     cfg_ep = ReconConfig(beta=0, gamma_c=1, n_outer=1, n_inner=4, n_subsets=12,
                          x_max=0.1, patch=patch_learn,
@@ -370,7 +370,7 @@ def test_criterion_10_nonpositive_fraction_monotone():
     fracs = []
     for i0 in (1e4, 5e3, 3e3, 2e3):
         sino = simulate_prelog(truth, SpModel(i0=i0, sigma2=25.0), geom, 7)
-        fracs.append(nonpositive_fraction(sino.data))
+        fracs.append(nonpositive_fraction(sino))
     ok = fracs[0] > 0 and all(b > a for a, b in zip(fracs, fracs[1:]))
     _report(10, "non-positive fraction strictly increases as dose drops", ok,
             "fractions " + ", ".join(f"{100 * f:.2f}%" for f in fracs))

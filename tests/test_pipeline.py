@@ -2,6 +2,7 @@ import csv
 import json
 import re
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from spultra.config import parse_config
 from spultra.io import read_manifest, read_spim, sha256_file
 from spultra.pipeline import (EXIT_ERROR, EXIT_MISSING_INPUT, EXIT_NUMERICAL, EXIT_OK, METHODS,
                               run_pipeline)
+from spultra.ultra import initial_transform
 
 from conftest import run_cli
 
@@ -392,6 +394,38 @@ def test_cli_run_at_a_geometry_or_metrics_bound_is_clean(tmp_path, key, value):
     assert r.returncode == EXIT_OK, r.stderr
     assert "Traceback" not in r.stderr and "Warning" not in r.stderr
     assert (tmp_path / "out" / "metrics.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def waterdisk64_before_ultra(tmp_path_factory):
+    """The output directory of a one-iteration ``configs/waterdisk64.ini``
+    run after simulation, learning and PWLS-EP: all that ULTRA reads."""
+    root = tmp_path_factory.mktemp("waterdisk64")
+    cfg = parse_config(_one_iteration_waterdisk64(root))
+    for stage, method in (("simulate", None), ("learn", None), ("reconstruct", "pwls-ep")):
+        assert run_pipeline(cfg, stage, method=method) == EXIT_OK
+    return root / "out"
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "1e200", "1e150"])
+def test_cli_transforms_out_of_range_exit_1_naming_the_file(waterdisk64_before_ultra,
+                                                            tmp_path, scale):
+    out = tmp_path / "out"
+    shutil.copytree(waterdisk64_before_ultra, out)
+    ult = out / "transforms.ult"
+    omegas = float(scale) * np.stack([initial_transform(64)] * 3)
+    ult.write_bytes(b"ULTR" + struct.pack("<II", 3, 64) + omegas.astype("<f8").tobytes())
+    r = run_cli("reconstruct", "--config", str(_one_iteration_waterdisk64(tmp_path)),
+                "--method", "pwls-ultra")
+    assert "Traceback" not in r.stderr and "Warning" not in r.stderr
+    errors = [line for line in r.stderr.splitlines() if line.startswith("ERROR")]
+    if scale == "1e150":  # ||O||_F^2 = 64e300 is finite, and the run is clean
+        assert r.returncode == EXIT_OK, r.stderr
+        assert errors == []
+    else:
+        assert r.returncode == EXIT_ERROR
+        assert len(errors) == 1
+        assert errors[0].startswith(f"ERROR spultra.pipeline: {ult}: transform 0 has a ")
 
 
 def test_partial_trace_replaces_a_complete_one(stale_run, tmp_path, caplog):

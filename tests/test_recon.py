@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from spultra import recon
 from spultra.errors import ConfigurationError, NumericalError
-from spultra.geometry import (ImageGrid, Sinogram, SystemGeometry, compute_kappa,
-                              forward_project, system_matrix)
+from spultra.geometry import (ImageGrid, SystemGeometry, compute_kappa, forward_project,
+                              system_matrix)
 from spultra.recon import (TRACE_COLUMNS, ConvergenceTrace, EdgePreservingReg, EpParams,
                            ReconConfig, SubsetSystem, UltraQuadReg,
                            bit_reversal_order, ep_potential, ep_potential_dot,
@@ -391,12 +391,12 @@ def test_pwls_ep_reduces_to_wls_when_beta_zero():
 
 def test_fbp_zero_and_linearity():
     geom = small_parallel(16, 16, 24, 20)
-    zero = Sinogram(np.zeros((geom.n_views, geom.n_detectors)))
+    zero = np.zeros((geom.n_views, geom.n_detectors))
     assert np.all(fbp_reconstruct(zero, geom).data == 0)
     rng = np.random.default_rng(2)
-    sino = Sinogram(rng.random((geom.n_views, geom.n_detectors)))
+    sino = rng.random((geom.n_views, geom.n_detectors))
     a = fbp_reconstruct(sino, geom).data
-    b = fbp_reconstruct(Sinogram(2.5 * sino.data), geom).data
+    b = fbp_reconstruct(2.5 * sino, geom).data
     assert np.allclose(b, 2.5 * a, rtol=1e-12, atol=1e-15)
 
 
@@ -412,13 +412,21 @@ def test_fbp_disk_center_accuracy():
     assert abs(center - 0.02) / 0.02 <= 0.02
 
 
+def test_fbp_rejects_a_sinogram_of_another_shape():
+    geom = small_parallel(16, 16, 24, 20)
+    with pytest.raises(ConfigurationError, match="sinogram shape"):
+        fbp_reconstruct(np.zeros((geom.n_views, geom.n_detectors + 1)), geom)
+    with pytest.raises(ConfigurationError, match="sinogram shape"):
+        fbp_reconstruct(np.zeros(geom.n_rays), geom)
+
+
 def test_fbp_rejects_fan():
     geom = SystemGeometry("fan", n_detectors=8, n_views=8, detector_spacing=1.0,
                           angular_range=2 * np.pi, image_dims=(4, 4),
                           pixel_spacing=(1.0, 1.0), source_to_iso=20.0,
                           source_to_detector=40.0)
     with pytest.raises(ConfigurationError):
-        fbp_reconstruct(Sinogram(np.zeros((8, 8))), geom)
+        fbp_reconstruct(np.zeros((8, 8)), geom)
 
 
 def _tiny_setup(seed=0, i0=2000.0):
@@ -561,7 +569,7 @@ def test_majorizer_sandwich_across_outer_iteration():
         assert lhs <= phi + q_c + 1e-7 * (1 + abs(lhs))
 
 
-def objective_value(x: ImageGrid, state: SparseState, y_raw: Sinogram, model: SpModel,
+def objective_value(x: ImageGrid, state: SparseState, y_raw: np.ndarray, model: SpModel,
                     union: TransformUnion, cfg: ReconConfig, geom: SystemGeometry) -> float:
     """Reference penalized-likelihood objective, formed independently of the
     solver's bookkeeping: shifted-Poisson data term plus regularizer."""
