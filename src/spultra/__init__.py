@@ -6,8 +6,8 @@ backprojection, a low-dose measurement simulator, and quality metrics.
 """
 
 from .errors import ConfigurationError, NumericalError, ValidationError
-from .geometry import (ImageGrid, SystemGeometry, back_project, compute_kappa,
-                       forward_project, weighted_gram_diag)
+from .geometry import (SystemGeometry, back_project, compute_kappa, forward_project,
+                       weighted_gram_diag)
 from .metrics import RoiMask, line_profile, rmse_roi, roi_stats, ssim, to_hu
 from .recon import (ConvergenceTrace, EpParams, ReconConfig, fbp_reconstruct,
                     os_lalm_image_update, pwls_ep_reconstruct, pwls_ultra_reconstruct,

@@ -96,25 +96,6 @@ class SystemGeometry:
         return (np.arange(self.n_detectors) - (self.n_detectors - 1) / 2.0) * self.detector_spacing
 
 
-@dataclass
-class ImageGrid:
-    """2D attenuation map (mm^-1) with its pixel spacing."""
-
-    data: np.ndarray
-    spacing: tuple[float, float] = (1.0, 1.0)
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.ndim != 2:
-            raise ConfigurationError("ImageGrid data must be 2D")
-        if not np.isfinite(self.data).all():
-            raise ConfigurationError("ImageGrid values must be finite")
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return self.data.shape
-
-
 def _ray_endpoints(geom: SystemGeometry) -> tuple[np.ndarray, np.ndarray]:
     """Source/destination points for every ray, each (n_rays, 2), view-major order."""
     angles = geom.view_angles()
@@ -438,30 +419,24 @@ def system_matrix(geom: SystemGeometry) -> SystemMatrix:
     return _build_matrix(geom)
 
 
-def _check_image(img: ImageGrid, geom: SystemGeometry):
-    if img.dims != geom.image_dims:
+def forward_project(img: np.ndarray, geom: SystemGeometry) -> np.ndarray:
+    """Line integrals of the ``image_dims`` image ``img`` along every ray
+    (mm^-1 * mm, dimensionless), shape (n_views, n_detectors)."""
+    if np.shape(img) != geom.image_dims:
         raise ConfigurationError(
-            f"image dims {img.dims} do not match geometry {geom.image_dims}"
-        )
-
-
-def forward_project(img: ImageGrid, geom: SystemGeometry) -> np.ndarray:
-    """Line integrals of ``img`` along every ray (mm^-1 * mm, dimensionless),
-    shape (n_views, n_detectors)."""
-    _check_image(img, geom)
-    y = system_matrix(geom) @ img.data.reshape(-1)
+            f"image dims {np.shape(img)} do not match geometry {geom.image_dims}")
+    y = system_matrix(geom) @ np.ravel(img)
     return y.reshape(geom.n_views, geom.n_detectors)
 
 
-def back_project(sino: np.ndarray, geom: SystemGeometry) -> ImageGrid:
+def back_project(sino: np.ndarray, geom: SystemGeometry) -> np.ndarray:
     """Adjoint of :func:`forward_project`, using identical intersection weights."""
     if np.shape(sino) != (geom.n_views, geom.n_detectors):
         raise ConfigurationError(
             f"sinogram shape {np.shape(sino)} does not match geometry "
             f"({geom.n_views}, {geom.n_detectors})"
         )
-    x = system_matrix(geom).rmatvec(np.ravel(sino))
-    return ImageGrid(x.reshape(geom.image_dims), geom.pixel_spacing)
+    return system_matrix(geom).rmatvec(np.ravel(sino)).reshape(geom.image_dims)
 
 
 def _check_weights(w, geom: SystemGeometry) -> np.ndarray:
@@ -473,14 +448,13 @@ def _check_weights(w, geom: SystemGeometry) -> np.ndarray:
     return w
 
 
-def weighted_gram_diag(geom: SystemGeometry, w: np.ndarray) -> ImageGrid:
+def weighted_gram_diag(geom: SystemGeometry, w: np.ndarray) -> np.ndarray:
     """Diagonal of the weighted normal matrix, per pixel: sum_i a_ij w_i (A 1)_i."""
     a = system_matrix(geom)
-    diag = a.rmatvec(_check_weights(w, geom) * a.sums[0])
-    return ImageGrid(diag.reshape(geom.image_dims), geom.pixel_spacing)
+    return a.rmatvec(_check_weights(w, geom) * a.sums[0]).reshape(geom.image_dims)
 
 
-def compute_kappa(geom: SystemGeometry, w: np.ndarray) -> ImageGrid:
+def compute_kappa(geom: SystemGeometry, w: np.ndarray) -> np.ndarray:
     """Resolution-uniformity weights: per pixel the square root of the ratio of
     weighted to unweighted column sums of the system matrix.
 
@@ -492,4 +466,4 @@ def compute_kappa(geom: SystemGeometry, w: np.ndarray) -> ImageGrid:
     kappa = np.zeros(geom.n_pixels)
     covered = den > 0
     kappa[covered] = np.sqrt(num[covered] / den[covered])
-    return ImageGrid(kappa.reshape(geom.image_dims), geom.pixel_spacing)
+    return kappa.reshape(geom.image_dims)

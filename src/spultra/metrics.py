@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ImageGrid, pixel_centres
+from .geometry import pixel_centres
 
 DEFAULT_MU_WATER = 0.02  # mm^-1
 
@@ -33,33 +33,32 @@ def circle_mask(dims, spacing, cx: float, cy: float, radius: float,
     return RoiMask((xg - cx) ** 2 + (yg - cy) ** 2 <= radius ** 2, label)
 
 
-def to_hu(img: ImageGrid, mu_water: float = DEFAULT_MU_WATER) -> ImageGrid:
+def to_hu(img: np.ndarray, mu_water: float = DEFAULT_MU_WATER) -> np.ndarray:
     """Shifted Hounsfield units: 1000 * mu / mu_water."""
     if mu_water <= 0:
         raise ValueError("mu_water must be positive")
-    return ImageGrid(img.data * (1000.0 / mu_water), img.spacing)
+    return img * (1000.0 / mu_water)
 
 
-def rmse_roi(xhat: ImageGrid, xtrue: ImageGrid, mask: RoiMask,
+def rmse_roi(xhat: np.ndarray, xtrue: np.ndarray, mask: RoiMask,
              mu_water: float = DEFAULT_MU_WATER) -> float:
     """Root mean square error over the ROI, in HU."""
-    if xhat.dims != xtrue.dims:
+    if xhat.shape != xtrue.shape:
         raise ValueError("image shapes differ")
-    if mask.mask.shape != xhat.dims:
+    if mask.mask.shape != xhat.shape:
         raise ValueError("mask shape differs from images")
-    d = (xhat.data - xtrue.data)[mask.mask] * (1000.0 / mu_water)
+    d = (xhat - xtrue)[mask.mask] * (1000.0 / mu_water)
     return float(np.sqrt(np.mean(d * d)))
 
 
-def ssim(xhat: ImageGrid, xtrue: ImageGrid, window: int = 8,
+def ssim(xhat: np.ndarray, xtrue: np.ndarray, window: int = 8,
          dynamic_range: float | None = None) -> float:
     """Mean local structural similarity with a uniform sliding window.
 
     Stabilizers are (0.01 L)^2 and (0.03 L)^2 where L defaults to the truth
     image's value range. Local statistics use the population convention.
     """
-    a = xhat.data
-    b = xtrue.data
+    a, b = xhat, xtrue
     if a.shape != b.shape:
         raise ValueError("image shapes differ")
     if window > min(a.shape):
@@ -85,22 +84,22 @@ def ssim(xhat: ImageGrid, xtrue: ImageGrid, window: int = 8,
     return float(np.mean(num / den))
 
 
-def roi_stats(img: ImageGrid, mask: RoiMask) -> tuple[float, float]:
+def roi_stats(img: np.ndarray, mask: RoiMask) -> tuple[float, float]:
     """(mean, std) over the ROI in the image's units; std uses denominator N."""
-    if mask.mask.shape != img.dims:
+    if mask.mask.shape != img.shape:
         raise ValueError("mask shape differs from image")
-    vals = img.data[mask.mask]
+    vals = img[mask.mask]
     return float(vals.mean()), float(vals.std(ddof=0))
 
 
-def line_profile(img: ImageGrid, axis: str, index: int) -> np.ndarray:
+def line_profile(img: np.ndarray, axis: str, index: int) -> np.ndarray:
     """Pixel values along one row or column, in the image's units."""
     if axis == "row":
-        if not 0 <= index < img.dims[0]:
+        if not 0 <= index < img.shape[0]:
             raise ValueError(f"row {index} out of range")
-        return img.data[index, :].copy()
+        return img[index, :].copy()
     if axis == "col":
-        if not 0 <= index < img.dims[1]:
+        if not 0 <= index < img.shape[1]:
             raise ValueError(f"column {index} out of range")
-        return img.data[:, index].copy()
+        return img[:, index].copy()
     raise ValueError("axis must be 'row' or 'col'")

@@ -17,7 +17,6 @@ import numpy as np
 from . import io as sio
 from .config import ExperimentConfig
 from .errors import ConfigurationError, NumericalError
-from .geometry import ImageGrid
 from .metrics import RoiMask, circle_mask, rmse_roi, roi_stats, ssim, to_hu
 from .recon import (fbp_reconstruct, pwls_ep_reconstruct, pwls_ultra_reconstruct,
                     spultra_reconstruct)
@@ -55,8 +54,9 @@ def _sino_spacing(geom):
 
 
 def _read_sized(path: Path, what: str, shape=None):
-    """The array and spacing in ``path``; an array of another shape than
-    ``shape`` (when given) was left by a run of another config."""
+    """The 2D array and spacing in ``path``, all of it finite. An array of
+    another shape than ``shape`` (when given) was left by a run of another
+    config; a non-finite value or another rank means a corrupt file."""
     if not path.exists():
         raise MissingArtifact(f"{what} not found: {path}")
     data, spacing = sio.read_spim(path)
@@ -65,20 +65,17 @@ def _read_sized(path: Path, what: str, shape=None):
             f"{path} holds an array of shape {data.shape} but the config expects "
             f"{tuple(shape)}; it is left over from another config, so rerun the "
             f"stage that writes it or use another io.out_dir")
+    if data.ndim != 2 or not np.isfinite(data).all():
+        problem = "a non-finite value" if data.ndim == 2 else f"a {data.ndim}-D array"
+        raise ConfigurationError(f"{path} holds {problem}; rerun the stage that writes it")
     return data, spacing
 
 
-def _load_image(path: Path, what: str, dims=None) -> ImageGrid:
-    data, spacing = _read_sized(path, what, dims)
-    return ImageGrid(data, tuple(spacing))
-
-
-def _write_image(out: Path, name: str, img: ImageGrid, cfg: ExperimentConfig) -> dict:
+def _write_image(out: Path, name: str, img: np.ndarray, cfg: ExperimentConfig) -> dict:
     """Write ``<name>.spim`` and its ``.pgm`` preview; the artifact entry."""
     path = out / f"{name}.spim"
-    sio.write_spim(path, img.data, img.spacing)
-    sio.write_pgm(out / f"{name}.pgm", to_hu(img, cfg.metrics.mu_water).data,
-                  cfg.metrics.window)
+    sio.write_spim(path, img, cfg.geometry.pixel_spacing)
+    sio.write_pgm(out / f"{name}.pgm", to_hu(img, cfg.metrics.mu_water), cfg.metrics.window)
     return {path.name: path}
 
 
@@ -96,7 +93,7 @@ def stage_simulate(cfg: ExperimentConfig, out: Path, deterministic: bool) -> dic
 
 def stage_learn(cfg: ExperimentConfig, out: Path) -> dict:
     _require(cfg, "learning", "io")
-    truth = _load_image(out / "x_true.spim", "training image (run 'simulate' first)")
+    truth, _ = _read_sized(out / "x_true.spim", "training image (run 'simulate' first)")
     lc = cfg.learning
     side = int(round(np.sqrt(lc.v)))
     patches = extract_patches(truth, PatchConfig(side, lc.stride))
@@ -113,20 +110,20 @@ def stage_learn(cfg: ExperimentConfig, out: Path) -> dict:
     return {"transforms.ult": out / "transforms.ult"}
 
 
-def _fbp(cfg: ExperimentConfig, l_tilde) -> ImageGrid:
+def _fbp(cfg: ExperimentConfig, l_tilde) -> np.ndarray:
     """Filtered backprojection of the flat line integrals ``l_tilde``."""
     geom = cfg.geometry
     return fbp_reconstruct(l_tilde.reshape(geom.n_views, geom.n_detectors), geom)
 
 
-def _reconstruct_ep(cfg: ExperimentConfig, l_tilde, w_stat) -> ImageGrid:
+def _reconstruct_ep(cfg: ExperimentConfig, l_tilde, w_stat) -> np.ndarray:
     if cfg.recon.ep is None:
         raise ConfigurationError("recon.beta_ep must be set to run the edge-preserving method")
     geom = cfg.geometry
     if geom.beam_kind == "parallel":  # the solver clips the start to the box
         x0 = _fbp(cfg, l_tilde)
     else:  # the edge-preserving problem is strictly convex, so a zero start is fine
-        x0 = ImageGrid(np.zeros(geom.image_dims), geom.pixel_spacing)
+        x0 = np.zeros(geom.image_dims)
     return pwls_ep_reconstruct(l_tilde, w_stat, geom, cfg.recon, x0)
 
 
@@ -142,7 +139,7 @@ def stage_reconstruct(cfg: ExperimentConfig, out: Path, method: str) -> dict:
     truth = None
     truth_path = out / "x_true.spim"
     if truth_path.exists():
-        truth = _load_image(truth_path, "truth", geom.image_dims)
+        truth, _ = _read_sized(truth_path, "truth", geom.image_dims)
 
     slug = _method_slug(method)
     trace_path = out / f"trace_{slug}.csv"
@@ -164,7 +161,7 @@ def stage_reconstruct(cfg: ExperimentConfig, out: Path, method: str) -> dict:
                     f"(v = {union.v} in {tr_path})")
             ep_path = out / "x_pwls_ep.spim"
             if ep_path.exists():  # the PWLS-EP initializer, cached on disk
-                x0 = _load_image(ep_path, "edge-preserving initializer", geom.image_dims)
+                x0, _ = _read_sized(ep_path, "edge-preserving initializer", geom.image_dims)
             else:
                 x0 = _reconstruct_ep(cfg, l_tilde, w_stat)
                 artifacts = _write_image(out, "x_pwls_ep", x0, cfg)
@@ -188,18 +185,19 @@ def stage_reconstruct(cfg: ExperimentConfig, out: Path, method: str) -> dict:
     return {**artifacts, **_write_image(out, f"x_{slug}", img, cfg)}
 
 
-def _eval_rois(cfg: ExperimentConfig, truth: ImageGrid) -> list[RoiMask]:
-    rois = [RoiMask(np.ones(truth.dims, dtype=bool), "all")]
+def _eval_rois(cfg: ExperimentConfig, dims, spacing) -> list[RoiMask]:
+    rois = [RoiMask(np.ones(dims, dtype=bool), "all")]
     for label, cx, cy, r in cfg.metrics.rois:
-        rois.append(circle_mask(truth.dims, truth.spacing, cx, cy, r, label))
+        rois.append(circle_mask(dims, spacing, cx, cy, r, label))
     return rois
 
 
 def stage_evaluate(cfg: ExperimentConfig, out: Path) -> dict:
     _require(cfg, "io")
-    truth = _load_image(out / "x_true.spim", "truth (run 'simulate' first)",
-                        cfg.geometry.image_dims if cfg.geometry else None)
-    rois = _eval_rois(cfg, truth)
+    # the spacing stored with the truth, since [geometry] may be absent here
+    truth, spacing = _read_sized(out / "x_true.spim", "truth (run 'simulate' first)",
+                                 cfg.geometry.image_dims if cfg.geometry else None)
+    rois = _eval_rois(cfg, truth.shape, spacing)
     mu_water = cfg.metrics.mu_water
     hu_truth = to_hu(truth, mu_water)
     run_id = f"{cfg.config_hash[:8]}-s{cfg.io.seed}"
@@ -212,13 +210,13 @@ def stage_evaluate(cfg: ExperimentConfig, out: Path) -> dict:
         if not path.exists():
             continue
         found = True
-        img = _load_image(path, method, truth.dims)
+        img, _ = _read_sized(path, method, truth.shape)
         hu_img = to_hu(img, mu_water)
         rows.append((run_id, method, "rmse_hu", rois[0].label,
                      rmse_roi(img, truth, rois[0], mu_water)))
         # the default 8-pixel window, shrunk to fit images narrower than it
         rows.append((run_id, method, "ssim", rois[0].label,
-                     ssim(hu_img, hu_truth, window=min(8, *truth.dims))))
+                     ssim(hu_img, hu_truth, window=min(8, *truth.shape))))
         for roi in rois:
             mean, std = roi_stats(hu_img, roi)
             rows.append((run_id, method, "roi_mean_hu", roi.label, mean))

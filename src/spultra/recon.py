@@ -18,8 +18,8 @@ import numpy as np
 from scipy.sparse import dia_matrix
 
 from .errors import ConfigurationError, NumericalError
-from .geometry import (ImageGrid, SystemGeometry, compute_kappa, pixel_centres,
-                       system_matrix, weighted_gram_diag)
+from .geometry import (SystemGeometry, compute_kappa, pixel_centres, system_matrix,
+                       weighted_gram_diag)
 from .io import write_csv
 from .metrics import DEFAULT_MU_WATER, RoiMask, rmse_roi
 from .spstats import SpModel, neg_log_likelihood, post_log_convert, surrogate_at
@@ -127,7 +127,7 @@ class SubsetSystem:
 
     def gram_diag(self, w: np.ndarray) -> np.ndarray:
         """diag(A^T W A 1) as a flat pixel vector."""
-        return weighted_gram_diag(self.geom, w).data.reshape(-1)
+        return weighted_gram_diag(self.geom, w).reshape(-1)
 
     def subset_gradient(self, s: int, x: np.ndarray, w, y_tilde) -> np.ndarray:
         """M-scaled weighted residual backprojection over subset s."""
@@ -210,6 +210,15 @@ def os_lalm_image_update(x0: np.ndarray, system: SubsetSystem, w: np.ndarray,
     return x.copy()
 
 
+def _check_majorizer(diag: np.ndarray, key: str, beta: float) -> np.ndarray:
+    """``diag``, a regularizer's majorizer weighted by ``key`` = ``beta``; an
+    overflow would leave every inner step non-finite, so it is rejected."""
+    if not np.isfinite(diag).all():
+        raise ConfigurationError(f"{key}: {beta:g} makes the regularizer's diagonal "
+                                 f"majorizer overflow; use a smaller value")
+    return diag
+
+
 def gram_bands(union: TransformUnion, patch: PatchConfig, dims):
     """Gram entries gathered per image-domain offset for the stride-1 banded
     operator of :class:`UltraQuadReg`.
@@ -273,8 +282,9 @@ class UltraQuadReg:
                  patch: PatchConfig, dims):
         self.beta, self.patch, self.dims = beta, patch, dims
         self.n = dims[0] * dims[1]
-        self.diag = regularizer_majorizer_diag(union, state.tau, beta, patch,
-                                               dims).reshape(-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            diag = regularizer_majorizer_diag(union, state.tau, beta, patch, dims)
+        self.diag = _check_majorizer(diag.reshape(-1), "recon.beta", beta)
         self._back = union.transforms.transpose(0, 2, 1)
         if patch.stride == 1:
             offsets, gathered = gram_bands(union, patch, dims)
@@ -313,7 +323,7 @@ class UltraQuadReg:
     def _patch_apply(self, x_flat: np.ndarray) -> np.ndarray:
         state = self._state
         out = classwise_apply(self._grams, state.labels,
-                              extract_patches(ImageGrid(x_flat.reshape(self.dims)), self.patch))
+                              extract_patches(x_flat.reshape(self.dims), self.patch))
         out *= state.tau
         return accumulate_patches(out, self.dims, self.patch).reshape(-1)
 
@@ -375,10 +385,11 @@ class EdgePreservingReg:
         self.ep = ep
         self.dims = dims
         diag = np.zeros(dims)
-        for di, dj in _OFFSETS8:
-            c, nb = _offset_slices(dims, di, dj)
-            diag[c] += 4.0 * ep.beta_ep * self.kappa[c] * self.kappa[nb]
-        self.diag = diag.reshape(-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for di, dj in _OFFSETS8:
+                c, nb = _offset_slices(dims, di, dj)
+                diag[c] += 4.0 * ep.beta_ep * self.kappa[c] * self.kappa[nb]
+        self.diag = _check_majorizer(diag.reshape(-1), "recon.beta_ep", ep.beta_ep)
         self._pairs = []
         for di, dj in _OFFSETS8[:4]:
             c, nb = _offset_slices(dims, di, dj)
@@ -439,9 +450,9 @@ class ConvergenceTrace:
 
 
 def _ultra_outer_loop(value, quadratic, system: SubsetSystem, w_stat: np.ndarray,
-                      union: TransformUnion, cfg: ReconConfig, x0: ImageGrid,
-                      truth: ImageGrid | None, mu_water: float,
-                      ) -> tuple[ImageGrid, ConvergenceTrace]:
+                      union: TransformUnion, cfg: ReconConfig, x0: np.ndarray,
+                      truth: np.ndarray | None, mu_water: float,
+                      ) -> tuple[np.ndarray, ConvergenceTrace]:
     """Alternate image updates with sparse coding and clustering.
 
     ``value(l)`` is the data term at the projection ``l = A x`` of the image;
@@ -456,15 +467,14 @@ def _ultra_outer_loop(value, quadratic, system: SubsetSystem, w_stat: np.ndarray
     geom = system.geom
     dims = geom.image_dims
     tau = patch_weights(compute_kappa(geom, w_stat), cfg.patch)
-    x = np.clip(x0.data.reshape(-1), 0.0, cfg.x_max)
-    state = sparse_code_and_cluster(ImageGrid(x.reshape(dims)), union,
-                                    cfg.gamma_c, tau, cfg.patch)
+    x = np.clip(x0.reshape(-1), 0.0, cfg.x_max)
+    state = sparse_code_and_cluster(x.reshape(dims), union, cfg.gamma_c, tau, cfg.patch)
     quad = UltraQuadReg(union, state, cfg.beta, cfg.patch, dims)
     everywhere = RoiMask(np.ones(dims, dtype=bool), "all")
 
     def rmse(x_flat):
-        return None if truth is None else rmse_roi(ImageGrid(x_flat.reshape(dims)), truth,
-                                                   everywhere, mu_water)
+        return None if truth is None else rmse_roi(x_flat.reshape(dims), truth, everywhere,
+                                                   mu_water)
 
     trace = ConvergenceTrace()
     l = system.matrix @ x
@@ -483,8 +493,8 @@ def _ultra_outer_loop(value, quadratic, system: SubsetSystem, w_stat: np.ndarray
             # the data term is unchanged by the coding step
             l = system.matrix @ x_new
             data = value(l)
-            state = sparse_code_and_cluster(ImageGrid(x_new.reshape(dims)), union,
-                                            cfg.gamma_c, tau, cfg.patch, prev=state)
+            state = sparse_code_and_cluster(x_new.reshape(dims), union, cfg.gamma_c, tau,
+                                            cfg.patch, prev=state)
             reg_pre = cfg.beta * float(np.sum(state.tau * state.prev_cost))
             reg = cfg.beta * float(np.sum(state.tau * state.cost))
             ms = (time.perf_counter() - t0) * 1e3
@@ -498,13 +508,13 @@ def _ultra_outer_loop(value, quadratic, system: SubsetSystem, w_stat: np.ndarray
         err.trace = trace
         raise
 
-    return ImageGrid(x.reshape(dims), geom.pixel_spacing), trace
+    return x.reshape(dims), trace
 
 
 def spultra_reconstruct(y_raw: np.ndarray, model: SpModel, union: TransformUnion,
-                        geom: SystemGeometry, cfg: ReconConfig, x0: ImageGrid,
-                        truth: ImageGrid | None = None, mu_water: float = DEFAULT_MU_WATER,
-                        ) -> tuple[ImageGrid, ConvergenceTrace]:
+                        geom: SystemGeometry, cfg: ReconConfig, x0: np.ndarray,
+                        truth: np.ndarray | None = None, mu_water: float = DEFAULT_MU_WATER,
+                        ) -> tuple[np.ndarray, ConvergenceTrace]:
     """Shifted-Poisson reconstruction with the transform-union regularizer.
 
     Raw counts are shifted by the electronic noise variance (and clamped at
@@ -530,9 +540,9 @@ def spultra_reconstruct(y_raw: np.ndarray, model: SpModel, union: TransformUnion
 
 def pwls_ultra_reconstruct(l_tilde: np.ndarray, w_stat: np.ndarray,
                            union: TransformUnion, geom: SystemGeometry,
-                           cfg: ReconConfig, x0: ImageGrid,
-                           truth: ImageGrid | None = None, mu_water: float = DEFAULT_MU_WATER,
-                           ) -> tuple[ImageGrid, ConvergenceTrace]:
+                           cfg: ReconConfig, x0: np.ndarray,
+                           truth: np.ndarray | None = None, mu_water: float = DEFAULT_MU_WATER,
+                           ) -> tuple[np.ndarray, ConvergenceTrace]:
     """Post-log weighted-least-squares counterpart: the data term stays fixed,
     so the weighted diagonal is computed once and no surrogate is rebuilt."""
     l_tilde = np.asarray(l_tilde, dtype=np.float64).reshape(-1)
@@ -550,23 +560,22 @@ def pwls_ultra_reconstruct(l_tilde: np.ndarray, w_stat: np.ndarray,
 
 def pwls_ep_reconstruct(l_tilde: np.ndarray, w_stat: np.ndarray,
                         geom: SystemGeometry, cfg: ReconConfig,
-                        x0: ImageGrid) -> ImageGrid:
+                        x0: np.ndarray) -> np.ndarray:
     """Weighted least squares with the edge-preserving neighborhood penalty."""
     if cfg.ep is None:
         raise ConfigurationError("cfg.ep must be set for the edge-preserving method")
     l_tilde = np.asarray(l_tilde, dtype=np.float64).reshape(-1)
     w_stat = np.asarray(w_stat, dtype=np.float64).reshape(-1)
     dims = geom.image_dims
-    kappa = compute_kappa(geom, w_stat)
-    reg = EdgePreservingReg(kappa.data.reshape(-1), cfg.ep, dims)
+    reg = EdgePreservingReg(compute_kappa(geom, w_stat), cfg.ep, dims)
     system = SubsetSystem(geom, cfg.n_subsets)
     d_a = system.gram_diag(w_stat)
-    x = os_lalm_image_update(x0.data.reshape(-1), system, w_stat, l_tilde, d_a, reg, cfg,
+    x = os_lalm_image_update(x0.reshape(-1), system, w_stat, l_tilde, d_a, reg, cfg,
                              n_passes=cfg.ep.iters)
-    return ImageGrid(x.reshape(dims), geom.pixel_spacing)
+    return x.reshape(dims)
 
 
-def fbp_reconstruct(sino: np.ndarray, geom: SystemGeometry) -> ImageGrid:
+def fbp_reconstruct(sino: np.ndarray, geom: SystemGeometry) -> np.ndarray:
     """Filtered backprojection of a parallel-beam line-integral sinogram.
 
     Frequency-domain ramp with rectangular apodization, zero-padded to the
@@ -599,5 +608,5 @@ def fbp_reconstruct(sino: np.ndarray, geom: SystemGeometry) -> ImageGrid:
     weight = geom.angular_range / geom.n_views
     if geom.angular_range > 1.5 * np.pi:
         weight *= 0.5
-    return ImageGrid(out * weight, geom.pixel_spacing)
+    return out * weight
 

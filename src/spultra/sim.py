@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import ImageGrid, SystemGeometry, forward_project, pixel_centres
+from .geometry import SystemGeometry, forward_project, pixel_centres
 from .spstats import SpModel
 
 # the largest mean numpy's Poisson sampler takes (it rejects means above about
@@ -50,9 +50,9 @@ class PhantomSpec:
     shapes: tuple[Ellipse, ...] = ()
 
 
-def make_phantom(spec: PhantomSpec) -> ImageGrid:
-    """Rasterize the shapes; a pixel takes the value of the last shape covering
-    its center."""
+def make_phantom(spec: PhantomSpec) -> np.ndarray:
+    """Rasterize the shapes into a ``spec.dims`` image; a pixel takes the value
+    of the last shape covering its center."""
     xg, yg = pixel_centres(spec.dims, spec.spacing)
     img = np.zeros(spec.dims)
     for sh in spec.shapes:
@@ -60,10 +60,10 @@ def make_phantom(spec: PhantomSpec) -> ImageGrid:
         yr = -(xg - sh.cx) * np.sin(sh.theta) + (yg - sh.cy) * np.cos(sh.theta)
         inside = (xr / sh.a) ** 2 + (yr / sh.b) ** 2 <= 1.0
         img[inside] = sh.mu
-    return ImageGrid(img, spec.spacing)
+    return img
 
 
-def simulate_prelog(x_true: ImageGrid, model: SpModel, geom: SystemGeometry,
+def simulate_prelog(x_true: np.ndarray, model: SpModel, geom: SystemGeometry,
                     seed: int, deterministic: bool = False) -> np.ndarray:
     """Raw pre-log counts for the given true image, shape (n_views, n_detectors).
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ImageGrid, SystemGeometry, forward_project
+from .geometry import SystemGeometry, forward_project
 
 log = logging.getLogger(__name__)
 
@@ -150,7 +150,7 @@ def _curvature(l_n, counts, model: SpModel, d_h, u_n) -> np.ndarray:
     return np.maximum(c, floor)
 
 
-def build_surrogate(x_n: ImageGrid, counts, model: SpModel, geom: SystemGeometry) -> SurrogateState:
+def build_surrogate(x_n: np.ndarray, counts, model: SpModel, geom: SystemGeometry) -> SurrogateState:
     """Quadratic surrogate of the likelihood at the current image."""
     return surrogate_at(forward_project(x_n, geom).ravel(), counts, model)
 

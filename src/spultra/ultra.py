@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import ImageGrid
 from .io import read_exact
 
 _ULTR_MAGIC = b"ULTR"
@@ -116,16 +115,15 @@ class SparseState:
     nonzero_frac: float | None = None
 
 
-def extract_patches(img: ImageGrid, cfg: PatchConfig) -> np.ndarray:
-    """Patch matrix of shape (v, n_patches).
+def extract_patches(img: np.ndarray, cfg: PatchConfig) -> np.ndarray:
+    """Patch matrix of shape (v, n_patches) of the 2D image ``img``.
 
     Column j is the j-th patch in raster order of top-left corners,
     vectorized row-major within the patch.
     """
-    x = img.data
-    nr, nc = cfg.grid(x.shape)
+    nr, nc = cfg.grid(img.shape)
     side = cfg.patch_side
-    windows = np.lib.stride_tricks.sliding_window_view(x, (side, side))
+    windows = np.lib.stride_tricks.sliding_window_view(img, (side, side))
     windows = windows[::cfg.stride, ::cfg.stride]
     return np.ascontiguousarray(
         windows.transpose(2, 3, 0, 1).reshape(cfg.v, nr * nc)
@@ -152,7 +150,7 @@ def patch_coverage(dims, cfg: PatchConfig, tau=None) -> np.ndarray:
     return accumulate_patches(np.broadcast_to(tau, (cfg.v, n)), dims, cfg)
 
 
-def patch_weights(kappa: ImageGrid, cfg: PatchConfig) -> np.ndarray:
+def patch_weights(kappa: np.ndarray, cfg: PatchConfig) -> np.ndarray:
     """Patch weights: mean absolute resolution-uniformity value over each patch."""
     p = extract_patches(kappa, cfg)
     return np.abs(p).sum(axis=0) / cfg.v
@@ -238,7 +236,7 @@ def _cheapest_class(patches: np.ndarray, mats, gamma_c: float, prev_labels=None,
     return labels, best_t, best_cost, prev_t
 
 
-def sparse_code_and_cluster(x: ImageGrid, union: TransformUnion, gamma_c: float,
+def sparse_code_and_cluster(x: np.ndarray, union: TransformUnion, gamma_c: float,
                             tau: np.ndarray, cfg: PatchConfig,
                             prev: SparseState | None = None) -> SparseState:
     """Jointly assign each patch to its best transform and hard-threshold it.
@@ -265,7 +263,7 @@ def sparse_code_and_cluster(x: ImageGrid, union: TransformUnion, gamma_c: float,
     return state
 
 
-def regularizer_value(x: ImageGrid, state: SparseState, union: TransformUnion,
+def regularizer_value(x: np.ndarray, state: SparseState, union: TransformUnion,
                       beta: float, gamma_c: float, cfg: PatchConfig) -> float:
     """beta * sum_j tau_j (|| O_kj P_j x - z_j ||^2 + gamma_c^2 ||z_j||_0).
 

@@ -6,18 +6,28 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spultra.geometry import SystemGeometry, ImageGrid, forward_project
+from spultra.geometry import SystemGeometry, forward_project
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_cli(*args):
+def run_cli(*args, prelude=None):
     """``python -m spultra.cli *args`` in a child process that imports the
-    package from this checkout's ``src``, with stdout and stderr captured."""
+    package from this checkout's ``src``, with stdout and stderr captured.
+    ``prelude``, when given, is Python code the child runs before the CLI
+    (a fault planted by the test)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "spultra.cli", *args],
-                          capture_output=True, text=True, env=env)
+    cmd = ["-m", "spultra.cli"] if prelude is None else \
+        ["-c", f"{prelude}\nimport sys\nfrom spultra.cli import main\nsys.exit(main())"]
+    return subprocess.run([sys.executable, *cmd, *args], capture_output=True, text=True,
+                          env=env)
+
+
+def assert_clean_stderr(run):
+    """A CLI run reported through its log lines only: no traceback and no
+    numpy (or other) warning on stderr."""
+    assert "Traceback" not in run.stderr and "Warning" not in run.stderr, run.stderr
 
 
 def small_parallel(rows=8, cols=8, n_det=12, n_views=10):
@@ -39,7 +49,7 @@ def dense_system(geom):
     for j in range(geom.n_pixels):
         basis = np.zeros(geom.n_pixels)
         basis[j] = 1.0
-        img = ImageGrid(basis.reshape(geom.image_dims), geom.pixel_spacing)
+        img = basis.reshape(geom.image_dims)
         cols[:, j] = forward_project(img, geom).ravel()
     return cols
 

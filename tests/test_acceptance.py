@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from spultra.config import parse_config
-from spultra.geometry import (ImageGrid, SystemGeometry, back_project,
-                              compute_kappa, forward_project, weighted_gram_diag)
+from spultra.geometry import (SystemGeometry, back_project, compute_kappa, forward_project,
+                              weighted_gram_diag)
 from spultra.metrics import RoiMask, rmse_roi, ssim, to_hu
 from spultra.pipeline import EXIT_OK, run_pipeline
 from spultra.recon import (EpParams, ReconConfig, UltraQuadReg, fbp_reconstruct,
@@ -49,9 +49,9 @@ def test_criterion_01_adjoint_identity():
         for _ in range(20):
             x = rng.standard_normal(geom.n_pixels)
             y = rng.standard_normal(geom.n_rays)
-            ax = forward_project(ImageGrid(x.reshape(geom.image_dims)), geom).ravel()
+            ax = forward_project(x.reshape(geom.image_dims), geom).ravel()
             aty = back_project(y.reshape(geom.n_views, geom.n_detectors),
-                               geom).data.reshape(-1)
+                               geom).reshape(-1)
             ok &= abs(ax @ y - x @ aty) <= 1e-10 * np.linalg.norm(ax) * np.linalg.norm(y)
     elapsed = time.perf_counter() - t0
     _report(1, "adjoint identity on 20 random pairs", ok and elapsed < 1.0,
@@ -69,20 +69,20 @@ def test_criterion_02_dense_oracle_equivalence():
         x = rng.random(geom.n_pixels)
         w = rng.random(geom.n_rays)
 
-        fwd = forward_project(ImageGrid(x.reshape(geom.image_dims)), geom).ravel()
+        fwd = forward_project(x.reshape(geom.image_dims), geom).ravel()
         ok &= np.max(np.abs(fwd - dense @ x)) <= 1e-12 * max(1.0, np.abs(dense @ x).max())
 
         y = rng.random(geom.n_rays)
         bck = back_project(y.reshape(geom.n_views, geom.n_detectors),
-                           geom).data.reshape(-1)
+                           geom).reshape(-1)
         expect = dense.T @ y
         ok &= np.max(np.abs(bck - expect)) <= 1e-12 * max(1.0, np.abs(expect).max())
 
-        da = weighted_gram_diag(geom, w).data.reshape(-1)
+        da = weighted_gram_diag(geom, w).reshape(-1)
         expect = dense.T @ (w * (dense @ np.ones(geom.n_pixels)))
         ok &= np.max(np.abs(da - expect)) <= 1e-12 * max(1.0, expect.max())
 
-        kappa = compute_kappa(geom, w).data.reshape(-1)
+        kappa = compute_kappa(geom, w).reshape(-1)
         num = dense.T @ w
         den = dense.T @ np.ones(geom.n_rays)
         expect = np.where(den > 0, np.sqrt(np.where(den > 0, num / np.maximum(den, 1e-300), 0)), 0.0)
@@ -146,17 +146,17 @@ def test_criterion_04_gradient_checks():
         mats = np.stack([np.eye(4) * 2 + 0.3 * r2.standard_normal((4, 4))
                          for _ in range(2)])
         union = TU(mats)
-        img = ImageGrid(r2.standard_normal(dims))
+        img = r2.standard_normal(dims)
         n = cfg_patch.n_patches(dims)
         tau = r2.uniform(0.2, 2.0, n)
         state = sparse_code_and_cluster(img, union, 0.6, tau, cfg_patch)
         beta = 1.2
         reg = UltraQuadReg(union, state, beta, cfg_patch, dims)
-        g = reg.grad(img.data.reshape(-1)).reshape(dims)
+        g = reg.grad(img.reshape(-1)).reshape(dims)
 
         def quad(x):
             val = 0.0
-            p = extract_patches(ImageGrid(x), cfg_patch)
+            p = extract_patches(x, cfg_patch)
             for k in range(2):
                 sel = state.labels == k
                 if np.any(sel):
@@ -168,7 +168,7 @@ def test_criterion_04_gradient_checks():
         e = np.zeros(dims)
         e[i, j] = 1.0
         eps = 1e-6
-        fd = (quad(img.data + eps * e) - quad(img.data - eps * e)) / (2 * eps)
+        fd = (quad(img + eps * e) - quad(img - eps * e)) / (2 * eps)
         ok &= abs(g[i, j] - fd) <= 1e-6 * max(abs(fd), 1e-3)
     elapsed = time.perf_counter() - t0
     _report(4, "likelihood and regularizer gradients match finite differences",
@@ -210,7 +210,7 @@ def test_criterion_06_sparse_coding_exactness():
     mats4 = np.stack([np.eye(4) * 1.5 + 0.4 * rng.standard_normal((4, 4))
                       for _ in range(k)])
     union4 = TransformUnion(mats4)
-    img = ImageGrid(rng.standard_normal((20, 10)))
+    img = rng.standard_normal((20, 10))
     cfg4 = PatchConfig(2, 2)  # 10 x 5 = 50 disjoint patches
     patches = extract_patches(img, cfg4)
     state = sparse_code_and_cluster(img, union4, gamma, np.ones(patches.shape[1]), cfg4)
@@ -274,7 +274,7 @@ def run7():
     union, _ = learn_transforms(tp[:, sel], 3, 4e-4, 0.031, 25, seed=0)
 
     x_fbp = fbp_reconstruct(l_t.reshape(geom.n_views, geom.n_detectors), geom)
-    x0 = ImageGrid(np.clip(x_fbp.data, 0, 0.1), x_fbp.spacing)
+    x0 = np.clip(x_fbp, 0, 0.1)
     cfg = ReconConfig(beta=1e4, gamma_c=4e-4, n_outer=50, n_inner=4, n_subsets=6,
                       x_max=0.1, patch=patch)
     t0 = time.perf_counter()
@@ -288,7 +288,7 @@ def test_criterion_07_monotone_objective(run7):
     obj = np.array(trace.columns["objective"])
     mono = bool(np.all(np.diff(obj) <= 1e-6 * np.abs(obj[:-1])))
     coding = bool(np.all(obj[1:] <= np.array(trace.columns["objective_pre_coding"][1:])))
-    box = img.data.min() >= 0 and img.data.max() <= cfg.x_max
+    box = img.min() >= 0 and img.max() <= cfg.x_max
     ok = mono and coding and box and elapsed < 180.0
     _report(7, "objective non-increasing (1e-6 slack), coding step exact, box held",
             ok, f"worst step {np.max(np.diff(obj) / np.abs(obj[:-1])):.1e}, {elapsed:.0f}s")
@@ -331,7 +331,7 @@ def run9():
     union, _ = learn_transforms(tp[:, sel], 5, 4e-4, 0.031, 30, seed=0)
 
     x_fbp = fbp_reconstruct(l_t.reshape(geom.n_views, geom.n_detectors), geom)
-    x_fbp = ImageGrid(np.clip(x_fbp.data, 0, 0.1), x_fbp.spacing)
+    x_fbp = np.clip(x_fbp, 0, 0.1)
     cfg_ep = ReconConfig(beta=0, gamma_c=1, n_outer=1, n_inner=4, n_subsets=12,
                          x_max=0.1, patch=patch_learn,
                          ep=EpParams(beta_ep=3000.0, delta=10 * 0.02 / 1000,
@@ -345,7 +345,7 @@ def run9():
     elapsed = time.perf_counter() - t0
 
     hu = 1000.0 / 0.02
-    rmse_ep = float(np.sqrt(np.mean((x_ep.data - truth.data) ** 2)) * hu)
+    rmse_ep = float(np.sqrt(np.mean((x_ep - truth) ** 2)) * hu)
     return rmse_ep, tr_pw.columns["rmse_vs_truth"][-1], tr_sp.columns["rmse_vs_truth"][-1], elapsed
 
 
@@ -396,16 +396,16 @@ def test_criterion_11_transform_learning():
 
 def test_criterion_12_metrics():
     rng = np.random.default_rng(1212)
-    x = ImageGrid(rng.random((16, 16)) * 0.04)
+    x = rng.random((16, 16)) * 0.04
     ok = ssim(x, x) == pytest.approx(1.0, abs=1e-12)
     mask = RoiMask(np.ones((16, 16), dtype=bool))
     ok &= rmse_roi(x, x, mask) == 0.0
-    water = ImageGrid(np.full((4, 4), 0.02))
-    ok &= to_hu(water, 0.02).data[0, 0] == pytest.approx(1000.0, abs=1e-12)
+    water = np.full((4, 4), 0.02)
+    ok &= to_hu(water, 0.02)[0, 0] == pytest.approx(1000.0, abs=1e-12)
     a = rng.random((16, 16))
     b = a + 0.1 * rng.standard_normal((16, 16))
     dr = float(b.max() - b.min())
-    ok &= abs(ssim(ImageGrid(a), ImageGrid(b), 8, dr)
+    ok &= abs(ssim(a, b, 8, dr)
               - brute_force_ssim(a, b, 8, dr)) <= 1e-12
     _report(12, "metric identities and SSIM oracle agreement", bool(ok))
 

@@ -8,7 +8,6 @@ import pytest
 
 from spultra.config import parse_config
 from spultra.errors import ValidationError
-from spultra.geometry import ImageGrid
 from spultra.metrics import ssim, to_hu
 from spultra.sim import POISSON_MEAN_MAX
 from spultra.spstats import post_log_convert, second_derivative_at_zero
@@ -351,10 +350,10 @@ def test_gamma_c_and_mu_water_bounds_keep_the_arithmetic_finite(tmp_path):
     assert cfg.metrics.mu_water == 1e-6
     # SSIM of HU images of an attenuation map up to 1 mm^-1, with no warning
     rng = np.random.default_rng(0)
-    truth = ImageGrid(rng.random((16, 16)))
+    truth = rng.random((16, 16))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        value = ssim(to_hu(ImageGrid(truth.data + 0.1 * rng.random((16, 16))), 1e-6),
+        value = ssim(to_hu(truth + 0.1 * rng.random((16, 16)), 1e-6),
                      to_hu(truth, 1e-6))
     assert 0.0 < value < 1.0
 

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from spultra.geometry import ImageGrid
 from spultra.metrics import (RoiMask, circle_mask, line_profile, rmse_roi,
                              roi_stats, ssim, to_hu)
 
@@ -25,18 +24,18 @@ def brute_force_ssim(a, b, window, dynamic_range):
 
 
 def test_to_hu_air_and_water():
-    img = ImageGrid(np.array([[0.0, 0.02], [0.04, 0.01]]))
+    img = np.array([[0.0, 0.02], [0.04, 0.01]])
     hu = to_hu(img, mu_water=0.02)
-    assert hu.data[0, 0] == 0.0
-    assert hu.data[0, 1] == 1000.0
-    assert np.allclose(to_hu(ImageGrid(2 * img.data)).data, 2 * hu.data)
+    assert hu[0, 0] == 0.0
+    assert hu[0, 1] == 1000.0
+    assert np.allclose(to_hu(2 * img), 2 * hu)
     with pytest.raises(ValueError):
         to_hu(img, mu_water=0.0)
 
 
 def test_rmse_identical_and_two_pixel():
     rng = np.random.default_rng(0)
-    x = ImageGrid(rng.random((6, 6)) * 0.05)
+    x = rng.random((6, 6)) * 0.05
     mask = RoiMask(np.ones((6, 6), dtype=bool))
     assert rmse_roi(x, x, mask) == 0.0
 
@@ -48,14 +47,14 @@ def test_rmse_identical_and_two_pixel():
     b[0, 1] = 4.0 * mu_w / 1000.0
     m = np.zeros((2, 2), dtype=bool)
     m[0, :] = True
-    got = rmse_roi(ImageGrid(a), ImageGrid(b), RoiMask(m), mu_w)
+    got = rmse_roi(a, b, RoiMask(m), mu_w)
     assert got == pytest.approx(5.0 / np.sqrt(2.0), rel=1e-12)
 
 
 def test_rmse_constant_error_submask():
     mu_w = 0.02
-    a = ImageGrid(np.zeros((4, 4)))
-    b = ImageGrid(np.full((4, 4), 7.0 * mu_w / 1000.0))
+    a = np.zeros((4, 4))
+    b = np.full((4, 4), 7.0 * mu_w / 1000.0)
     m = np.zeros((4, 4), dtype=bool)
     m[1:3, 1:3] = True
     assert rmse_roi(a, b, RoiMask(m), mu_w) == pytest.approx(7.0, rel=1e-12)
@@ -63,8 +62,8 @@ def test_rmse_constant_error_submask():
 
 def test_rmse_symmetry_and_empty_mask():
     rng = np.random.default_rng(1)
-    a = ImageGrid(rng.random((5, 5)))
-    b = ImageGrid(rng.random((5, 5)))
+    a = rng.random((5, 5))
+    b = rng.random((5, 5))
     mask = RoiMask(rng.random((5, 5)) > 0.5)
     assert rmse_roi(a, b, mask) == rmse_roi(b, a, mask)
     with pytest.raises(ValueError):
@@ -73,15 +72,15 @@ def test_rmse_symmetry_and_empty_mask():
 
 def test_ssim_identical_is_one():
     rng = np.random.default_rng(2)
-    x = ImageGrid(rng.random((16, 16)))
+    x = rng.random((16, 16))
     assert ssim(x, x) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ssim_constant_shift_below_one():
     rng = np.random.default_rng(3)
     a = rng.random((16, 16))
-    x = ImageGrid(a)
-    y = ImageGrid(a + 0.3)
+    x = a
+    y = a + 0.3
     assert ssim(y, x) < 1.0
 
 
@@ -90,39 +89,39 @@ def test_ssim_matches_windowed_oracle():
     a = rng.random((16, 16))
     b = a + 0.1 * rng.standard_normal((16, 16))
     dr = float(b.max() - b.min())
-    got = ssim(ImageGrid(a), ImageGrid(b), window=8, dynamic_range=dr)
+    got = ssim(a, b, window=8, dynamic_range=dr)
     expect = brute_force_ssim(a, b, 8, dr)
     assert got == pytest.approx(expect, abs=1e-12)
 
 
 def test_ssim_symmetry():
     rng = np.random.default_rng(5)
-    a = ImageGrid(rng.random((12, 12)))
-    b = ImageGrid(rng.random((12, 12)))
+    a = rng.random((12, 12))
+    b = rng.random((12, 12))
     assert ssim(a, b, dynamic_range=1.0) == pytest.approx(
         ssim(b, a, dynamic_range=1.0), abs=1e-14)
 
 
 def test_roi_stats_cases():
-    img = ImageGrid(np.array([[1.0, 2.0], [3.0, 9.0]]))
+    img = np.array([[1.0, 2.0], [3.0, 9.0]])
     m = np.array([[True, True], [True, False]])
     mean, std = roi_stats(img, RoiMask(m))
     assert mean == pytest.approx(2.0)
     assert std == pytest.approx(np.sqrt(2.0 / 3.0), rel=1e-12)
 
-    const = ImageGrid(np.full((3, 3), 4.2))
+    const = np.full((3, 3), 4.2)
     mean, std = roi_stats(const, RoiMask(np.ones((3, 3), dtype=bool)))
     assert (mean, std) == (pytest.approx(4.2), 0.0)
 
     single = np.zeros((3, 3), dtype=bool)
     single[1, 2] = True
-    mean, std = roi_stats(img := ImageGrid(np.arange(9.0).reshape(3, 3)), RoiMask(single))
+    mean, std = roi_stats(img := np.arange(9.0).reshape(3, 3), RoiMask(single))
     assert (mean, std) == (5.0, 0.0)
 
 
 def test_roi_stats_order_invariant():
     rng = np.random.default_rng(6)
-    img = ImageGrid(rng.random((6, 6)))
+    img = rng.random((6, 6))
     mask = rng.random((6, 6)) > 0.4
     m1, s1 = roi_stats(img, RoiMask(mask))
     # same mask, same result regardless of how it was built
@@ -131,11 +130,11 @@ def test_roi_stats_order_invariant():
 
 
 def test_line_profile():
-    img = ImageGrid(np.arange(12.0).reshape(3, 4))
+    img = np.arange(12.0).reshape(3, 4)
     assert np.array_equal(line_profile(img, "row", 1), [4, 5, 6, 7])
     assert np.array_equal(line_profile(img, "col", 2), [2, 6, 10])
     assert len(line_profile(img, "row", 0)) == 4
-    const = ImageGrid(np.full((3, 4), 2.0))
+    const = np.full((3, 4), 2.0)
     assert np.all(line_profile(const, "row", 2) == 2.0)
     with pytest.raises(ValueError):
         line_profile(img, "row", 3)
@@ -145,7 +144,7 @@ def test_line_profile():
 
 def test_line_profile_commutes_with_hu():
     rng = np.random.default_rng(7)
-    img = ImageGrid(rng.random((5, 5)) * 0.04)
+    img = rng.random((5, 5)) * 0.04
     direct = line_profile(to_hu(img), "row", 2)
     after = line_profile(img, "row", 2) * (1000.0 / 0.02)
     assert np.allclose(direct, after, rtol=1e-15)

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from spultra.config import parse_config
-from spultra.io import read_manifest, read_spim, sha256_file
+from spultra.io import read_manifest, read_spim, sha256_file, write_spim
 from spultra.pipeline import (EXIT_ERROR, EXIT_MISSING_INPUT, EXIT_NUMERICAL, EXIT_OK, METHODS,
                               run_pipeline)
+from spultra import recon
 from spultra.ultra import initial_transform
 
-from conftest import run_cli
+from conftest import assert_clean_stderr, run_cli
 
 CONFIG = """
 [geometry]
@@ -233,17 +234,21 @@ def test_cli_subprocess_smoke(tmp_path):
     cfg_path = write_config(tmp_path, out)
     r = run_cli("simulate", "--config", str(cfg_path))
     assert r.returncode == 0, r.stderr
+    assert_clean_stderr(r)
     r = run_cli("evaluate", "--config", str(cfg_path))
     assert r.returncode == EXIT_MISSING_INPUT
+    assert_clean_stderr(r)
 
     r = run_cli("reconstruct", "--config", str(cfg_path), "--method", "fbp")
     assert r.returncode == 0, r.stderr
+    assert_clean_stderr(r)
     assert (out / "x_fbp.spim").exists()
 
     bad = tmp_path / "bad.ini"
     bad.write_text("[recon]\nalpha = 2.0\n")
     r = run_cli("simulate", "--config", str(bad))
     assert r.returncode == 1
+    assert_clean_stderr(r)
     assert "alpha" in r.stderr
 
 
@@ -254,6 +259,7 @@ def test_cli_out_and_seed_override(tmp_path):
     r = run_cli("simulate", "--config", str(cfg_path), "--out", str(override),
                 "--seed", "99")
     assert r.returncode == 0, r.stderr
+    assert_clean_stderr(r)
     assert (override / "sino_raw.spim").exists()
     assert not out.exists()
     manifest = read_manifest(override / "manifest.json")
@@ -276,7 +282,7 @@ def test_cli_seed_out_of_range_exits_1(tmp_path, where, seed, msg):
     r = run_cli("all", "--config", str(cfg_path), *extra)
     assert r.returncode == EXIT_ERROR
     assert f"io.seed: {msg}, got {seed}" in r.stderr
-    assert "Traceback" not in r.stderr
+    assert_clean_stderr(r)
     assert not out.exists()
 
 
@@ -305,7 +311,7 @@ def test_cli_invalid_number_exits_1_before_any_stage(tmp_path, line, bad, msg):
     r = run_cli("all", "--config", str(cfg_path))
     assert r.returncode == EXIT_ERROR
     assert msg in r.stderr
-    assert "Traceback" not in r.stderr and "Warning" not in r.stderr
+    assert_clean_stderr(r)
     assert not out.exists()
 
 
@@ -319,7 +325,7 @@ def test_cli_negative_s2_beyond_the_poisson_range_exits_1(tmp_path):
     for flags in ([], ["--deterministic-noise"]):
         r = run_cli("simulate", "--config", str(cfg_path), *flags)
         assert r.returncode == EXIT_ERROR
-        assert "Traceback" not in r.stderr
+        assert_clean_stderr(r)
         # log lines only: no traceback and no numpy overflow warning
         assert all(line.startswith(("INFO ", "ERROR ")) for line in r.stderr.splitlines())
         errors = [line for line in r.stderr.splitlines() if line.startswith("ERROR")]
@@ -339,7 +345,7 @@ def test_cli_malformed_artifact_header_exits_1(tmp_path):
     sino.write_bytes(bytes(raw))
     r = run_cli("reconstruct", "--config", str(cfg_path), "--method", "fbp")
     assert r.returncode == EXIT_ERROR
-    assert "Traceback" not in r.stderr
+    assert_clean_stderr(r)
     errors = [line for line in r.stderr.splitlines() if line.startswith("ERROR")]
     assert len(errors) == 1
     assert errors[0].startswith(f"ERROR spultra.pipeline: {sino}: SPIM payload truncated: "
@@ -360,12 +366,20 @@ def _one_iteration_waterdisk64(tmp_path, **values) -> Path:
     return path
 
 
-@pytest.mark.parametrize("key, method", [("beta", "pwls-ultra"), ("beta_ep", "pwls-ep")])
-def test_cli_numerical_abort_exits_3_and_names_the_method(tmp_path, key, method):
-    r = run_cli("all", "--config", str(_one_iteration_waterdisk64(tmp_path, **{key: "1e308"})))
+def _nan_gradient(reg: str) -> str:
+    """Child-process code that makes the regularizer class ``reg`` return a
+    NaN gradient: no accepted config overflows an inner step any more."""
+    return (f"import numpy as np\nfrom spultra import recon\n"
+            f"recon.{reg}.grad = lambda self, x: np.full_like(x, np.nan)")
+
+
+@pytest.mark.parametrize("reg, method", [("UltraQuadReg", "pwls-ultra"),
+                                         ("EdgePreservingReg", "pwls-ep")])
+def test_cli_numerical_abort_exits_3_and_names_the_method(tmp_path, reg, method):
+    r = run_cli("all", "--config", str(_one_iteration_waterdisk64(tmp_path)),
+                prelude=_nan_gradient(reg))
     assert r.returncode == EXIT_NUMERICAL
-    assert "Traceback" not in r.stderr
-    assert "Warning" not in r.stderr  # the abort is reported by its log line only
+    assert_clean_stderr(r)  # the abort is reported by its log line only
     errors = [line for line in r.stderr.splitlines() if line.startswith("ERROR")]
     assert len(errors) == 1
     assert errors[0].startswith(f"ERROR spultra.pipeline: {method}: numerical abort")
@@ -392,7 +406,7 @@ def test_cli_run_at_a_geometry_or_metrics_bound_is_clean(tmp_path, key, value):
         path.write_text(re.sub(r"(?m)^rois =\n(    .*\n)+", "", path.read_text()))
     r = run_cli("all", "--config", str(path))
     assert r.returncode == EXIT_OK, r.stderr
-    assert "Traceback" not in r.stderr and "Warning" not in r.stderr
+    assert_clean_stderr(r)
     assert (tmp_path / "out" / "metrics.csv").exists()
 
 
@@ -407,17 +421,23 @@ def waterdisk64_before_ultra(tmp_path_factory):
     return root / "out"
 
 
-@pytest.mark.parametrize("scale", ["nan", "inf", "1e200", "1e150"])
-def test_cli_transforms_out_of_range_exit_1_naming_the_file(waterdisk64_before_ultra,
-                                                            tmp_path, scale):
+def _pwls_ultra_on_scaled_dct(before_ultra, tmp_path, scale: str):
+    """``reconstruct --method pwls-ultra`` on a copy of ``before_ultra`` whose
+    ``transforms.ult`` holds three DCTs times ``scale``; the run and that file."""
     out = tmp_path / "out"
-    shutil.copytree(waterdisk64_before_ultra, out)
+    shutil.copytree(before_ultra, out)
     ult = out / "transforms.ult"
     omegas = float(scale) * np.stack([initial_transform(64)] * 3)
     ult.write_bytes(b"ULTR" + struct.pack("<II", 3, 64) + omegas.astype("<f8").tobytes())
-    r = run_cli("reconstruct", "--config", str(_one_iteration_waterdisk64(tmp_path)),
-                "--method", "pwls-ultra")
-    assert "Traceback" not in r.stderr and "Warning" not in r.stderr
+    return run_cli("reconstruct", "--config", str(_one_iteration_waterdisk64(tmp_path)),
+                   "--method", "pwls-ultra"), ult
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "1e200", "1e150"])
+def test_cli_transforms_out_of_range_exit_1_naming_the_file(waterdisk64_before_ultra,
+                                                            tmp_path, scale):
+    r, ult = _pwls_ultra_on_scaled_dct(waterdisk64_before_ultra, tmp_path, scale)
+    assert_clean_stderr(r)
     errors = [line for line in r.stderr.splitlines() if line.startswith("ERROR")]
     if scale == "1e150":  # ||O||_F^2 = 64e300 is finite, and the run is clean
         assert r.returncode == EXIT_OK, r.stderr
@@ -428,14 +448,50 @@ def test_cli_transforms_out_of_range_exit_1_naming_the_file(waterdisk64_before_u
         assert errors[0].startswith(f"ERROR spultra.pipeline: {ult}: transform 0 has a ")
 
 
-def test_partial_trace_replaces_a_complete_one(stale_run, tmp_path, caplog):
+def _one_error(r, code) -> str:
+    """The one ERROR line of a clean CLI run that exited with ``code``."""
+    assert r.returncode == code, r.stderr
+    assert_clean_stderr(r)
+    errors = [line for line in r.stderr.splitlines() if line.startswith("ERROR")]
+    assert len(errors) == 1, r.stderr
+    return errors[0]
+
+
+@pytest.mark.parametrize("key, value, method", [("beta", "1e308", "pwls-ultra"),
+                                                ("beta_ep", "1e308", "pwls-ep"),
+                                                ("beta", "1e300", "pwls-ultra"),
+                                                ("beta_ep", "1e300", "pwls-ep")])
+def test_cli_majorizer_overflow_exits_1_naming_the_key(tmp_path, key, value, method):
+    r = run_cli("all", "--config", str(_one_iteration_waterdisk64(tmp_path, **{key: value})),
+                "--method", method)
+    if value == "1e300":  # the diagonal stays finite, and the run is clean
+        assert r.returncode == EXIT_OK, r.stderr
+        assert_clean_stderr(r)
+    else:
+        assert _one_error(r, EXIT_ERROR).startswith(
+            f"ERROR spultra.pipeline: recon.{key}: {float(value):g} makes the regularizer's "
+            "diagonal majorizer overflow")
+        assert not (tmp_path / "out" / f"x_{method.replace('-', '_')}.spim").exists()
+
+
+@pytest.mark.parametrize("scale", ["1e151", "1e152", "1e153"])
+def test_cli_transforms_whose_majorizer_overflows_exit_1(waterdisk64_before_ultra, tmp_path,
+                                                         scale):
+    # ||O||_F^2 is finite, but 2 beta ||O^T O||_2 times the patch coverage is not
+    r, _ = _pwls_ultra_on_scaled_dct(waterdisk64_before_ultra, tmp_path, scale)
+    assert _one_error(r, EXIT_ERROR).startswith(
+        "ERROR spultra.pipeline: recon.beta: 30000 makes the regularizer's diagonal "
+        "majorizer overflow")
+
+
+def test_partial_trace_replaces_a_complete_one(stale_run, tmp_path, caplog, monkeypatch):
     out = tmp_path / "run"
     shutil.copytree(stale_run, out)
     trace = out / "trace_pwls_ultra.csv"
     assert len(trace.read_text().splitlines()) == 3  # the header and iterations 0 and 1
     p = tmp_path / "abort.ini"
-    p.write_text(_quick(CONFIG).replace("PLACEHOLDER", str(out))
-                 .replace("beta = 20000", "beta = 1e308"))
+    p.write_text(_quick(CONFIG).replace("PLACEHOLDER", str(out)))
+    monkeypatch.setattr(recon.UltraQuadReg, "grad", lambda self, x: np.full_like(x, np.nan))
     with caplog.at_level("ERROR"):
         assert run_pipeline(parse_config(p), "reconstruct", method="pwls-ultra") \
             == EXIT_NUMERICAL
@@ -499,7 +555,7 @@ def test_cli_out_dir_that_is_a_file_exits_1(tmp_path):
     r = run_cli("simulate", "--config", str(cfg_path), "--out", str(blocker))
     assert r.returncode == EXIT_ERROR
     assert f"io.out_dir: cannot create {blocker}: " in r.stderr
-    assert "Traceback" not in r.stderr
+    assert_clean_stderr(r)
 
 
 @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
@@ -513,7 +569,7 @@ def test_cli_unreadable_config_exits_1(tmp_path, kind):
     r = run_cli("simulate", "--config", str(cfg_path))
     assert r.returncode == EXIT_ERROR
     assert f"error: cannot read config {cfg_path}: " in r.stderr
-    assert "Traceback" not in r.stderr
+    assert_clean_stderr(r)
 
 
 def test_cli_artifact_write_error_exits_1(tmp_path):
@@ -523,7 +579,7 @@ def test_cli_artifact_write_error_exits_1(tmp_path):
     r = run_cli("simulate", "--config", str(cfg_path))
     assert r.returncode == EXIT_ERROR
     assert f"io.out_dir: cannot write {out / 'x_true.spim'}: " in r.stderr
-    assert "Traceback" not in r.stderr
+    assert_clean_stderr(r)
     assert not (out / "manifest.json").exists()
 
 
@@ -590,11 +646,11 @@ def _resized_over(stale_run, tmp_path):
     return parse_config(p), out
 
 
-def _fails_on(cfg, caplog, name, *args, **kwargs):
+def _fails_on(cfg, caplog, name, *args, why="left over from another config", **kwargs):
     with caplog.at_level("ERROR"):
         assert run_pipeline(cfg, *args, **kwargs) == EXIT_ERROR
-    assert any(name in r.message and "left over from another config" in r.message
-               for r in caplog.records), [r.message for r in caplog.records]
+    errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and name in errors[0] and why in errors[0], errors
 
 
 @pytest.mark.parametrize("method", ["fbp", "pwls-ep", "pwls-ultra", "spultra"])
@@ -620,6 +676,41 @@ def test_stale_reconstruction_of_another_shape_exits_1(stale_run, tmp_path, capl
     cfg, _ = _resized_over(stale_run, tmp_path)
     assert run_pipeline(cfg, "simulate") == EXIT_OK
     _fails_on(cfg, caplog, "x_fbp.spim", "evaluate")
+
+
+def _corrupted(stale_run, tmp_path, name, value):
+    """The config of a copy of ``stale_run`` whose ``name`` holds ``value``
+    in one entry."""
+    out = tmp_path / "run"
+    shutil.copytree(stale_run, out)
+    data, spacing = read_spim(out / name)
+    data.flat[data.size // 2] = value
+    write_spim(out / name, data, spacing)
+    p = tmp_path / "exp.ini"
+    p.write_text(_quick(CONFIG).replace("PLACEHOLDER", str(out)))
+    return parse_config(p)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name, stage, method", [
+    *[("sino_raw.spim", "reconstruct", m) for m in METHODS],
+    ("x_true.spim", "evaluate", None),
+    ("x_pwls_ep.spim", "reconstruct", "pwls-ultra"),
+    ("x_pwls_ep.spim", "reconstruct", "spultra"),
+    ("x_fbp.spim", "evaluate", None),
+])
+def test_non_finite_artifact_exits_1_naming_the_file(stale_run, tmp_path, caplog, value, name,
+                                                      stage, method):
+    cfg = _corrupted(stale_run, tmp_path, name, value)
+    _fails_on(cfg, caplog, f"{tmp_path / 'run' / name} holds a non-finite value", stage,
+              method=method, why="rerun the stage that writes it")
+
+
+def test_training_image_of_another_rank_exits_1(stale_run, tmp_path, caplog):
+    cfg = _corrupted(stale_run, tmp_path, "x_true.spim", 0.0)
+    write_spim(tmp_path / "run" / "x_true.spim", np.zeros(16), (1.0,))
+    _fails_on(cfg, caplog, "x_true.spim holds a 1-D array", "learn",
+              why="rerun the stage that writes it")
 
 
 def test_all_on_image_narrower_than_ssim_window(tmp_path):

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from spultra import recon
 from spultra.errors import ConfigurationError, NumericalError
-from spultra.geometry import (ImageGrid, SystemGeometry, compute_kappa, forward_project,
-                              system_matrix)
+from spultra.geometry import (SystemGeometry, back_project, compute_kappa, forward_project,
+                              system_matrix, weighted_gram_diag)
+from spultra.metrics import to_hu
 from spultra.recon import (TRACE_COLUMNS, ConvergenceTrace, EdgePreservingReg, EpParams,
                            ReconConfig, SubsetSystem, UltraQuadReg,
                            bit_reversal_order, ep_potential, ep_potential_dot,
@@ -194,7 +195,7 @@ def test_os_lalm_matches_reference_loop_bitwise(kind):
     w = rng.uniform(0.2, 2.0, geom.n_rays)
     w[:geom.n_detectors] = 0.0  # one view carries no weight
     y = rng.uniform(0.0, 0.4, geom.n_rays)
-    kappa = compute_kappa(geom, w).data.reshape(-1)
+    kappa = compute_kappa(geom, w).reshape(-1)
     ep = EpParams(beta_ep=0.7, delta=0.004, potential_kind=kind, iters=2)
     cfg = ReconConfig(beta=0.0, gamma_c=1.0, n_outer=1, n_inner=2, n_subsets=3,
                       x_max=0.05, patch=PatchConfig(1, 1), ep=ep)
@@ -297,7 +298,7 @@ def test_pwls_ep_leaves_subset_blocks_unbuilt(monkeypatch):
     cfg = ReconConfig(beta=0.0, gamma_c=1.0, n_outer=1, n_inner=1, n_subsets=4,
                       x_max=0.1, patch=PatchConfig(1, 1),
                       ep=EpParams(beta_ep=1.0, delta=0.01, iters=2))
-    pwls_ep_reconstruct(l, w, geom, cfg, ImageGrid(np.zeros((6, 6))))
+    pwls_ep_reconstruct(l, w, geom, cfg, np.zeros((6, 6)))
     assert len(systems) == 1
     assert len(systems[0].sub) == 0
 
@@ -383,20 +384,20 @@ def test_pwls_ep_reduces_to_wls_when_beta_zero():
     cfg = ReconConfig(beta=0.0, gamma_c=1.0, n_outer=1, n_inner=4000, n_subsets=1,
                       x_max=0.1, patch=PatchConfig(1, 1),
                       ep=EpParams(beta_ep=0.0, delta=0.01, iters=4000))
-    x0 = ImageGrid(np.zeros((3, 3)))
+    x0 = np.zeros((3, 3))
     img = pwls_ep_reconstruct(l, w, geom, cfg, x0)
     dense = np.linalg.lstsq(a, l, rcond=None)[0]
-    assert np.max(np.abs(img.data.reshape(-1) - dense)) <= 1e-5
+    assert np.max(np.abs(img.reshape(-1) - dense)) <= 1e-5
 
 
 def test_fbp_zero_and_linearity():
     geom = small_parallel(16, 16, 24, 20)
     zero = np.zeros((geom.n_views, geom.n_detectors))
-    assert np.all(fbp_reconstruct(zero, geom).data == 0)
+    assert np.all(fbp_reconstruct(zero, geom) == 0)
     rng = np.random.default_rng(2)
     sino = rng.random((geom.n_views, geom.n_detectors))
-    a = fbp_reconstruct(sino, geom).data
-    b = fbp_reconstruct(2.5 * sino, geom).data
+    a = fbp_reconstruct(sino, geom)
+    b = fbp_reconstruct(2.5 * sino, geom)
     assert np.allclose(b, 2.5 * a, rtol=1e-12, atol=1e-15)
 
 
@@ -408,7 +409,7 @@ def test_fbp_disk_center_accuracy():
                                      (Ellipse(0, 0, 50, 50, 0, 0.02),)))
     sino = forward_project(truth, geom)
     rec = fbp_reconstruct(sino, geom)
-    center = rec.data[64, 64]
+    center = rec[64, 64]
     assert abs(center - 0.02) / 0.02 <= 0.02
 
 
@@ -442,24 +443,58 @@ def _tiny_setup(seed=0, i0=2000.0):
     return geom, model, truth, sino, union, cfg
 
 
+def test_images_are_float64_arrays_of_image_dims():
+    geom, model, truth, sino, union, cfg = _tiny_setup()
+    cfg = dataclasses.replace(cfg, n_outer=1, ep=EpParams(beta_ep=1.0, delta=0.01, iters=1))
+    l_t, w_t = post_log_convert(sino.ravel(), model)
+    x0 = np.full(geom.image_dims, 0.015)
+    images = {
+        "make_phantom": truth,
+        "back_project": back_project(sino, geom),
+        "fbp_reconstruct": fbp_reconstruct(l_t.reshape(sino.shape), geom),
+        "pwls_ep_reconstruct": pwls_ep_reconstruct(l_t, w_t, geom, cfg, x0),
+        "spultra_reconstruct": spultra_reconstruct(sino, model, union, geom, cfg, x0)[0],
+        "weighted_gram_diag": weighted_gram_diag(geom, w_t),
+        "compute_kappa": compute_kappa(geom, w_t),
+        "to_hu": to_hu(truth),
+    }
+    for name, img in images.items():
+        assert type(img) is np.ndarray and img.dtype == np.float64, name
+        assert img.shape == geom.image_dims, name
+
+
+@pytest.mark.parametrize("reg", ["ultra", "ep"])
+def test_majorizer_overflow_is_a_configuration_error(reg):
+    geom, model, truth, sino, union, cfg = _tiny_setup()
+    if reg == "ep":
+        ep = EpParams(beta_ep=1e308, delta=0.01)
+        with pytest.raises(ConfigurationError, match=r"^recon\.beta_ep: 1e\+308 makes "):
+            EdgePreservingReg(np.ones(geom.n_pixels), ep, geom.image_dims)
+        return
+    tau = np.ones(cfg.patch.n_patches(geom.image_dims))
+    state = sparse_code_and_cluster(truth, union, cfg.gamma_c, tau, cfg.patch)
+    with pytest.raises(ConfigurationError, match=r"^recon\.beta: 1e\+308 makes "):
+        UltraQuadReg(union, state, 1e308, cfg.patch, geom.image_dims)
+
+
 def test_spultra_zero_outer_returns_x0():
     geom, model, truth, sino, union, cfg = _tiny_setup()
     cfg0 = ReconConfig(beta=cfg.beta, gamma_c=cfg.gamma_c, n_outer=0,
                        n_inner=cfg.n_inner, n_subsets=cfg.n_subsets,
                        x_max=cfg.x_max, patch=cfg.patch)
-    x0 = ImageGrid(np.full((16, 16), 0.01))
+    x0 = np.full((16, 16), 0.01)
     img, trace = spultra_reconstruct(sino, model, union, geom, cfg0, x0)
-    assert np.array_equal(img.data, x0.data)
+    assert np.array_equal(img, x0)
     assert len(trace.columns["iter"]) == 1
 
     l_t, w_t = post_log_convert(sino.ravel(), model)
     img2, trace2 = pwls_ultra_reconstruct(l_t, w_t, union, geom, cfg0, x0)
-    assert np.array_equal(img2.data, x0.data)
+    assert np.array_equal(img2, x0)
 
 
 def test_spultra_monotone_objective_and_box():
     geom, model, truth, sino, union, cfg = _tiny_setup()
-    x0 = ImageGrid(np.full((16, 16), 0.015))
+    x0 = np.full((16, 16), 0.015)
     img, trace = spultra_reconstruct(sino, model, union, geom, cfg, x0, truth=truth)
     obj = np.array(trace.columns["objective"])
     assert np.all(np.diff(obj) <= 1e-6 * np.abs(obj[:-1]))
@@ -467,7 +502,7 @@ def test_spultra_monotone_objective_and_box():
     pre = trace.columns["objective_pre_coding"]
     assert pre[0] is None
     assert np.all(obj[1:] <= np.array(pre[1:]))
-    assert img.data.min() >= 0 and img.data.max() <= cfg.x_max
+    assert img.min() >= 0 and img.max() <= cfg.x_max
     rmse = trace.columns["rmse_vs_truth"]
     assert len(rmse) == len(obj) and rmse[1] is not None
 
@@ -475,7 +510,7 @@ def test_spultra_monotone_objective_and_box():
 @pytest.mark.parametrize("method", ["spultra", "pwls-ultra"])
 def test_trace_records_clustering_diagnostics(tmp_path, method):
     geom, model, truth, sino, union, cfg = _tiny_setup(seed=3)
-    x0 = ImageGrid(np.full((16, 16), 0.015))
+    x0 = np.full((16, 16), 0.015)
     if method == "spultra":
         _, trace = spultra_reconstruct(sino, model, union, geom, cfg, x0)
     else:
@@ -499,7 +534,7 @@ def test_trace_records_clustering_diagnostics(tmp_path, method):
 def test_pwls_ultra_monotone_objective():
     geom, model, truth, sino, union, cfg = _tiny_setup(seed=4)
     l_t, w_t = post_log_convert(sino.ravel(), model)
-    x0 = ImageGrid(np.full((16, 16), 0.015))
+    x0 = np.full((16, 16), 0.015)
     img, trace = pwls_ultra_reconstruct(l_t, w_t, union, geom, cfg, x0)
     obj = np.array(trace.columns["objective"])
     assert np.all(np.diff(obj) <= 1e-6 * np.abs(obj[:-1]))
@@ -519,10 +554,10 @@ def test_pwls_ultra_beta_zero_is_constrained_wls():
     union = TransformUnion(initial_transform(4)[None, :, :])
     cfg = ReconConfig(beta=0.0, gamma_c=1e-3, n_outer=1, n_inner=4000, n_subsets=1,
                       x_max=0.1, patch=PatchConfig(2, 1))
-    x0 = ImageGrid(np.zeros((3, 3)))
+    x0 = np.zeros((3, 3))
     img, _ = pwls_ultra_reconstruct(l, w, union, geom, cfg, x0)
     dense = np.linalg.lstsq(a, l, rcond=None)[0]
-    assert np.max(np.abs(img.data.reshape(-1) - dense)) <= 1e-5
+    assert np.max(np.abs(img.reshape(-1) - dense)) <= 1e-5
 
 
 def test_noiseless_consistent_recovery():
@@ -537,13 +572,13 @@ def test_noiseless_consistent_recovery():
     union = TransformUnion(initial_transform(16)[None, :, :])
     cfg = ReconConfig(beta=1e-6, gamma_c=5e-5, n_outer=120, n_inner=10, n_subsets=4,
                       x_max=0.1, patch=PatchConfig(4, 1))
-    x0 = ImageGrid(np.full((32, 32), 0.01))
+    x0 = np.full((32, 32), 0.01)
     img_sp, _ = spultra_reconstruct(sino, model, union, geom, cfg, x0)
     l_t, w_t = post_log_convert(sino.ravel(), model)
     img_pw, _ = pwls_ultra_reconstruct(l_t, w_t, union, geom, cfg, x0)
     hu = 1000.0 / 0.02
-    rmse_sp = np.sqrt(np.mean((img_sp.data - truth.data) ** 2)) * hu
-    rmse_pw = np.sqrt(np.mean((img_pw.data - truth.data) ** 2)) * hu
+    rmse_sp = np.sqrt(np.mean((img_sp - truth) ** 2)) * hu
+    rmse_pw = np.sqrt(np.mean((img_pw - truth) ** 2)) * hu
     assert rmse_sp <= 1.0
     assert rmse_pw <= 1.0
 
@@ -556,8 +591,8 @@ def test_majorizer_sandwich_across_outer_iteration():
     counts = np.maximum(sino.ravel() + model.sigma2, 0.0)
     a = system_matrix(geom)
     rng = np.random.default_rng(1)
-    x_n = np.clip(truth.data.reshape(-1) + rng.normal(0, 0.004, geom.n_pixels), 0, 0.1)
-    img_n = ImageGrid(x_n.reshape(geom.image_dims))
+    x_n = np.clip(truth.reshape(-1) + rng.normal(0, 0.004, geom.n_pixels), 0, 0.1)
+    img_n = x_n.reshape(geom.image_dims)
     surr = build_surrogate(img_n, counts, model, geom)
     q_c = neg_log_likelihood(surr.l_n, counts, model) \
         - 0.5 * float(np.sum(surr.d_h ** 2 / surr.w))
@@ -569,7 +604,7 @@ def test_majorizer_sandwich_across_outer_iteration():
         assert lhs <= phi + q_c + 1e-7 * (1 + abs(lhs))
 
 
-def objective_value(x: ImageGrid, state: SparseState, y_raw: np.ndarray, model: SpModel,
+def objective_value(x: np.ndarray, state: SparseState, y_raw: np.ndarray, model: SpModel,
                     union: TransformUnion, cfg: ReconConfig, geom: SystemGeometry) -> float:
     """Reference penalized-likelihood objective, formed independently of the
     solver's bookkeeping: shifted-Poisson data term plus regularizer."""
@@ -581,7 +616,7 @@ def objective_value(x: ImageGrid, state: SparseState, y_raw: np.ndarray, model: 
 
 def test_objective_value_beta_zero_and_additivity():
     geom, model, truth, sino, union, cfg = _tiny_setup(seed=2)
-    x = ImageGrid(np.clip(truth.data, 0, 0.1))
+    x = np.clip(truth, 0, 0.1)
     counts = np.maximum(sino.ravel() + model.sigma2, 0.0)
     l_t, w_t = post_log_convert(sino.ravel(), model)
     tau = patch_weights(compute_kappa(geom, w_t), cfg.patch)
@@ -607,7 +642,7 @@ def test_objective_lower_bound():
     l_t, w_t = post_log_convert(sino.ravel(), model)
     tau = patch_weights(compute_kappa(geom, w_t), cfg.patch)
     for _ in range(10):
-        x = ImageGrid(rng.uniform(0, 0.1, geom.image_dims))
+        x = rng.uniform(0, 0.1, geom.image_dims)
         state = sparse_code_and_cluster(x, union, cfg.gamma_c, tau, cfg.patch)
         g = objective_value(x, state, sino, model, union, cfg, geom)
         assert g >= bound - 1e-9 * abs(bound)
@@ -652,7 +687,7 @@ def test_ultra_abort_carries_partial_trace(monkeypatch, method):
         return np.full_like(out, np.nan) if len(calls) > 6 else out
 
     monkeypatch.setattr(SubsetSystem, "subset_gradient", poisoned)
-    x0 = ImageGrid(np.full((16, 16), 0.015))
+    x0 = np.full((16, 16), 0.015)
     with pytest.raises(NumericalError) as err:
         if method == "spultra":
             spultra_reconstruct(sino, model, union, geom, cfg, x0)
@@ -688,7 +723,7 @@ def test_ultra_reconstruction_keeps_one_regularizer(monkeypatch, method, n_outer
     monkeypatch.setattr(UltraQuadReg, "__init__", init)
     monkeypatch.setattr(UltraQuadReg, "update", update)
     monkeypatch.setattr(recon, "regularizer_majorizer_diag", diag)
-    x0 = ImageGrid(np.full((16, 16), 0.015))
+    x0 = np.full((16, 16), 0.015)
     if method == "spultra":
         spultra_reconstruct(sino, model, union, geom, cfg, x0)
     else:
@@ -705,12 +740,12 @@ def test_spultra_initial_objective_is_reference_objective():
                        n_inner=cfg.n_inner, n_subsets=cfg.n_subsets,
                        x_max=cfg.x_max, patch=cfg.patch)
     # x0 leaves the box on both sides, so the start point is the clipped image
-    x0 = ImageGrid(truth.data * 6.0 - 0.02)
+    x0 = truth * 6.0 - 0.02
     _, trace = spultra_reconstruct(sino, model, union, geom, cfg0, x0)
 
     _, w_t = post_log_convert(sino.ravel(), model)
     tau = patch_weights(compute_kappa(geom, w_t), cfg.patch)
-    x = ImageGrid(np.clip(x0.data, 0.0, cfg.x_max))
+    x = np.clip(x0, 0.0, cfg.x_max)
     state = sparse_code_and_cluster(x, union, cfg.gamma_c, tau, cfg.patch)
     assert trace.columns["objective"][0] == objective_value(x, state, sino, model, union,
                                                              cfg, geom)
@@ -730,7 +765,7 @@ def _random_reg_problem(rng, k, side, stride, dims):
 
 def _patch_gradient(union, state, beta, patch, dims, x):
     """Reference: 2 beta sum_j tau_j P_j^T O_kj^T (O_kj P_j x - z_j), class by class."""
-    p = extract_patches(ImageGrid(x.reshape(dims)), patch)
+    p = extract_patches(x.reshape(dims), patch)
     out = np.zeros_like(p)
     for k in range(union.k):
         sel = state.labels == k
@@ -829,7 +864,7 @@ def test_stride2_gradient_matches_finite_differences():
     g = UltraQuadReg(union, state, beta, patch, dims).grad(x)
 
     def value(x_flat):
-        return regularizer_value(ImageGrid(x_flat.reshape(dims)), state, union, beta,
+        return regularizer_value(x_flat.reshape(dims), state, union, beta,
                                  gamma, patch)
 
     eps = 1e-6
@@ -847,7 +882,7 @@ def test_ultra_gradient_zero_at_exact_codes(stride):
     rng = np.random.default_rng(30 + stride)
     dims = (9, 7)
     union, patch, state, x = _random_reg_problem(rng, 3, 3, stride, dims)
-    p = extract_patches(ImageGrid(x.reshape(dims)), patch)
+    p = extract_patches(x.reshape(dims), patch)
     for k in range(union.k):
         sel = state.labels == k
         state.z[:, sel] = union.transforms[k] @ p[:, sel]

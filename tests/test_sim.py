@@ -12,16 +12,16 @@ from conftest import small_parallel
 
 def test_phantom_empty_and_full():
     spec = PhantomSpec((8, 8), (1.0, 1.0), ())
-    assert np.all(make_phantom(spec).data == 0)
+    assert np.all(make_phantom(spec) == 0)
 
     big = PhantomSpec((8, 8), (1.0, 1.0), (Ellipse(0, 0, 100, 100, 0, 0.02),))
-    assert np.all(make_phantom(big).data == 0.02)
+    assert np.all(make_phantom(big) == 0.02)
 
 
 def test_phantom_overwrite_rule():
     spec = PhantomSpec((16, 16), (1.0, 1.0),
                        (Ellipse(0, 0, 6, 6, 0, 0.02), Ellipse(0, 0, 3, 3, 0, 0.05)))
-    img = make_phantom(spec).data
+    img = make_phantom(spec)
     assert img[8, 8] == 0.05
     assert img[8, 3] == 0.02   # in outer, not inner
     assert img[0, 0] == 0.0
@@ -30,7 +30,7 @@ def test_phantom_overwrite_rule():
 def test_phantom_rotation():
     spec = PhantomSpec((32, 32), (1.0, 1.0),
                        (Ellipse(0, 0, 10, 2, np.pi / 2, 0.03),))
-    img = make_phantom(spec).data
+    img = make_phantom(spec)
     # semi-major axis rotated onto the y axis
     assert img[6, 15] == 0.03 or img[6, 16] == 0.03
     assert img[15, 3] == 0.0

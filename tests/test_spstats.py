@@ -2,7 +2,6 @@ import mpmath
 import numpy as np
 import pytest
 
-from spultra.geometry import ImageGrid
 from spultra.spstats import (SpModel, build_surrogate, likelihood_gradient,
                              neg_log_likelihood, optimum_curvature,
                              post_log_convert, second_derivative_at_zero,
@@ -137,7 +136,7 @@ def test_build_surrogate_zero_shift_at_stationary_ray():
     geom = small_parallel()
     model = SpModel(i0=200.0, sigma2=25.0)
     rng = np.random.default_rng(2)
-    x = ImageGrid(rng.uniform(0, 0.02, geom.image_dims), geom.pixel_spacing)
+    x = rng.uniform(0, 0.02, geom.image_dims)
     from spultra.geometry import forward_project
     l_n = forward_project(x, geom).ravel()
     counts = model.mean_counts(l_n)  # every ray stationary
@@ -154,7 +153,7 @@ def test_surrogate_at_projection_matches_build_surrogate(s2):
     x = rng.uniform(0, 0.03, geom.n_pixels)
     counts = np.maximum(model.mean_counts(np.zeros(geom.n_rays))
                         + rng.normal(0, 30, geom.n_rays), 0.0)
-    ref = build_surrogate(ImageGrid(x.reshape(geom.image_dims), geom.pixel_spacing),
+    ref = build_surrogate(x.reshape(geom.image_dims),
                           counts, model, geom)
     surr = surrogate_at(system_matrix(geom) @ x, counts, model)
     for name in ("w", "d_h", "y_tilde", "l_n"):
@@ -187,7 +186,7 @@ def test_build_surrogate_gradient_matches_likelihood():
     model = SpModel(i0=500.0, sigma2=25.0)
     rng = np.random.default_rng(8)
     x = rng.uniform(0, 0.02, geom.n_pixels)
-    img = ImageGrid(x.reshape(geom.image_dims), geom.pixel_spacing)
+    img = x.reshape(geom.image_dims)
     counts = np.maximum(model.mean_counts(np.zeros(geom.n_rays))
                         + rng.normal(0, 20, geom.n_rays), 0.0)
     surr = build_surrogate(img, counts, model, geom)

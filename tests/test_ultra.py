@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spultra.errors import ConfigurationError
-from spultra.geometry import ImageGrid
 from spultra.recon import UltraQuadReg
 from spultra import ultra
 from spultra.ultra import (PatchConfig, SparseState, TransformUnion,
@@ -53,14 +52,14 @@ def test_patch_config_validation():
 
 def test_extract_whole_image_single_patch():
     rng = np.random.default_rng(0)
-    img = ImageGrid(rng.random((8, 8)))
+    img = rng.random((8, 8))
     p = extract_patches(img, PatchConfig(8, 1))
     assert p.shape == (64, 1)
-    assert np.array_equal(p[:, 0], img.data.reshape(-1))
+    assert np.array_equal(p[:, 0], img.reshape(-1))
 
 
 def test_extract_disjoint_tiling():
-    img = ImageGrid(np.arange(16.0).reshape(4, 4))
+    img = np.arange(16.0).reshape(4, 4)
     p = extract_patches(img, PatchConfig(2, 2))
     assert p.shape == (4, 4)
     # raster order of top-left corners; row-major inside each patch
@@ -87,11 +86,11 @@ def test_accumulate_is_adjoint_of_extract():
     rng = np.random.default_rng(5)
     dims = (7, 9)
     cfg = PatchConfig(3, 2)
-    img = ImageGrid(rng.random(dims))
+    img = rng.random(dims)
     p = extract_patches(img, cfg)
     vals = rng.random(p.shape)
     lhs = np.sum(p * vals)
-    rhs = np.sum(img.data * accumulate_patches(vals, dims, cfg))
+    rhs = np.sum(img * accumulate_patches(vals, dims, cfg))
     assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
@@ -121,10 +120,10 @@ def test_hard_threshold_solves_l0_problem(v):
 
 def test_cluster_single_class_and_identity():
     rng = np.random.default_rng(2)
-    img = ImageGrid(rng.uniform(1.0, 2.0, (6, 6)))
+    img = rng.uniform(1.0, 2.0, (6, 6))
     cfg = PatchConfig(2, 1)
     union = TransformUnion(np.eye(4)[None, :, :])
-    n = cfg.n_patches(img.dims)
+    n = cfg.n_patches(img.shape)
     state = sparse_code_and_cluster(img, union, 0.5, np.ones(n), cfg)
     assert np.all(state.labels == 0)
     # identity transform, threshold below every entry: codes equal the patches
@@ -136,8 +135,8 @@ def test_cluster_matches_exhaustive_oracle():
     k, side = 3, 2
     cfg = PatchConfig(side, 1)
     union = random_union(k, side * side, seed=4)
-    img = ImageGrid(rng.standard_normal((6, 6)) * 0.5)
-    n = cfg.n_patches(img.dims)
+    img = rng.standard_normal((6, 6)) * 0.5
+    n = cfg.n_patches(img.shape)
     gamma = 0.8
     state = sparse_code_and_cluster(img, union, gamma, np.ones(n), cfg)
     patches = extract_patches(img, cfg)
@@ -158,8 +157,8 @@ def test_cluster_tau_invariance():
     rng = np.random.default_rng(21)
     cfg = PatchConfig(2, 1)
     union = random_union(3, 4, seed=9)
-    img = ImageGrid(rng.standard_normal((7, 7)))
-    n = cfg.n_patches(img.dims)
+    img = rng.standard_normal((7, 7))
+    n = cfg.n_patches(img.shape)
     base = sparse_code_and_cluster(img, union, 0.6, np.ones(n), cfg)
     for seed in range(3):
         tau = np.random.default_rng(seed).uniform(0.1, 5.0, n)
@@ -171,9 +170,9 @@ def test_support_magnitudes_at_least_gamma():
     rng = np.random.default_rng(3)
     cfg = PatchConfig(3, 1)
     union = random_union(2, 9, seed=13)
-    img = ImageGrid(rng.standard_normal((8, 8)))
+    img = rng.standard_normal((8, 8))
     gamma = 0.7
-    state = sparse_code_and_cluster(img, union, gamma, np.ones(cfg.n_patches(img.dims)), cfg)
+    state = sparse_code_and_cluster(img, union, gamma, np.ones(cfg.n_patches(img.shape)), cfg)
     nz = state.z[state.z != 0]
     assert np.all(np.abs(nz) >= gamma)
 
@@ -181,14 +180,14 @@ def test_support_magnitudes_at_least_gamma():
 def test_regularizer_value_cases():
     cfg = PatchConfig(2, 2)
     union = TransformUnion(np.eye(4)[None, :, :])
-    zero = ImageGrid(np.zeros((4, 4)))
+    zero = np.zeros((4, 4))
     n = cfg.n_patches((4, 4))
     state = SparseState(z=np.zeros((4, n)), labels=np.zeros(n, dtype=int), tau=np.ones(n))
     assert regularizer_value(zero, state, union, 3.0, 0.5, cfg) == 0.0
 
     # single patch, tau=1, identity transform, patch (1,0,0,0), z=0, gamma=0.5:
     # value = beta * (1 + 0)
-    img = ImageGrid(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    img = np.array([[1.0, 0.0], [0.0, 0.0]])
     cfg1 = PatchConfig(2, 1)
     state1 = SparseState(z=np.zeros((4, 1)), labels=np.zeros(1, dtype=int), tau=np.ones(1))
     beta = 2.5
@@ -199,8 +198,8 @@ def test_coding_minimizes_regularizer_value():
     rng = np.random.default_rng(6)
     cfg = PatchConfig(2, 1)
     union = random_union(3, 4, seed=2)
-    img = ImageGrid(rng.standard_normal((6, 6)))
-    n = cfg.n_patches(img.dims)
+    img = rng.standard_normal((6, 6))
+    n = cfg.n_patches(img.shape)
     tau = rng.uniform(0.2, 2.0, n)
     gamma = 0.9
     state = sparse_code_and_cluster(img, union, gamma, tau, cfg)
@@ -244,12 +243,12 @@ def _coding_problem(seed, k, side, stride, rows, cols, on_boundary):
     union = TransformUnion(np.stack([np.eye(v) + 0.5 * rng.standard_normal((v, v))
                                      for _ in range(k)]))
     cfg = PatchConfig(side, stride)
-    img = ImageGrid(rng.standard_normal((rows, cols)))
+    img = rng.standard_normal((rows, cols))
     gamma = float(rng.uniform(0.2, 1.5))
     if on_boundary:
         t = union.transforms[rng.integers(k)] @ extract_patches(img, cfg)
         gamma = float(np.abs(t.flat[rng.integers(t.size)])) or gamma
-    tau = rng.uniform(0.1, 3.0, cfg.n_patches(img.dims))
+    tau = rng.uniform(0.1, 3.0, cfg.n_patches(img.shape))
     return union, cfg, img, gamma, tau
 
 
@@ -298,7 +297,7 @@ def test_codes_are_the_thresholded_chosen_products():
     vals = np.array([gamma, -gamma, 2 * gamma, -2 * gamma, gamma / 2, -gamma / 2,
                      0.0, -0.0, 0.1, -0.1, 0.7, -0.7, 1e-300, -1e-300])
     rng = np.random.default_rng(17)
-    img = ImageGrid(rng.choice(vals, size=(9, 8)))
+    img = rng.choice(vals, size=(9, 8))
     cfg = PatchConfig(2, 1)
     union = TransformUnion(np.stack([np.eye(cfg.v), 0.5 * np.eye(cfg.v)]))
     patches = extract_patches(img, cfg)
@@ -328,7 +327,7 @@ def test_regularizer_value_reproduces_pass_costs(seed, k, side, extra, on_bounda
     prev = sparse_code_and_cluster(img, union, gamma, tau, cfg)
     assert regularizer_value(img, prev, union, beta, gamma, cfg) \
         == beta * float(np.sum(tau * prev.cost))
-    moved = ImageGrid(img.data + 0.3 * np.random.default_rng(seed).standard_normal(img.dims))
+    moved = img + 0.3 * np.random.default_rng(seed).standard_normal(img.shape)
     state = sparse_code_and_cluster(moved, union, gamma, tau, cfg, prev=prev)
     assert regularizer_value(moved, prev, union, beta, gamma, cfg) \
         == beta * float(np.sum(tau * state.prev_cost))
@@ -346,12 +345,12 @@ def test_recoding_never_raises_the_cost(seed, k, side, stride, on_boundary, hand
                                                   side + 4, on_boundary)
     rng = np.random.default_rng(seed + 1)
     if hand_made:  # any codes and labels, not only those of an earlier pass
-        n = cfg.n_patches(img.dims)
+        n = cfg.n_patches(img.shape)
         prev = SparseState(z=hard_threshold(rng.standard_normal((cfg.v, n)), gamma),
                            labels=rng.integers(0, k, n), tau=tau)
     else:
         prev = sparse_code_and_cluster(
-            ImageGrid(img.data + 0.2 * rng.standard_normal(img.dims)), union, gamma, tau, cfg)
+            img + 0.2 * rng.standard_normal(img.shape), union, gamma, tau, cfg)
     state = sparse_code_and_cluster(img, union, gamma, tau, cfg, prev=prev)
     assert np.all(state.cost <= state.prev_cost)
     assert float(np.sum(tau * state.cost)) <= float(np.sum(tau * state.prev_cost))
@@ -377,15 +376,15 @@ def test_recoding_at_the_same_image_keeps_codes_and_cost():
 
 def regularizer_gradient(img, state, union, beta, cfg):
     """Gradient of the quadratic regularizer part, as the solvers evaluate it."""
-    reg = UltraQuadReg(union, state, beta, cfg, img.dims)
-    return reg.grad(img.data.reshape(-1)).reshape(img.dims)
+    reg = UltraQuadReg(union, state, beta, cfg, img.shape)
+    return reg.grad(img.reshape(-1)).reshape(img.shape)
 
 
 def test_regularizer_gradient_zero_at_exact_codes():
     rng = np.random.default_rng(8)
     cfg = PatchConfig(2, 1)
     union = random_union(2, 4, seed=5)
-    img = ImageGrid(rng.standard_normal((5, 5)))
+    img = rng.standard_normal((5, 5))
     patches = extract_patches(img, cfg)
     n = patches.shape[1]
     labels = rng.integers(0, 2, n)
@@ -403,7 +402,7 @@ def test_regularizer_gradient_matches_finite_differences():
     cfg = PatchConfig(2, 1)
     union = random_union(3, 4, seed=3)
     dims = (5, 6)
-    img = ImageGrid(rng.standard_normal(dims))
+    img = rng.standard_normal(dims)
     n = cfg.n_patches(dims)
     tau = rng.uniform(0.2, 2.0, n)
     state = sparse_code_and_cluster(img, union, 0.8, tau, cfg)
@@ -411,7 +410,7 @@ def test_regularizer_gradient_matches_finite_differences():
 
     def quad_part(x):
         val = 0.0
-        patches = extract_patches(ImageGrid(x), cfg)
+        patches = extract_patches(x, cfg)
         for k in range(union.k):
             sel = state.labels == k
             if np.any(sel):
@@ -426,7 +425,7 @@ def test_regularizer_gradient_matches_finite_differences():
         e = np.zeros(dims)
         e[i, j] = 1.0
         eps = 1e-6
-        fd = (quad_part(img.data + eps * e) - quad_part(img.data - eps * e)) / (2 * eps)
+        fd = (quad_part(img + eps * e) - quad_part(img - eps * e)) / (2 * eps)
         assert g[i, j] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
     # linearity in beta
@@ -456,7 +455,7 @@ def test_majorizer_diag_dominates_hessian():
     # hessian quadratic form: x^T H x = 2 beta sum_j tau_j ||O_kj P_j x||^2
     for seed in range(50):
         x = np.random.default_rng(200 + seed).standard_normal(dims)
-        patches = extract_patches(ImageGrid(x), cfg)
+        patches = extract_patches(x, cfg)
         hx = 0.0
         for k in range(3):
             sel = labels == k
