@@ -12,8 +12,7 @@ from .metrics import RoiMask, line_profile, rmse_roi, roi_stats, ssim, to_hu
 from .recon import (ConvergenceTrace, EpParams, ReconConfig, fbp_reconstruct,
                     os_lalm_image_update, pwls_ep_reconstruct, pwls_ultra_reconstruct,
                     rho_schedule, spultra_reconstruct)
-from .sim import (Ellipse, PhantomSpec, make_phantom, nonpositive_fraction,
-                  scale_dose, simulate_prelog)
+from .sim import Ellipse, make_phantom, nonpositive_fraction, scale_dose, simulate_prelog
 from .spstats import (SpModel, SurrogateState, build_surrogate,
                       likelihood_gradient, neg_log_likelihood,
                       optimum_curvature, post_log_convert)

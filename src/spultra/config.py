@@ -18,9 +18,9 @@ import numpy as np
 
 from .errors import ConfigurationError, ValidationError
 from .geometry import SystemGeometry
-from .metrics import DEFAULT_MU_WATER, circle_mask
+from .metrics import DEFAULT_MU_WATER, RoiMask, circle_mask
 from .recon import EpParams, ReconConfig
-from .sim import POISSON_MEAN_MAX, Ellipse, PhantomSpec
+from .sim import POISSON_MEAN_MAX, Ellipse
 from .spstats import SpModel
 from .ultra import PatchConfig
 
@@ -74,10 +74,9 @@ def _lines(text):
 @dataclass(frozen=True)
 class LearningConfig:
     k: int
-    v: int
+    patch: PatchConfig
     gamma_c: float
     lambda0: float
-    stride: int = 1
     iters: int = 50
     n_patches: int = 10000
 
@@ -99,7 +98,7 @@ class IoConfig:
 class ExperimentConfig:
     geometry: SystemGeometry | None = None
     model: SpModel | None = None
-    phantom: PhantomSpec | None = None
+    phantom: tuple[Ellipse, ...] | None = None  # drawn on the [geometry] grid
     learning: LearningConfig | None = None
     recon: ReconConfig | None = None
     metrics: MetricsConfig = MetricsConfig()
@@ -107,16 +106,17 @@ class ExperimentConfig:
     config_hash: str = ""
 
     def with_overrides(self, out_dir=None, seed=None) -> "ExperimentConfig":
-        """A copy with ``[io]`` out_dir and seed replaced; an out-of-range seed
-        raises :class:`ValidationError`, as it would in the INI file."""
+        """A copy with ``[io]`` out_dir and seed replaced; without ``[io]``,
+        an out_dir makes one and a seed alone leaves none. An out-of-range
+        seed raises :class:`ValidationError`, as it would in the INI file."""
         if seed is not None:
             errors = []
             seed = _Section("io", {"seed": str(seed)}, errors).get("seed", int, **_SEED_BOUNDS)
             if errors:
                 raise ValidationError(errors)
         cfg = ExperimentConfig(**self.__dict__)
-        if out_dir is not None or seed is not None:
-            io = self.io or IoConfig(out_dir=".")
+        if self.io is not None or out_dir is not None:  # else there is no output directory
+            io = self.io or IoConfig(out_dir=str(out_dir))
             cfg.io = replace(io, out_dir=str(out_dir) if out_dir is not None else io.out_dir,
                              seed=seed if seed is not None else io.seed)
         return cfg
@@ -172,6 +172,18 @@ class _Section:
         for key in self.raw:
             if key not in self.seen:
                 self.errors.append(f"{self.name}.{key}: unknown key")
+
+
+def roi_mask(roi, dims, spacing) -> RoiMask:
+    """The mask of ``roi`` = (label, cx, cy, radius) on a ``dims`` image of
+    ``spacing`` mm pixels; a ConfigurationError if it covers no pixel centre."""
+    label, cx, cy, radius = roi
+    try:
+        return circle_mask(dims, spacing, cx, cy, radius, label)
+    except ValueError:
+        text = f"{label} {cx:g} {cy:g} {radius:g}"
+        raise ConfigurationError(f"metrics.rois: circle covers no pixel centre of the "
+                                 f"{tuple(dims)} image, got {text!r}") from None
 
 
 def _patch_fits(section: str, v, stride, geometry, errors: list):
@@ -277,29 +289,26 @@ def parse_config(path) -> ExperimentConfig:
             except ValueError as err:
                 errors.append(f"phantom.shapes: {err} in {line!r}")
         if lines is not None:
-            # an invalid [geometry] section has already been reported
             if not parser.has_section("geometry"):
                 errors.append("phantom: requires a [geometry] section for the canvas")
-            elif cfg.geometry is not None:
-                cfg.phantom = PhantomSpec(dims=cfg.geometry.image_dims,
-                                          spacing=cfg.geometry.pixel_spacing,
-                                          shapes=tuple(shapes))
+            cfg.phantom = tuple(shapes)
 
     learning_v = None
     if parser.has_section("learning"):
         s = _Section("learning", parser["learning"], errors)
         lc = dict(k=s.get("K", int, minimum=1), v=s.get("v", int, minimum=1),
-                  stride=s.get("stride", int, LearningConfig.stride, minimum=1),
+                  stride=s.get("stride", int, PatchConfig.stride, minimum=1),
                   gamma_c=s.get("gamma_c", float, above=0.0, maximum=_GAMMA_C_MAX),
                   lambda0=s.get("lambda0", float, above=0.0),
                   iters=s.get("iters", int, LearningConfig.iters, minimum=1),
                   n_patches=s.get("n_patches", int, LearningConfig.n_patches, minimum=1))
         s.finish()
-        fits = _patch_fits("learning", lc["v"], lc["stride"], cfg.geometry, errors)
+        v, stride = lc.pop("v"), lc.pop("stride")
+        fits = _patch_fits("learning", v, stride, cfg.geometry, errors)
         if fits is not None:  # a square v feeds recon.v even if it does not fit
-            learning_v = lc["v"]
+            learning_v = v
         if fits and None not in lc.values():
-            cfg.learning = LearningConfig(**lc)
+            cfg.learning = LearningConfig(patch=PatchConfig(math.isqrt(v), stride), **lc)
 
     if parser.has_section("metrics"):
         s = _Section("metrics", parser["metrics"], errors)
@@ -329,10 +338,9 @@ def parse_config(path) -> ExperimentConfig:
                 continue
             if cfg.geometry is not None:
                 try:
-                    circle_mask(cfg.geometry.image_dims, cfg.geometry.pixel_spacing, *roi[1:])
-                except ValueError:
-                    errors.append(f"metrics.rois: circle covers no pixel centre of the "
-                                  f"{cfg.geometry.image_dims} image, got {line!r}")
+                    roi_mask(roi, cfg.geometry.image_dims, cfg.geometry.pixel_spacing)
+                except ConfigurationError as err:
+                    errors.append(str(err))
                     continue
             rois.append(roi)
         if None not in (mu, window):

@@ -15,15 +15,14 @@ from pathlib import Path
 import numpy as np
 
 from . import io as sio
-from .config import ExperimentConfig
+from .config import ExperimentConfig, roi_mask
 from .errors import ConfigurationError, NumericalError
-from .metrics import RoiMask, circle_mask, rmse_roi, roi_stats, ssim, to_hu
+from .metrics import RoiMask, rmse_roi, roi_stats, ssim, to_hu
 from .recon import (fbp_reconstruct, pwls_ep_reconstruct, pwls_ultra_reconstruct,
                     spultra_reconstruct)
 from .sim import make_phantom, nonpositive_fraction, simulate_prelog
 from .spstats import post_log_convert
-from .ultra import (PatchConfig, extract_patches, learn_transforms,
-                    load_transforms, save_transforms)
+from .ultra import extract_patches, learn_transforms, load_transforms, save_transforms
 
 log = logging.getLogger(__name__)
 
@@ -33,6 +32,12 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_MISSING_INPUT = 2
 EXIT_NUMERICAL = 3
+
+# the post-log weights multiply each count's square by s1^2 (up to 1e12), so a
+# count of 1e150 already overflows them at s1 = 1e6; no accepted config
+# simulates a count near this bound: Poisson means are at most 9e18 and the
+# electronic noise sigma at most 1e75
+COUNT_MAX = 1e100
 
 
 class MissingArtifact(FileNotFoundError):
@@ -81,7 +86,7 @@ def _write_image(out: Path, name: str, img: np.ndarray, cfg: ExperimentConfig) -
 
 def stage_simulate(cfg: ExperimentConfig, out: Path, deterministic: bool) -> dict:
     _require(cfg, "geometry", "model", "phantom", "io")
-    truth = make_phantom(cfg.phantom)
+    truth = make_phantom(cfg.phantom, cfg.geometry.image_dims, cfg.geometry.pixel_spacing)
     artifacts = _write_image(out, "x_true", truth, cfg)
 
     sino = simulate_prelog(truth, cfg.model, cfg.geometry, cfg.io.seed,
@@ -95,8 +100,7 @@ def stage_learn(cfg: ExperimentConfig, out: Path) -> dict:
     _require(cfg, "learning", "io")
     truth, _ = _read_sized(out / "x_true.spim", "training image (run 'simulate' first)")
     lc = cfg.learning
-    side = int(round(np.sqrt(lc.v)))
-    patches = extract_patches(truth, PatchConfig(side, lc.stride))
+    patches = extract_patches(truth, lc.patch)
     n_avail = patches.shape[1]
     rng = np.random.Generator(np.random.Philox(key=[cfg.io.seed, 1]))
     if n_avail > lc.n_patches:
@@ -132,8 +136,12 @@ def stage_reconstruct(cfg: ExperimentConfig, out: Path, method: str) -> dict:
     if method not in METHODS:
         raise ConfigurationError(f"unknown method {method!r}; choose from {METHODS}")
     geom = cfg.geometry
-    y_raw, _ = _read_sized(out / "sino_raw.spim", "raw sinogram (run 'simulate' first)",
+    sino_path = out / "sino_raw.spim"
+    y_raw, _ = _read_sized(sino_path, "raw sinogram (run 'simulate' first)",
                            (geom.n_views, geom.n_detectors))
+    if y_raw.max() > COUNT_MAX:
+        raise ConfigurationError(f"{sino_path} holds a count of {y_raw.max():g}, above "
+                                 f"{COUNT_MAX:g}; rerun the stage that writes it")
     l_tilde, w_stat = post_log_convert(y_raw.ravel(), cfg.model)
 
     truth = None
@@ -186,10 +194,9 @@ def stage_reconstruct(cfg: ExperimentConfig, out: Path, method: str) -> dict:
 
 
 def _eval_rois(cfg: ExperimentConfig, dims, spacing) -> list[RoiMask]:
-    rois = [RoiMask(np.ones(dims, dtype=bool), "all")]
-    for label, cx, cy, r in cfg.metrics.rois:
-        rois.append(circle_mask(dims, spacing, cx, cy, r, label))
-    return rois
+    # without [geometry] validation could not check that each circle covers a pixel
+    return [RoiMask(np.ones(dims, dtype=bool), "all"),
+            *(roi_mask(roi, dims, spacing) for roi in cfg.metrics.rois)]
 
 
 def stage_evaluate(cfg: ExperimentConfig, out: Path) -> dict:

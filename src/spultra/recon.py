@@ -24,8 +24,9 @@ from .io import write_csv
 from .metrics import DEFAULT_MU_WATER, RoiMask, rmse_roi
 from .spstats import SpModel, neg_log_likelihood, post_log_convert, surrogate_at
 from .ultra import (PatchConfig, SparseState, TransformUnion, accumulate_patches,
-                    classwise_apply, extract_patches, patch_weights,
-                    regularizer_majorizer_diag, sparse_code_and_cluster)
+                    classwise_apply, extract_patches, largest_gram_eigenvalue,
+                    patch_coverage, patch_weights, regularizer_majorizer_diag,
+                    sparse_code_and_cluster)
 # unused here, kept importable as recon.<name>: the benchmark's tracer wraps them
 from .geometry import forward_project  # noqa: F401
 from .spstats import build_surrogate  # noqa: F401
@@ -285,6 +286,12 @@ class UltraQuadReg:
         with np.errstate(over="ignore", invalid="ignore"):
             diag = regularizer_majorizer_diag(union, state.tau, beta, patch, dims)
         self.diag = _check_majorizer(diag.reshape(-1), "recon.beta", beta)
+        # bounds every entry of H, on both paths and at any beta
+        with np.errstate(over="ignore"):
+            bound = largest_gram_eigenvalue(union) * patch_coverage(dims, patch, state.tau).max()
+        if not np.isfinite(bound):
+            raise ConfigurationError("the learned transforms are too large: their largest "
+                                     "Gram eigenvalue times the patch coverage overflows")
         self._back = union.transforms.transpose(0, 2, 1)
         if patch.stride == 1:
             offsets, gathered = gram_bands(union, patch, dims)

@@ -41,21 +41,13 @@ class Ellipse:
             raise ValueError("semi-axes must be positive")
 
 
-@dataclass(frozen=True)
-class PhantomSpec:
-    """Canvas dimensions/spacing plus an ordered shape list; later shapes win."""
-
-    dims: tuple[int, int]
-    spacing: tuple[float, float] = (1.0, 1.0)
-    shapes: tuple[Ellipse, ...] = ()
-
-
-def make_phantom(spec: PhantomSpec) -> np.ndarray:
-    """Rasterize the shapes into a ``spec.dims`` image; a pixel takes the value
-    of the last shape covering its center."""
-    xg, yg = pixel_centres(spec.dims, spec.spacing)
-    img = np.zeros(spec.dims)
-    for sh in spec.shapes:
+def make_phantom(shapes, dims, spacing=(1.0, 1.0)) -> np.ndarray:
+    """Rasterize the :class:`Ellipse` ``shapes`` into a ``dims`` image of
+    ``spacing`` mm pixels; a pixel takes the value of the last shape covering
+    its center."""
+    xg, yg = pixel_centres(dims, spacing)
+    img = np.zeros(dims)
+    for sh in shapes:
         xr = (xg - sh.cx) * np.cos(sh.theta) + (yg - sh.cy) * np.sin(sh.theta)
         yr = -(xg - sh.cx) * np.sin(sh.theta) + (yg - sh.cy) * np.cos(sh.theta)
         inside = (xr / sh.a) ** 2 + (yr / sh.b) ** 2 <= 1.0

@@ -289,8 +289,12 @@ def regularizer_majorizer_diag(union: TransformUnion, tau: np.ndarray, beta: flo
     by a symmetric eigensolver, so the diagonal is a true majorizer up to
     roundoff and costs well under a millisecond per class at v = 64.
     """
-    worst = max(float(np.linalg.eigvalsh(o.T @ o)[-1]) for o in union.transforms)
-    return 2.0 * beta * worst * patch_coverage(image_dims, cfg, tau)
+    return 2.0 * beta * largest_gram_eigenvalue(union) * patch_coverage(image_dims, cfg, tau)
+
+
+def largest_gram_eigenvalue(union: TransformUnion) -> float:
+    """max_k ||O_k^T O_k||_2, the largest eigenvalue of any class's Gram matrix."""
+    return max(float(np.linalg.eigvalsh(o.T @ o)[-1]) for o in union.transforms)
 
 
 def dct_matrix(n: int) -> np.ndarray:

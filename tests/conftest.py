@@ -11,17 +11,17 @@ from spultra.geometry import SystemGeometry, forward_project
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_cli(*args, prelude=None):
-    """``python -m spultra.cli *args`` in a child process that imports the
-    package from this checkout's ``src``, with stdout and stderr captured.
-    ``prelude``, when given, is Python code the child runs before the CLI
-    (a fault planted by the test)."""
+def run_cli(*args, prelude=None, cwd=None):
+    """``python -m spultra.cli *args`` in a child process, started in ``cwd``
+    when given, that imports the package from this checkout's ``src``, with
+    stdout and stderr captured. ``prelude``, when given, is Python code the
+    child runs before the CLI (a fault planted by the test)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     cmd = ["-m", "spultra.cli"] if prelude is None else \
         ["-c", f"{prelude}\nimport sys\nfrom spultra.cli import main\nsys.exit(main())"]
     return subprocess.run([sys.executable, *cmd, *args], capture_output=True, text=True,
-                          env=env)
+                          env=env, cwd=cwd)
 
 
 def assert_clean_stderr(run):

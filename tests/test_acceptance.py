@@ -20,8 +20,7 @@ from spultra.pipeline import EXIT_OK, run_pipeline
 from spultra.recon import (EpParams, ReconConfig, UltraQuadReg, fbp_reconstruct,
                            pwls_ep_reconstruct, pwls_ultra_reconstruct,
                            rho_schedule, spultra_reconstruct)
-from spultra.sim import (Ellipse, PhantomSpec, make_phantom,
-                         nonpositive_fraction, simulate_prelog)
+from spultra.sim import Ellipse, make_phantom, nonpositive_fraction, simulate_prelog
 from spultra.spstats import (SpModel, SurrogateState, likelihood_gradient,
                              neg_log_likelihood, optimum_curvature,
                              post_log_convert, surrogate_gap)
@@ -248,12 +247,12 @@ def test_criterion_06_sparse_coding_exactness():
 
 # ------------------------------------------------------- criteria 7 and 8
 
-FOUR_ELLIPSE_64 = PhantomSpec((64, 64), (3.5, 3.5), (
+FOUR_ELLIPSE_64 = (
     Ellipse(0, 0, 105, 95, 0, 0.02),
     Ellipse(-35, 20, 24, 16, 0.4, 0.05),
     Ellipse(30, -25, 20, 26, 0.0, 0.016),
     Ellipse(25, 35, 14, 10, -0.3, 0.004),
-))
+)
 
 
 @pytest.fixture(scope="module")
@@ -262,7 +261,7 @@ def run7():
                           detector_spacing=2.6, angular_range=np.pi,
                           image_dims=(64, 64), pixel_spacing=(3.5, 3.5))
     model = SpModel(i0=3e3, sigma2=25.0)
-    truth = make_phantom(FOUR_ELLIPSE_64)
+    truth = make_phantom(FOUR_ELLIPSE_64, geom.image_dims, geom.pixel_spacing)
     sino = simulate_prelog(truth, model, geom, 11)
     l_t, w_t = post_log_convert(sino.ravel(), model)
 
@@ -309,15 +308,15 @@ def run9():
     geom = SystemGeometry("parallel", n_detectors=160, n_views=360,
                           detector_spacing=2.2, angular_range=np.pi,
                           image_dims=(128, 128), pixel_spacing=(2.7, 2.7))
-    phantom = PhantomSpec((128, 128), (2.7, 2.7), (
+    phantom = (
         Ellipse(0, 0, 130, 120, 0, 0.02),
         Ellipse(-45, 28, 28, 18, 0.4, 0.04),
         Ellipse(40, -32, 22, 29, 0.0, 0.016),
         Ellipse(32, 44, 16, 11, -0.3, 0.006),
         Ellipse(-36, -44, 14, 19, 0.8, 0.028),
         Ellipse(0, -8, 8, 13, 0.0, 0.024),
-    ))
-    truth = make_phantom(phantom)
+    )
+    truth = make_phantom(phantom, geom.image_dims, geom.pixel_spacing)
     model = SpModel(i0=2e3, sigma2=25.0)
     t0 = time.perf_counter()
     sino = simulate_prelog(truth, model, geom, 21)
@@ -365,8 +364,8 @@ def test_criterion_10_nonpositive_fraction_monotone():
     geom = SystemGeometry("parallel", n_detectors=96, n_views=90,
                           detector_spacing=4.0, angular_range=np.pi,
                           image_dims=(64, 64), pixel_spacing=(5.2, 5.2))
-    truth = make_phantom(PhantomSpec((64, 64), (5.2, 5.2),
-                                     (Ellipse(0, 0, 163.0, 163.0, 0, 0.02),)))
+    truth = make_phantom((Ellipse(0, 0, 163.0, 163.0, 0, 0.02),), geom.image_dims,
+                         geom.pixel_spacing)
     fracs = []
     for i0 in (1e4, 5e3, 3e3, 2e3):
         sino = simulate_prelog(truth, SpModel(i0=i0, sigma2=25.0), geom, 7)

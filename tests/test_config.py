@@ -6,11 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from spultra.config import parse_config
+from spultra.config import IoConfig, parse_config
 from spultra.errors import ValidationError
 from spultra.metrics import ssim, to_hu
-from spultra.sim import POISSON_MEAN_MAX
+from spultra.sim import POISSON_MEAN_MAX, Ellipse
 from spultra.spstats import post_log_convert, second_derivative_at_zero
+from spultra.ultra import PatchConfig
 
 MINIMAL = """
 [geometry]
@@ -163,7 +164,7 @@ N = 3
 """
     cfg = parse_config(write(tmp_path, text))
     assert cfg.recon.patch.patch_side == 4
-    assert cfg.learning.v == 16
+    assert cfg.learning.patch == PatchConfig(4, 1)
 
 
 def test_ep_delta_converted_from_hu(tmp_path):
@@ -186,7 +187,7 @@ def test_bundled_config_parses():
     from pathlib import Path
     cfg = parse_config(Path(__file__).resolve().parents[1] / "configs" / "waterdisk64.ini")
     assert cfg.geometry.image_dims == (64, 64)
-    assert cfg.phantom is not None and len(cfg.phantom.shapes) == 4
+    assert len(cfg.phantom) == 4 and cfg.phantom[1] == Ellipse(-35, 20, 24, 16, 0.4, 0.05)
     assert cfg.learning.k == 3
     assert cfg.recon.n_subsets == 6
     assert cfg.io.seed == 11
@@ -198,6 +199,10 @@ def test_overrides(tmp_path):
     cfg2 = cfg.with_overrides(out_dir="elsewhere", seed=99)
     assert cfg2.io.out_dir == "elsewhere" and cfg2.io.seed == 99
     assert cfg.io.out_dir == "out" and cfg.io.seed == 0
+    # without [io] an out_dir makes one, and a seed alone leaves none
+    noio = parse_config(write(tmp_path, MINIMAL.replace("[io]\nout_dir = out\n", "")))
+    assert noio.with_overrides(seed=3).io is None
+    assert noio.with_overrides(out_dir="o", seed=3).io == IoConfig(out_dir="o", seed=3)
 
 
 @pytest.mark.parametrize("seed, msg", [
@@ -241,7 +246,7 @@ def test_stride_longer_than_patch_side_rejected(tmp_path):
         parse_config(write(tmp_path, MINIMAL + LEARNING.format(1) + recon))
     assert err.value.errors == ["recon.stride: must be <= the patch side (4), got 5"]
     cfg = parse_config(write(tmp_path, MINIMAL + LEARNING.format(4)))
-    assert cfg.learning.stride == 4
+    assert cfg.learning.patch == PatchConfig(4, 4)
 
 
 def test_patch_larger_than_image_rejected(tmp_path):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from spultra.config import parse_config
+from spultra.errors import ValidationError
 from spultra.io import read_manifest, read_spim, sha256_file, write_spim
 from spultra.pipeline import (EXIT_ERROR, EXIT_MISSING_INPUT, EXIT_NUMERICAL, EXIT_OK, METHODS,
                               run_pipeline)
@@ -286,6 +287,16 @@ def test_cli_seed_out_of_range_exits_1(tmp_path, where, seed, msg):
     assert not out.exists()
 
 
+def test_cli_seed_without_io_section_exits_1(tmp_path):
+    cfg_path = tmp_path / "noio.ini"
+    cfg_path.write_text(CONFIG[:CONFIG.index("[io]")])
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    r = run_cli("simulate", "--config", str(cfg_path), "--seed", "3", cwd=cwd)
+    assert _one_error(r, EXIT_ERROR) == "ERROR spultra.pipeline: config has no [io] section"
+    assert list(cwd.iterdir()) == []
+
+
 @pytest.mark.parametrize("line, bad, msg", [
     ("I0 = 10000", "I0 = inf", "model.I0: must be a finite number, got inf"),
     ("image_dims = 32 32", "image_dims = -3 64", "geometry.image_dims: must be >= 1, got -3"),
@@ -421,15 +432,17 @@ def waterdisk64_before_ultra(tmp_path_factory):
     return root / "out"
 
 
-def _pwls_ultra_on_scaled_dct(before_ultra, tmp_path, scale: str):
-    """``reconstruct --method pwls-ultra`` on a copy of ``before_ultra`` whose
-    ``transforms.ult`` holds three DCTs times ``scale``; the run and that file."""
+def _pwls_ultra_on_scaled_dct(before_ultra, tmp_path, scale: str, **values):
+    """``reconstruct --method pwls-ultra``, with the config keys of ``values``
+    set to their values, on a copy of ``before_ultra`` whose ``transforms.ult``
+    holds three DCTs times ``scale``; the run and that file."""
     out = tmp_path / "out"
     shutil.copytree(before_ultra, out)
     ult = out / "transforms.ult"
     omegas = float(scale) * np.stack([initial_transform(64)] * 3)
     ult.write_bytes(b"ULTR" + struct.pack("<II", 3, 64) + omegas.astype("<f8").tobytes())
-    return run_cli("reconstruct", "--config", str(_one_iteration_waterdisk64(tmp_path)),
+    return run_cli("reconstruct", "--config",
+                   str(_one_iteration_waterdisk64(tmp_path, **values)),
                    "--method", "pwls-ultra"), ult
 
 
@@ -482,6 +495,21 @@ def test_cli_transforms_whose_majorizer_overflows_exit_1(waterdisk64_before_ultr
     assert _one_error(r, EXIT_ERROR).startswith(
         "ERROR spultra.pipeline: recon.beta: 30000 makes the regularizer's diagonal "
         "majorizer overflow")
+
+
+@pytest.mark.parametrize("scale", ["1e152", "1e153"])
+def test_cli_transforms_whose_operator_overflows_at_a_tiny_beta_exit_1(
+        waterdisk64_before_ultra, tmp_path, scale):
+    # beta scales the majorizer down to a finite one, but not the Gram
+    # eigenvalue times the patch coverage, which bounds the entries of H
+    r, _ = _pwls_ultra_on_scaled_dct(waterdisk64_before_ultra, tmp_path, scale, beta="1e-300")
+    if scale == "1e152":  # that bound is finite, and the run is clean
+        assert r.returncode == EXIT_OK, r.stderr
+        assert_clean_stderr(r)
+    else:
+        assert _one_error(r, EXIT_ERROR) == (
+            "ERROR spultra.pipeline: the learned transforms are too large: their largest "
+            "Gram eigenvalue times the patch coverage overflows")
 
 
 def test_partial_trace_replaces_a_complete_one(stale_run, tmp_path, caplog, monkeypatch):
@@ -704,6 +732,36 @@ def test_non_finite_artifact_exits_1_naming_the_file(stale_run, tmp_path, caplog
     cfg = _corrupted(stale_run, tmp_path, name, value)
     _fails_on(cfg, caplog, f"{tmp_path / 'run' / name} holds a non-finite value", stage,
               method=method, why="rerun the stage that writes it")
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("count", ["1e160", "1e100"])
+def test_cli_count_above_the_bound_exits_1_naming_the_file(stale_run, tmp_path, count, method):
+    _corrupted(stale_run, tmp_path, "sino_raw.spim", float(count))
+    p = tmp_path / "exp.ini"  # at the largest s1 the weights scale with s1^2 = 1e12
+    p.write_text(p.read_text().replace("sigma2 = 25", "sigma2 = 25\ns1 = 1e6"))
+    r = run_cli("reconstruct", "--config", str(p), "--method", method)
+    if count == "1e100":  # the bound itself runs clean
+        assert r.returncode == EXIT_OK, r.stderr
+        assert_clean_stderr(r)
+    else:
+        assert _one_error(r, EXIT_ERROR) == (
+            f"ERROR spultra.pipeline: {tmp_path / 'run' / 'sino_raw.spim'} holds a count of "
+            "1e+160, above 1e+100; rerun the stage that writes it")
+
+
+def test_cli_roi_outside_the_image_without_geometry_exits_1(stale_run, tmp_path):
+    msg = ("metrics.rois: circle covers no pixel centre of the (32, 32) image, "
+           "got 'far 5000 5000 1'")
+    p = tmp_path / "rois.ini"
+    p.write_text(f"[metrics]\nrois = far 5000 5000 1\n\n[io]\nout_dir = {stale_run}\n")
+    r = run_cli("evaluate", "--config", str(p))
+    assert _one_error(r, EXIT_ERROR) == f"ERROR spultra.pipeline: {msg}"
+    # the wording validation uses when [geometry] is present
+    p.write_text(_quick(CONFIG).replace("center 0 0 20", "far 5000 5000 1"))
+    with pytest.raises(ValidationError) as err:
+        parse_config(p)
+    assert err.value.errors == [msg]
 
 
 def test_training_image_of_another_rank_exits_1(stale_run, tmp_path, caplog):

@@ -4,7 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from conftest import SRC
+from conftest import SRC, assert_clean_stderr
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -17,4 +17,5 @@ def test_readme_library_example_runs():
     r = subprocess.run([sys.executable, "-c", blocks[0]], capture_output=True, text=True,
                        env=env)
     assert r.returncode == 0, r.stderr
+    assert_clean_stderr(r)
     assert re.search(r"(?m)^final RMSE \(HU\): ", r.stdout), r.stdout

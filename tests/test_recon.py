@@ -18,7 +18,7 @@ from spultra.recon import (TRACE_COLUMNS, ConvergenceTrace, EdgePreservingReg, E
                            bit_reversal_order, ep_potential, ep_potential_dot,
                            fbp_reconstruct, os_lalm_image_update, pwls_ep_reconstruct,
                            pwls_ultra_reconstruct, rho_schedule, spultra_reconstruct)
-from spultra.sim import Ellipse, PhantomSpec, make_phantom, simulate_prelog
+from spultra.sim import Ellipse, make_phantom, simulate_prelog
 from spultra.spstats import SpModel, neg_log_likelihood, post_log_convert
 from spultra.ultra import (PatchConfig, SparseState, TransformUnion, accumulate_patches,
                            extract_patches, initial_transform, patch_weights,
@@ -405,8 +405,7 @@ def test_fbp_disk_center_accuracy():
     geom = SystemGeometry("parallel", n_detectors=192, n_views=180, detector_spacing=1.0,
                           angular_range=np.pi, image_dims=(128, 128),
                           pixel_spacing=(1.0, 1.0))
-    truth = make_phantom(PhantomSpec((128, 128), (1.0, 1.0),
-                                     (Ellipse(0, 0, 50, 50, 0, 0.02),)))
+    truth = make_phantom((Ellipse(0, 0, 50, 50, 0, 0.02),), geom.image_dims)
     sino = forward_project(truth, geom)
     rec = fbp_reconstruct(sino, geom)
     center = rec[64, 64]
@@ -433,9 +432,8 @@ def test_fbp_rejects_fan():
 def _tiny_setup(seed=0, i0=2000.0):
     geom = small_parallel(rows=16, cols=16, n_det=24, n_views=18)
     model = SpModel(i0=i0, sigma2=25.0)
-    truth = make_phantom(PhantomSpec((16, 16), (1.0, 1.0),
-                                     (Ellipse(0, 0, 7, 7, 0, 0.02),
-                                      Ellipse(2, 1, 3, 2, 0.4, 0.035))))
+    truth = make_phantom((Ellipse(0, 0, 7, 7, 0, 0.02), Ellipse(2, 1, 3, 2, 0.4, 0.035)),
+                         geom.image_dims)
     sino = simulate_prelog(truth, model, geom, seed)
     union = TransformUnion(initial_transform(16)[None, :, :])
     cfg = ReconConfig(beta=5.0, gamma_c=1e-3, n_outer=6, n_inner=2, n_subsets=2,
@@ -565,9 +563,8 @@ def test_noiseless_consistent_recovery():
     # error on a piecewise-constant phantom
     geom = small_parallel(rows=32, cols=32, n_det=48, n_views=40)
     model = SpModel(i0=1e6, sigma2=0.0)
-    truth = make_phantom(PhantomSpec((32, 32), (1.0, 1.0),
-                                     (Ellipse(0, 0, 14, 14, 0, 0.02),
-                                      Ellipse(-4, 3, 5, 4, 0.2, 0.03))))
+    truth = make_phantom((Ellipse(0, 0, 14, 14, 0, 0.02), Ellipse(-4, 3, 5, 4, 0.2, 0.03)),
+                         geom.image_dims)
     sino = simulate_prelog(truth, model, geom, 0, deterministic=True)
     union = TransformUnion(initial_transform(16)[None, :, :])
     cfg = ReconConfig(beta=1e-6, gamma_c=5e-5, n_outer=120, n_inner=10, n_subsets=4,

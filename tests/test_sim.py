@@ -3,51 +3,56 @@ import pytest
 
 from spultra.errors import ConfigurationError
 from spultra.geometry import forward_project
-from spultra.sim import (POISSON_MEAN_MAX, Ellipse, PhantomSpec, make_phantom,
-                         nonpositive_fraction, scale_dose, simulate_prelog)
+from spultra.sim import (POISSON_MEAN_MAX, Ellipse, make_phantom, nonpositive_fraction,
+                         scale_dose, simulate_prelog)
 from spultra.spstats import SpModel
 
 from conftest import small_parallel
 
 
 def test_phantom_empty_and_full():
-    spec = PhantomSpec((8, 8), (1.0, 1.0), ())
-    assert np.all(make_phantom(spec) == 0)
-
-    big = PhantomSpec((8, 8), (1.0, 1.0), (Ellipse(0, 0, 100, 100, 0, 0.02),))
-    assert np.all(make_phantom(big) == 0.02)
+    assert np.all(make_phantom((), (8, 8)) == 0)
+    assert np.all(make_phantom((Ellipse(0, 0, 100, 100, 0, 0.02),), (8, 8)) == 0.02)
 
 
 def test_phantom_overwrite_rule():
-    spec = PhantomSpec((16, 16), (1.0, 1.0),
-                       (Ellipse(0, 0, 6, 6, 0, 0.02), Ellipse(0, 0, 3, 3, 0, 0.05)))
-    img = make_phantom(spec)
+    img = make_phantom((Ellipse(0, 0, 6, 6, 0, 0.02), Ellipse(0, 0, 3, 3, 0, 0.05)), (16, 16))
     assert img[8, 8] == 0.05
     assert img[8, 3] == 0.02   # in outer, not inner
     assert img[0, 0] == 0.0
 
 
 def test_phantom_rotation():
-    spec = PhantomSpec((32, 32), (1.0, 1.0),
-                       (Ellipse(0, 0, 10, 2, np.pi / 2, 0.03),))
-    img = make_phantom(spec)
+    img = make_phantom((Ellipse(0, 0, 10, 2, np.pi / 2, 0.03),), (32, 32))
     # semi-major axis rotated onto the y axis
     assert img[6, 15] == 0.03 or img[6, 16] == 0.03
     assert img[15, 3] == 0.0
 
 
+def test_phantom_on_the_grid_passed_in():
+    # 5 rows of 2.5 mm (y) by 7 columns of 1.5 mm (x); the second shape wins
+    shapes = (Ellipse(0, 0, 6, 4, 0.3, 0.02), Ellipse(2, -1, 2.5, 1.5, -0.7, 0.05))
+    a, b = 0.02, 0.05
+    expected = np.array([[0, 0, 0, 0, 0, 0, 0],
+                         [0, a, a, a, a, a, a],
+                         [a, a, a, b, b, b, a],
+                         [a, a, a, a, a, b, 0],
+                         [0, 0, 0, 0, 0, 0, 0]])
+    img = make_phantom(shapes, (5, 7), (1.5, 2.5))
+    assert img.dtype == np.float64 and img.tobytes() == expected.tobytes()
+
+
 def test_deterministic_mode_mean():
     geom = small_parallel()
     model = SpModel(i0=100.0, sigma2=25.0, s1=1.1, s2=0.01)
-    truth = make_phantom(PhantomSpec(geom.image_dims, (1.0, 1.0),
-                                     (Ellipse(0, 0, 3, 3, 0, 0.05),)))
+    truth = make_phantom((Ellipse(0, 0, 3, 3, 0, 0.05),), geom.image_dims)
     sino = simulate_prelog(truth, model, geom, 0, deterministic=True)
     assert type(sino) is np.ndarray and sino.dtype == np.float64
     assert sino.shape == (geom.n_views, geom.n_detectors)
     l = forward_project(truth, geom)
     assert np.allclose(sino, model.i0 * np.exp(-(model.s1 * l + model.s2 * l * l)))
 
-    zero = make_phantom(PhantomSpec(geom.image_dims, (1.0, 1.0), ()))
+    zero = make_phantom((), geom.image_dims)
     sino0 = simulate_prelog(zero, model, geom, 0, deterministic=True)
     assert np.allclose(sino0, model.i0)
 
@@ -55,8 +60,7 @@ def test_deterministic_mode_mean():
 @pytest.mark.parametrize("s2", [-1.0, -30.0])
 def test_negative_s2_beyond_the_poisson_range_is_a_config_error(s2):
     geom = small_parallel()
-    truth = make_phantom(PhantomSpec(geom.image_dims, (1.0, 1.0),
-                                     (Ellipse(0, 0, 4, 4, 0, 1.0),)))
+    truth = make_phantom((Ellipse(0, 0, 4, 4, 0, 1.0),), geom.image_dims)
     model = SpModel(i0=1000.0, sigma2=25.0, s2=s2)
     l = forward_project(truth, geom)
     with np.errstate(over="ignore"):  # at s2 = -30 the largest mean overflows to inf
@@ -76,8 +80,7 @@ def test_negative_s2_beyond_the_poisson_range_is_a_config_error(s2):
 def test_fixed_seed_reproducible_bytes():
     geom = small_parallel()
     model = SpModel(i0=1000.0, sigma2=25.0)
-    truth = make_phantom(PhantomSpec(geom.image_dims, (1.0, 1.0),
-                                     (Ellipse(0, 0, 3, 3, 0, 0.03),)))
+    truth = make_phantom((Ellipse(0, 0, 3, 3, 0, 0.03),), geom.image_dims)
     a = simulate_prelog(truth, model, geom, 42)
     b = simulate_prelog(truth, model, geom, 42)
     assert type(a) is np.ndarray and a.dtype == np.float64
@@ -91,8 +94,7 @@ def test_simulated_mean_within_standard_errors():
     # empirical per-ray mean over many draws within 3 standard errors
     geom = small_parallel(rows=4, cols=4, n_det=5, n_views=2)
     model = SpModel(i0=500.0, sigma2=25.0)
-    truth = make_phantom(PhantomSpec((4, 4), (1.0, 1.0),
-                                     (Ellipse(0, 0, 2, 2, 0, 0.05),)))
+    truth = make_phantom((Ellipse(0, 0, 2, 2, 0, 0.05),), (4, 4))
     l = forward_project(truth, geom).ravel()
     mean = model.i0 * np.exp(-l)
     n = 100000
@@ -164,8 +166,7 @@ def test_nonpositive_fraction_monotone_in_dose():
     geom = SystemGeometry("parallel", n_detectors=96, n_views=90,
                           detector_spacing=4.0, angular_range=np.pi,
                           image_dims=(64, 64), pixel_spacing=(5.2, 5.2))
-    truth = make_phantom(PhantomSpec((64, 64), (5.2, 5.2),
-                                     (Ellipse(0, 0, 163.0, 163.0, 0, 0.02),)))
+    truth = make_phantom((Ellipse(0, 0, 163.0, 163.0, 0, 0.02),), (64, 64), (5.2, 5.2))
     fracs = []
     for i0 in (1e4, 5e3, 3e3, 2e3):
         model = SpModel(i0=i0, sigma2=25.0)
