@@ -31,6 +31,10 @@ _SEED_BOUNDS = dict(minimum=0, maximum=2 ** 63 - 1)
 # the coding threshold is squared (a Python float raises OverflowError past
 # about 1.3e154), and the square is summed over patches and multiplied by beta
 _GAMMA_C_MAX = 1e150
+# the transform update floors the Gram eigenvalues at lambda0 ||X_k||^2 1e-15:
+# from a lambda0 of about 1e-155 the learned transforms overflow within a few
+# rounds (probed on a 16x16 copy of configs/waterdisk64.ini)
+_LAMBDA0_MIN = 1e-100
 # HU images are 1000 mu / mu_water, and SSIM multiplies fourth powers of them:
 # at the lower bound an attenuation of 1 mm^-1 is 1e9 HU, and SSIM stays
 # finite up to about 1e76 HU; from a mu_water of about 1e80 those products
@@ -299,7 +303,7 @@ def parse_config(path) -> ExperimentConfig:
         lc = dict(k=s.get("K", int, minimum=1), v=s.get("v", int, minimum=1),
                   stride=s.get("stride", int, PatchConfig.stride, minimum=1),
                   gamma_c=s.get("gamma_c", float, above=0.0, maximum=_GAMMA_C_MAX),
-                  lambda0=s.get("lambda0", float, above=0.0),
+                  lambda0=s.get("lambda0", float, minimum=_LAMBDA0_MIN),
                   iters=s.get("iters", int, LearningConfig.iters, minimum=1),
                   n_patches=s.get("n_patches", int, LearningConfig.n_patches, minimum=1))
         s.finish()

@@ -7,19 +7,20 @@ an exact adjoint by construction, which the iterative solvers rely on.
 
 The operator (:class:`SystemMatrix`) stores one view per orbit of the
 square image's symmetries where the scan has them (:func:`_view_table`):
-the other views read a traced view's rows through a pixel permutation,
-with their detectors in reverse. That halves the stored bytes and changes a
-mapped row from its own trace by rounding only. Any other geometry traces
-and stores every view, as a plain CSR matrix would.
+the other views read a traced view's rows with the image permuted into
+their kind's frame, with their detectors in reverse. So one column-index
+row serves every view, the stored bytes are a quarter of a plain CSR
+matrix's, and a mapped row differs from its own trace by rounding only.
+Any other geometry traces and stores every view, as a plain CSR matrix
+would.
 
 Assembly writes the CSR arrays directly: rays are traced in chunks, each
 chunk's entries are sorted by pixel within their ray and repeated
 (ray, pixel) pairs are summed, so the result equals ``coo_matrix.tocsr()``
 of the traced triplets. Each chunk goes straight into the final arrays,
-which grow in place, and a chunk's temporaries are about 1 MiB each; the
-other kinds' index rows are then filled in chunks of the same size. So the
-assembly peaks near the stored size itself (about 1.03 times it at
-128x128, 1.16 times at 64x64).
+which grow in place, and a chunk's temporaries are a few hundred KiB each,
+so the assembly peaks near the stored size itself (about 1.05 times it at
+128x128, 1.25 times at 64x64).
 """
 
 from __future__ import annotations
@@ -40,11 +41,11 @@ from .errors import ConfigurationError
 log = logging.getLogger(__name__)
 
 # Rays are traced in chunks of about this many (ray, grid edge) elements
-# (1008 rays at 64x64, 508 at 128x128), so that each float64 (ray, edge)
-# temporary of the tracer is about 1 MiB: it stays in cache while the tracer
+# (252 rays at 64x64, 127 at 128x128), so that each float64 (ray, edge)
+# temporary of the tracer is 256 KiB: it stays in cache while the tracer
 # sweeps it several times, and the assembly's peak is the matrix plus a few
 # such temporaries.
-_CHUNK_ELEMENTS = 2 ** 17
+_CHUNK_ELEMENTS = 2 ** 15
 _INT32_MAX = np.iinfo(np.int32).max
 
 
@@ -176,9 +177,10 @@ def _trace_chunk(src, dst, geom: SystemGeometry):
     seg = np.diff(alpha, axis=1)
     mid = 0.5 * seg
     mid += alpha[:, :-1]
+    # floor((x_mid - x_left) / dx) and floor((y_top - y_mid) / dy); the column
+    # is written over alpha, which is not read again
+    col = np.multiply(mid, d[:, 0:1], out=alpha[:, :-1])
     del alpha, ax, ay
-    # floor((x_mid - x_left) / dx) and floor((y_top - y_mid) / dy)
-    col = mid * d[:, 0:1]
     col += src[:, 0:1]
     col -= x_left
     col /= dx
@@ -189,10 +191,16 @@ def _trace_chunk(src, dst, geom: SystemGeometry):
     row /= dy
     np.floor(row, out=row)
     ok = (seg > 0) & (col >= 0) & (col < cols) & (row >= 0) & (row < rows)
+    # the pixel index, exact in float64, is written over the row
+    row *= cols
+    row += col
+    del col
 
     ray_idx = np.repeat(np.arange(src.shape[0]), np.count_nonzero(ok, axis=1))
-    pix = row[ok].astype(np.int64) * cols + col[ok].astype(np.int64)
-    w = seg[ok] * length[ray_idx]
+    pix = row[ok].astype(np.int64)
+    del row
+    w = seg[ok]
+    w *= length[ray_idx]
     return ray_idx, pix, w
 
 
@@ -213,21 +221,42 @@ def _csr_rows(ray, pix, w, n_rays: int, n_pixels: int):
     return counts, pix.astype(np.int32 if n_pixels <= _INT32_MAX else np.int64), w
 
 
-def _pixel_permutations(n: int, dtype) -> np.ndarray:
-    """Where each symmetry kind but the identity carries the pixels of an
-    n x n image, one row per kind: ``perm[k - 1, r * n + c]`` is the index of
-    the pixel (r, c) lands on. Kind 1 is the transpose (r, c) -> (c, r),
-    kind 2 the clockwise rotation by 90 degrees (r, c) -> (c, n - 1 - r) and
-    kind 3 their composition (r, c) -> (n - 1 - r, c), which reflects the
-    image top to bottom."""
-    idx = np.arange(n * n, dtype=dtype).reshape(n, n)
-    return np.stack([idx.T.ravel(), idx[:, ::-1].T.ravel(), idx[::-1].ravel()])
+# How a view of each symmetry kind reads the n x n image through the stored
+# rows of a symmetric scan, and back, as views of it: where a traced row holds
+# pixel p, a kind-k view weighs ``_IN_FRAME[k](img).ravel()[p]``. The stored
+# rows number the traced pixels down the columns, so kind 0 reads the
+# transpose, kind 1 (the transpose) the image itself, kind 2 (the clockwise
+# rotation by 90 degrees) the image with its columns in reverse and kind 3
+# (their composition, a reflection top to bottom) the transpose of the image
+# with its rows in reverse.
+_IN_FRAME = (lambda a: a.T, lambda a: a, lambda a: a[:, ::-1], lambda a: a[::-1].T)
+_FROM_FRAME = (lambda a: a.T, lambda a: a, lambda a: a[:, ::-1], lambda a: a.T[::-1])
+
+
+def _switch(img: np.ndarray, a, b, out: np.ndarray) -> np.ndarray:
+    """The flat n x n image ``img``, held in kind a's frame, written to
+    ``out`` in kind b's frame; a frame of None is the image itself. The two
+    views compose into one copy: a flip of columns between kind 2 and kind 1
+    or the image, and between kinds 0 and 3; a transpose otherwise.
+    Permuting is exact, so a sum accumulated across switches keeps its
+    bits."""
+    n = math.isqrt(img.size)
+    view = img.reshape(n, n)
+    if a is not None:
+        view = _FROM_FRAME[a](view)
+    if b is not None:
+        view = _IN_FRAME[b](view)
+    np.copyto(out.reshape(n, n), view)
+    return out
 
 
 def _view_table(geom: SystemGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(traced, block, kind)``: the views whose rays are traced, and for
     every view the index into ``traced`` of the view it is mapped from and
-    the symmetry kind (:func:`_pixel_permutations`) that maps it.
+    the symmetry kind that maps it: kind 1 is the transpose of the image
+    (r, c) -> (c, r), kind 2 the clockwise rotation by 90 degrees
+    (r, c) -> (c, n - 1 - r) and kind 3 their composition
+    (r, c) -> (n - 1 - r, c), which reflects the image top to bottom.
 
     A parallel-beam scan of a square image with square pixels over pi with
     an even view count ``2 q`` is symmetric under the square's symmetries:
@@ -257,18 +286,21 @@ class SystemMatrix:
     """The (n_rays, n_pixels) intersection-length matrix, stored once per
     symmetry orbit of its views (:func:`_view_table`).
 
-    The traced views' rows are one CSR structure: ``data`` and ``indptr``,
-    and one column-index row per symmetry kind in ``indices`` (shape
-    ``(kinds, nnz)``), row k holding the pixels the kind-k permutation maps
-    the traced row's pixels to. View v reads block ``view_block[v]`` of the
-    traced rows through ``indices[view_kind[v]]``, with its detectors in
-    reverse unless the kind is the identity. ``view_rows[v]`` is that
-    ``(indptr slice, indices row, detector step)``; every product here and
-    :meth:`block` read the stored arrays through it, one view at a time, the
-    products with scipy's compiled CSR and CSC kernels. ``@`` and
-    :meth:`rmatvec` take the views in stored order, kind by kind and then by
-    traced block, so on a geometry where every view maps to itself they give
-    the products of the plain CSR matrix bit for bit.
+    The traced views' rows are one CSR structure: ``data``, ``indptr`` and
+    the 1-D column-index row ``indices``. View v reads block
+    ``view_block[v]`` of the traced rows, with its detectors in reverse
+    unless its kind ``view_kind[v]`` is the identity. On a scan with mapped
+    views (``symmetric``) ``indices`` numbers the pixels down the columns,
+    so that every ray, which runs within 45 degrees of the columns, reads
+    nearly consecutive addresses, and a view reads the image in its kind's
+    frame (``_IN_FRAME``); otherwise the pixels are numbered along the
+    rows and read as they are. ``view_rows[v]`` is ``(indptr slice, kind)``;
+    the subset pass and :meth:`block` read the stored arrays through it, with
+    scipy's compiled CSR and CSC kernels. ``@`` and :meth:`rmatvec` take the
+    views in stored order, kind by kind and then by traced block, one kernel
+    call per kind's run of consecutive blocks, so on a geometry where every
+    view maps to itself they give the products of the plain CSR matrix bit
+    for bit.
     """
 
     def __init__(self, geom: SystemGeometry, data, indices, indptr, view_block, view_kind):
@@ -276,9 +308,21 @@ class SystemMatrix:
         self.n_detectors = nd = geom.n_detectors
         self.data, self.indices, self.indptr = data, indices, indptr
         self.view_block, self.view_kind = view_block, view_kind
-        self.view_rows = [(indptr[b * nd:(b + 1) * nd + 1], indices[k], -1 if k else 1)
+        self.symmetric = bool(view_kind.any())
+        self.view_rows = [(indptr[b * nd:(b + 1) * nd + 1], k)
                           for b, k in zip(view_block.tolist(), view_kind.tolist())]
-        self._stored_order = np.lexsort((view_block, view_kind)).tolist()
+        # each view's rays in the order of its traced rows: a mapped view's
+        # detectors in reverse
+        det = np.arange(nd)
+        self._rays = (np.arange(view_kind.size)[:, None] * nd
+                      + np.where(view_kind[:, None] > 0, det[::-1], det))
+        # the stored order in runs of one kind over consecutive traced blocks:
+        # (indptr slice, kind, views) of each run
+        stored = np.lexsort((view_block, view_kind))
+        key = view_kind[stored] * (view_block.size + 1) + view_block[stored]
+        self._runs = [(indptr[view_block[v[0]] * nd:(view_block[v[-1]] + 1) * nd + 1],
+                       int(view_kind[v[0]]), v)
+                      for v in np.split(stored, np.flatnonzero(np.diff(key) != 1) + 1)]
 
     @property
     def nnz(self) -> int:
@@ -306,68 +350,92 @@ class SystemMatrix:
             raise ValueError(f"{name} has shape {v.shape}, expected ({n},)")
         return v
 
+    def _frames(self, x: np.ndarray) -> list:
+        """The flat image ``x`` in each kind's frame, each formed by at most
+        one copy: a transpose for kind 0 and flips of columns for kinds 2
+        and 3."""
+        if not self.symmetric:
+            return [x]
+        x0, x2, x3 = np.empty((3, x.size))
+        return [_switch(x, None, 0, x0), x, _switch(x, None, 2, x2), _switch(x0, 0, 3, x3)]
+
+    def _accumulate(self, rows, vectors) -> np.ndarray:
+        """The image ``sum A_R^T r`` over ``rows`` of ``(indptr slice, kind)``
+        and their ``vectors`` r, accumulated in the given order by the CSC
+        kernel into a sum held in the current rows' frame, which switches
+        where the kind changes."""
+        n_pixels, indices, data = self.shape[1], self.indices, self.data
+        g, spare, frame = np.zeros(n_pixels), np.empty(n_pixels), 0
+        for (ptr, kind), r in zip(rows, vectors):
+            if kind != frame:
+                g, spare, frame = _switch(g, frame, kind, spare), g, kind
+            csc_matvec(n_pixels, r.size, ptr, indices, data, r, g)
+        return _switch(g, frame, None, spare) if self.symmetric else g
+
     def __matmul__(self, x) -> np.ndarray:
         """``A x`` for a flat image ``x``."""
-        x = self._vector(x, self.shape[1], "x")
-        y = np.empty((len(self.view_rows), self.n_detectors))
-        r = np.empty(self.n_detectors)
-        for v in self._stored_order:
-            ptr, idx, step = self.view_rows[v]
-            r.fill(0.0)
-            csr_matvec(r.size, x.size, ptr, idx, self.data, x, r)
-            y[v] = r[::step]
-        return y.reshape(-1)
+        frames = self._frames(self._vector(x, self.shape[1], "x"))
+        y = np.empty(self.shape[0])
+        for ptr, kind, views in self._runs:
+            r = np.zeros(ptr.size - 1)
+            csr_matvec(r.size, self.shape[1], ptr, self.indices, self.data, frames[kind], r)
+            y[self._rays[views]] = r.reshape(views.size, -1)
+        return y
 
     def rmatvec(self, y) -> np.ndarray:
         """``A^T y`` for a flat sinogram ``y``."""
-        y = self._vector(y, self.shape[0], "y").reshape(-1, self.n_detectors)
-        g = np.zeros(self.shape[1])
-        for v in self._stored_order:
-            ptr, idx, step = self.view_rows[v]
-            csc_matvec(g.size, y.shape[1], ptr, idx, self.data,
-                       np.ascontiguousarray(y[v, ::step]), g)
-        return g
+        y = self._vector(y, self.shape[0], "y")
+        return self._accumulate([run[:2] for run in self._runs],
+                                [y.take(self._rays[run[2]]).reshape(-1) for run in self._runs])
 
     def residual_backprojection(self, views, x, w, y_tilde) -> np.ndarray:
         """``A_V^T (w_V (A_V x - y_V))`` over the rows of ``views``.
 
-        The views are taken in the given order, and each view's rows are
-        read by the CSR kernel and then, while they are still in cache, by
-        the CSC kernel. A mapped view's weights and targets are read with its
-        detectors reversed, so every ray's sum and the order of accumulation
-        are those of a product with :meth:`block` of ``views``, its rows
-        taken in the order the pass reads them, bit for bit.
+        The CSR kernel forms the ray sums view by view, each view reading
+        the image in its kind's frame; the residuals are weighted in one
+        step, a mapped view's weights and targets read with its detectors
+        reversed; then :meth:`_accumulate` back-projects them view by view
+        in the given order. So every ray's sum and the order of
+        accumulation are those of a product with :meth:`block` of ``views``,
+        its rows taken in the order the pass reads them, bit for bit.
         """
         n_rays, n_pixels = self.shape
-        x = self._vector(x, n_pixels, "x")
-        w = self._vector(w, n_rays, "w").reshape(-1, self.n_detectors)
-        y_tilde = self._vector(y_tilde, n_rays, "y_tilde").reshape(-1, self.n_detectors)
-        r = np.empty(self.n_detectors)
-        g = np.zeros(n_pixels)
-        for v in views:
-            ptr, idx, step = self.view_rows[v]
-            r.fill(0.0)
-            csr_matvec(r.size, n_pixels, ptr, idx, self.data, x, r)
-            r -= y_tilde[v, ::step]
-            r *= w[v, ::step]
-            csc_matvec(n_pixels, r.size, ptr, idx, self.data, r, g)
-        return g
+        frames = self._frames(self._vector(x, n_pixels, "x"))
+        w = self._vector(w, n_rays, "w")
+        y_tilde = self._vector(y_tilde, n_rays, "y_tilde")
+        views = np.asarray(views, dtype=np.intp)
+        rows = [self.view_rows[v] for v in views.tolist()]
+        nd, indices, data = self.n_detectors, self.indices, self.data
+        res = np.zeros((views.size, nd))
+        for (ptr, kind), r in zip(rows, res):
+            csr_matvec(nd, n_pixels, ptr, indices, data, frames[kind], r)
+        rays = self._rays[views]
+        res -= y_tilde.take(rays)
+        res *= w.take(rays)
+        return self._accumulate(rows, res)
 
     def block(self, views) -> sp.csr_matrix:
         """The rows of ``views`` (view by view, detectors in order) gathered
         into a new CSR matrix, each row's entries in their stored order."""
+        n = math.isqrt(self.shape[1])
+        pixels = np.arange(self.shape[1], dtype=self.indices.dtype)
         blocks = []
         for v in views:
-            ptr, idx, step = self.view_rows[v]
+            ptr, kind = self.view_rows[v]
             rows = slice(ptr[0], ptr[-1])
-            blocks.append(sp.csr_matrix((self.data[rows], idx[rows], ptr - ptr[0]),
-                                        shape=(self.n_detectors, self.shape[1]))[::step])
+            idx = self.indices[rows]
+            if self.symmetric:
+                idx = _IN_FRAME[kind](pixels.reshape(n, n)).ravel()[idx]
+            csr = sp.csr_matrix((self.data[rows], idx, ptr - ptr[0]),
+                                shape=(self.n_detectors, self.shape[1]))
+            blocks.append(csr[::-1] if kind else csr)
         return sp.vstack(blocks, format="csr")
 
 
 def _build_matrix(geom: SystemGeometry) -> SystemMatrix:
     t0 = time.perf_counter()
     traced, view_block, view_kind = _view_table(geom)
+    symmetric = view_kind.any()
     nd, n_pixels = geom.n_detectors, geom.n_pixels
     src, dst = (e.reshape(geom.n_views, nd, 2)[traced].reshape(-1, 2)
                 for e in _ray_endpoints(geom))
@@ -383,6 +451,8 @@ def _build_matrix(geom: SystemGeometry) -> SystemMatrix:
         stop = min(start + chunk, n_rays)
         counts, pix, w = _csr_rows(*_trace_chunk(src[start:stop], dst[start:stop], geom),
                                    stop - start, n_pixels)
+        if symmetric:  # number the pixels down the columns
+            pix = pix % geom.image_dims[1] * geom.image_dims[0] + pix // geom.image_dims[1]
         indptr[start + 1:stop + 1] = counts
         end = nnz + pix.size
         if end > _INT32_MAX and indices.dtype != np.int64:
@@ -394,19 +464,7 @@ def _build_matrix(geom: SystemGeometry) -> SystemMatrix:
         nnz = end
         del counts, pix, w  # freed before the next chunk is traced
     np.cumsum(indptr, out=indptr)
-    # the other kinds' rows are remapped in chunks, so no index array of the
-    # full length is ever cast to int64 (as a single np.take would); the
-    # indices are in range, and mode="clip" writes to ``out`` unbuffered
-    kinds = int(view_kind.max()) + 1
-    indices.resize(kinds * nnz, refcheck=False)
-    indices = indices.reshape(kinds, nnz)
-    if kinds > 1:
-        perms = _pixel_permutations(geom.image_dims[0], indices.dtype)
-        for k in range(1, kinds):
-            for start in range(0, nnz, _CHUNK_ELEMENTS):
-                stop = min(start + _CHUNK_ELEMENTS, nnz)
-                np.take(perms[k - 1], indices[0, start:stop], out=indices[k, start:stop],
-                        mode="clip")
+    del src, dst
     mat = SystemMatrix(geom, data, indices, indptr.astype(indices.dtype), view_block, view_kind)
     log.info("system matrix: %d nonzeros, %.1f MiB, %d of %d views traced, built in %.2f s",
              nnz, mat.nbytes / 2**20, traced.size, geom.n_views, time.perf_counter() - t0)

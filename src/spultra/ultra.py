@@ -18,6 +18,7 @@ patch's share of the transform regularizer as a per-class penalty.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -308,7 +309,7 @@ def dct_matrix(n: int) -> np.ndarray:
 
 def initial_transform(v: int) -> np.ndarray:
     """2D DCT when v is a perfect square, 1D DCT otherwise."""
-    side = int(round(np.sqrt(v)))
+    side = math.isqrt(v)
     if side * side == v:
         d = dct_matrix(side)
         return np.kron(d, d)

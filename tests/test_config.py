@@ -302,6 +302,8 @@ INVALID_NUMBERS = [
     ("model", "s1", "1e-300", "model.s1: must be >= 1e-06, got 1e-300"),
     ("model", "s1", "0", "model.s1: must be >= 1e-06, got 0.0"),
     ("learning", "lambda0", "inf", f"learning.lambda0: {_FINITE} inf"),
+    ("learning", "lambda0", "1e-300", "learning.lambda0: must be >= 1e-100, got 1e-300"),
+    ("learning", "lambda0", "0", "learning.lambda0: must be >= 1e-100, got 0.0"),
     ("recon", "beta", "nan", f"recon.beta: {_FINITE} nan"),
     ("recon", "x_max", "inf", f"recon.x_max: {_FINITE} inf"),
     ("recon", "x_max", "nan", f"recon.x_max: {_FINITE} nan"),

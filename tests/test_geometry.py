@@ -1,4 +1,6 @@
+import ast
 import logging
+import math
 import re
 import tracemalloc
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 from spultra import geometry
 from spultra.config import parse_config
@@ -307,9 +310,19 @@ def _full_trace(geom):
         return geometry._build_matrix(geom)
 
 
+def _traced_pixels(mat):
+    """The stored column indices numbered along the rows, as the tracer
+    numbers pixels: a symmetric scan stores them numbered down the
+    columns."""
+    if not mat.symmetric:
+        return mat.indices
+    n = math.isqrt(mat.shape[1])
+    return np.arange(n * n, dtype=mat.indices.dtype).reshape(n, n).T.ravel()[mat.indices]
+
+
 def _traced_rows(mat):
     """The traced views' rows, as stored, as a CSR matrix."""
-    return sp.csr_matrix((mat.data, mat.indices[0], mat.indptr),
+    return sp.csr_matrix((mat.data, _traced_pixels(mat), mat.indptr),
                          shape=(mat.indptr.size - 1, mat.shape[1]))
 
 
@@ -319,18 +332,16 @@ def _traced_rows(mat):
                              angular_range=np.pi, image_dims=(6, 6)), chunk_elements=7)
 def test_direct_csr_assembly_matches_coo_reference(geom, chunk_elements):
     # small chunks put chunk boundaries inside and between views; the traced
-    # views' rows are the reference's bit for bit, and every other kind's
-    # column indices are the traced ones permuted
+    # views' rows are the reference's bit for bit, in one column-index row
+    # that numbers the pixels down the columns exactly when views are mapped
     with mock.patch.object(geometry, "_CHUNK_ELEMENTS", chunk_elements):
         got = geometry._build_matrix(geom)
     traced, _, kind = geometry._view_table(geom)
     nd = geom.n_detectors
     rays = (traced[:, None] * nd + np.arange(nd)).reshape(-1)
     _assert_same_csr(_traced_rows(got), _coo_reference(geom)[0][rays])
-    assert got.indices.shape == (kind.max() + 1, got.nnz)
-    if got.indices.shape[0] > 1:
-        perms = geometry._pixel_permutations(geom.image_dims[0], got.indices.dtype)
-        assert np.array_equal(got.indices[1:], perms[:, got.indices[0]])
+    assert got.indices.shape == (got.nnz,)
+    assert got.symmetric == kind.any()
 
 
 def test_direct_csr_assembly_merges_repeated_pairs():
@@ -358,8 +369,9 @@ def test_mapped_views_match_a_trace_of_every_view(geom):
     full = _full_trace(geom)
     q = geom.n_views // 2
     assert np.array_equal(geometry._view_table(geom)[0], np.append(np.arange(q // 2 + 1), q))
-    assert mat.indices.shape == (4, mat.nnz) and mat.indices.dtype == np.int32
-    assert mat.nbytes < 0.52 * full.nbytes
+    assert mat.indices.shape == (mat.nnz,) and mat.indices.dtype == np.int32
+    assert mat.symmetric and set(mat.view_kind.tolist()) == {0, 1, 2, 3}
+    assert mat.nbytes < 0.27 * full.nbytes
     nd = geom.n_detectors
     for views in np.array_split(np.arange(geom.n_views), 12):
         got, ref = mat.block(views), full.block(views)
@@ -396,6 +408,82 @@ def test_whole_products_match_the_gathered_rows_bitwise(geom):
     assert mat.rmatvec(y).tobytes() == (mat.block(stored)[order].T @ y[rays]).tobytes()
 
 
+class _FourRowReference:
+    """The orbit-stored operator as it was laid out before it kept one
+    column-index row: row k of ``rows`` holds the traced pixels as symmetry
+    kind k maps them (numbered along the rows), and the products are the
+    former per-view loops over those rows, with the image as it is."""
+
+    def __init__(self, mat):
+        n = math.isqrt(mat.shape[1])
+        idx = np.arange(n * n, dtype=mat.indices.dtype).reshape(n, n)
+        perms = np.stack([idx.ravel(), idx.T.ravel(), idx[:, ::-1].T.ravel(), idx[::-1].ravel()])
+        self.rows = perms[:, _traced_pixels(mat)]
+        self.mat, nd = mat, mat.n_detectors
+        self.view_rows = [(mat.indptr[b * nd:(b + 1) * nd + 1], self.rows[k], -1 if k else 1)
+                          for b, k in zip(mat.view_block.tolist(), mat.view_kind.tolist())]
+        self.stored = np.lexsort((mat.view_block, mat.view_kind)).tolist()
+
+    def matvec(self, x):
+        y = np.empty((len(self.view_rows), self.mat.n_detectors))
+        r = np.empty(self.mat.n_detectors)
+        for v in self.stored:
+            ptr, idx, step = self.view_rows[v]
+            r.fill(0.0)
+            csr_matvec(r.size, x.size, ptr, idx, self.mat.data, x, r)
+            y[v] = r[::step]
+        return y.reshape(-1)
+
+    def rmatvec(self, y):
+        y = y.reshape(-1, self.mat.n_detectors)
+        g = np.zeros(self.mat.shape[1])
+        for v in self.stored:
+            ptr, idx, step = self.view_rows[v]
+            csc_matvec(g.size, y.shape[1], ptr, idx, self.mat.data,
+                       np.ascontiguousarray(y[v, ::step]), g)
+        return g
+
+    def residual_backprojection(self, views, x, w, y_tilde):
+        w = w.reshape(-1, self.mat.n_detectors)
+        y_tilde = y_tilde.reshape(-1, self.mat.n_detectors)
+        r = np.empty(self.mat.n_detectors)
+        g = np.zeros(x.size)
+        for v in views:
+            ptr, idx, step = self.view_rows[v]
+            r.fill(0.0)
+            csr_matvec(r.size, x.size, ptr, idx, self.mat.data, x, r)
+            r -= y_tilde[v, ::step]
+            r *= w[v, ::step]
+            csc_matvec(x.size, r.size, ptr, idx, self.mat.data, r, g)
+        return g
+
+
+@pytest.mark.parametrize("geom", [small_parallel(7, 7, 9, 20)] + _BENCHMARK_GEOMETRIES,
+                         ids=["7x7", "128x128", "64x64"])
+def test_one_index_row_matches_the_four_row_layout_bitwise(geom):
+    # each kind reads the one index row with the image in its frame, and the
+    # subset pass switches the frame of its sum where the kind changes: every
+    # product keeps the terms and the summation order of the four-row layout
+    mat = system_matrix(geom)
+    ref = _FourRowReference(mat)
+    assert mat.symmetric and ref.rows.shape == (4, mat.nnz)
+    rng = np.random.default_rng(0)
+    x, w, y = rng.random(geom.n_pixels), rng.random(geom.n_rays), rng.random(geom.n_rays)
+    assert (mat @ x).tobytes() == ref.matvec(x).tobytes()
+    assert mat.rmatvec(y).tobytes() == ref.rmatvec(y).tobytes()
+    q = geom.n_views // 2
+    for m in (1, 3, 6, 12):
+        subsets = [range(s, geom.n_views, m) for s in range(m)]
+        assert sum(q in views for views in subsets) == 1
+        for views in subsets:
+            got = mat.residual_backprojection(views, x, w, y)
+            assert got.tobytes() == ref.residual_backprojection(views, x, w, y).tobytes()
+    # views in any order, the kind changing at most steps
+    views = rng.permutation(geom.n_views)[:12]
+    got = mat.residual_backprojection(views, x, w, y)
+    assert got.tobytes() == ref.residual_backprojection(views, x, w, y).tobytes()
+
+
 @pytest.mark.parametrize("geom", [
     _FAN,
     SystemGeometry("parallel", n_detectors=24, n_views=36, detector_spacing=1.0,
@@ -405,19 +493,18 @@ def test_geometry_without_the_symmetry_traces_every_view(geom):
     mat = geometry._build_matrix(geom)
     views = np.arange(geom.n_views)
     assert np.array_equal(mat.view_block, views) and not mat.view_kind.any()
-    assert mat.indices.shape == (1, mat.nnz)
+    assert mat.indices.shape == (mat.nnz,) and not mat.symmetric
     _assert_same_csr(_traced_rows(mat), _coo_reference(geom)[0])
     _assert_same_csr(mat.block(views), _coo_reference(geom)[0])
 
 
-# measured tracemalloc peaks: 1.03x the 51 MiB stored matrix at 128x128 and
-# 1.16x the 7.3 MiB one at 64x64, where the ~1 MiB chunk temporaries weigh more
+# measured tracemalloc peaks: 1.05x the 25.5 MiB stored matrix at 128x128 and
+# 1.25x the 3.7 MiB one at 64x64, where the 256 KiB chunk temporaries weigh more
 @pytest.mark.parametrize("geom, bound", list(zip(_BENCHMARK_GEOMETRIES, (1.10, 1.40))),
                          ids=["128x128", "64x64"])
 def test_assembly_peak_memory_near_one_matrix(geom, bound):
     # each chunk goes straight into the final arrays, so no chunk list and
-    # its concatenation coexist, a chunk's temporaries are cache-sized, and
-    # the index rows of the symmetry kinds are filled in chunks as well
+    # its concatenation coexist, and a chunk's temporaries are cache-sized
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -428,6 +515,24 @@ def test_assembly_peak_memory_near_one_matrix(geom, bound):
         tracemalloc.stop()
     size = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
     assert peak <= bound * size, f"assembly peak {peak / size:.3f}x the matrix"
+
+
+def test_private_scipy_kernels_are_imported_by_geometry_alone():
+    # csr_matvec and csc_matvec live in scipy's private _sparsetools: a scipy
+    # release that moves them should break one import, in one module
+    src = Path(geometry.__file__).parent
+    importers = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(name.startswith("scipy.sparse._sparsetools") for name in names):
+                importers.add(path.name)
+    assert importers == {"geometry.py"}
 
 
 def test_matrix_build_logged_once_per_geometry(caplog):
