@@ -190,27 +190,22 @@ def roi_mask(roi, dims, spacing) -> RoiMask:
                                  f"{tuple(dims)} image, got {text!r}") from None
 
 
-def _patch_fits(section: str, v, stride, geometry, errors: list):
-    """Whether patches of v pixels stepped by ``stride`` tile the image of
-    ``geometry`` (not checked when None), recording why not; None when v is
-    absent or not a perfect square (side^2), False when stride is absent."""
+def _learning_side(v, stride, geometry, errors: list):
+    """The side of ``[learning]``'s patches of v pixels; None when v is absent,
+    or once it is recorded why they do not tile the image of ``geometry`` in
+    steps of ``stride`` (either not checked when None)."""
     if v is None:
         return None
-    side = math.isqrt(v)
+    side, n_errors = math.isqrt(v), len(errors)
     if side * side != v:
-        errors.append(f"{section}.v: must be a perfect square (side^2), got {v}")
+        errors.append(f"learning.v: must be a perfect square (side^2), got {v}")
         return None
-    if stride is None:
-        return False
-    fits = True
-    if stride > side:
-        errors.append(f"{section}.stride: must be <= the patch side ({side}), got {stride}")
-        fits = False
+    if stride is not None and stride > side:
+        errors.append(f"learning.stride: must be <= the patch side ({side}), got {stride}")
     if geometry is not None and side > min(geometry.image_dims):
-        errors.append(f"{section}.v: patch side {side} exceeds geometry.image_dims "
+        errors.append(f"learning.v: patch side {side} exceeds geometry.image_dims "
                       f"{geometry.image_dims}")
-        fits = False
-    return fits
+    return side if len(errors) == n_errors else None
 
 
 _KNOWN_SECTIONS = ("geometry", "model", "phantom", "learning", "recon", "metrics", "io")
@@ -297,7 +292,7 @@ def parse_config(path) -> ExperimentConfig:
                 errors.append("phantom: requires a [geometry] section for the canvas")
             cfg.phantom = tuple(shapes)
 
-    learning_v = None
+    patch_side = None  # [learning]'s, which the learned transforms will have
     if parser.has_section("learning"):
         s = _Section("learning", parser["learning"], errors)
         lc = dict(k=s.get("K", int, minimum=1), v=s.get("v", int, minimum=1),
@@ -307,12 +302,10 @@ def parse_config(path) -> ExperimentConfig:
                   iters=s.get("iters", int, LearningConfig.iters, minimum=1),
                   n_patches=s.get("n_patches", int, LearningConfig.n_patches, minimum=1))
         s.finish()
-        v, stride = lc.pop("v"), lc.pop("stride")
-        fits = _patch_fits("learning", v, stride, cfg.geometry, errors)
-        if fits is not None:  # a square v feeds recon.v even if it does not fit
-            learning_v = v
-        if fits and None not in lc.values():
-            cfg.learning = LearningConfig(patch=PatchConfig(math.isqrt(v), stride), **lc)
+        stride = lc.pop("stride")
+        patch_side = _learning_side(lc.pop("v"), stride, cfg.geometry, errors)
+        if None not in (patch_side, stride, *lc.values()):
+            cfg.learning = LearningConfig(patch=PatchConfig(patch_side, stride), **lc)
 
     if parser.has_section("metrics"):
         s = _Section("metrics", parser["metrics"], errors)
@@ -363,9 +356,8 @@ def parse_config(path) -> ExperimentConfig:
             n_sub = None
         alpha = s.get("alpha", float, ReconConfig.alpha)
         x_max = s.get("x_max", float, ReconConfig.x_max, above=0.0)
-        v = s.get("v", int, None, minimum=1)
         stride = s.get("stride", int, PatchConfig.stride, minimum=1)
-        beta_ep = s.get("beta_ep", float, None, minimum=0.0)
+        beta_ep = s.get("beta_ep", float, minimum=0.0)
         # in HU, where EpParams.delta is in mm^-1
         delta = s.get("delta", float, 100.0, above=0.0)
         potential = s.get("potential", str, EpParams.potential_kind,
@@ -375,25 +367,17 @@ def parse_config(path) -> ExperimentConfig:
         if alpha is not None and not (1.0 <= alpha < 2.0):
             errors.append(f"recon.alpha: must satisfy 1 <= alpha < 2, got {alpha}")
             alpha = None
-        # a v taken from [learning] was already checked against the image there
-        v_geometry = cfg.geometry if v is not None else None
-        if v is None:
-            v = learning_v
-            if v is None:
-                errors.append("recon.v: required (or provide [learning].v)")
-        if not _patch_fits("recon", v, stride, v_geometry, errors):
-            v = None
-        if None not in (beta, gamma_c, n_outer, n_inner, n_sub, alpha, x_max, v,
-                        stride, delta, potential, ep_iters):
-            ep = None
-            if beta_ep is not None:
-                ep = EpParams(beta_ep=beta_ep, delta=delta * cfg.metrics.mu_water / 1000.0,
-                              potential_kind=potential, iters=ep_iters)
+        # stage_reconstruct checks the stride again, against the transforms
+        if None not in (stride, patch_side) and stride > patch_side:
+            errors.append(f"recon.stride: must be <= the patch side ({patch_side}), got {stride}")
+        if None not in (beta, gamma_c, n_outer, n_inner, n_sub, alpha, x_max, stride, beta_ep,
+                        delta, potential, ep_iters):
+            ep = EpParams(beta_ep=beta_ep, delta=delta * cfg.metrics.mu_water / 1000.0,
+                          potential_kind=potential, iters=ep_iters)
             try:
                 cfg.recon = ReconConfig(beta=beta, gamma_c=gamma_c, n_outer=n_outer,
                                         n_inner=n_inner, n_subsets=n_sub, alpha=alpha,
-                                        x_max=x_max, patch=PatchConfig(math.isqrt(v), stride),
-                                        ep=ep)
+                                        x_max=x_max, patch_stride=stride, ep=ep)
             except ConfigurationError as err:
                 errors.append(f"recon: {err}")
 

@@ -10,6 +10,7 @@ mismatches against an existing manifest are reported.
 from __future__ import annotations
 
 import logging
+import math
 from pathlib import Path
 
 import numpy as np
@@ -48,10 +49,18 @@ def _method_slug(method: str) -> str:
     return method.replace("-", "_")
 
 
-def _require(cfg, *sections):
-    missing = [s for s in sections if getattr(cfg, s) is None]
+# the config sections each stage reads, in the order ``all`` runs the stages
+_SECTIONS = {"simulate": ("geometry", "model", "phantom", "io"), "learn": ("learning", "io"),
+             "reconstruct": ("geometry", "model", "recon", "io"), "evaluate": ("io",)}
+
+
+def _require(cfg, *stages):
+    """Raise unless ``cfg`` has every section that ``stages`` read."""
+    missing = [s for s in dict.fromkeys(s for st in stages for s in _SECTIONS[st])
+               if getattr(cfg, s) is None]
     if missing:
-        raise ConfigurationError(f"config sections required for this stage: {missing}")
+        raise ConfigurationError(f"config sections required for {', '.join(stages)}: "
+                                 f"{missing}")
 
 
 def _sino_spacing(geom):
@@ -85,7 +94,7 @@ def _write_image(out: Path, name: str, img: np.ndarray, cfg: ExperimentConfig) -
 
 
 def stage_simulate(cfg: ExperimentConfig, out: Path, deterministic: bool) -> dict:
-    _require(cfg, "geometry", "model", "phantom", "io")
+    _require(cfg, "simulate")
     truth = make_phantom(cfg.phantom, cfg.geometry.image_dims, cfg.geometry.pixel_spacing)
     artifacts = _write_image(out, "x_true", truth, cfg)
 
@@ -97,9 +106,13 @@ def stage_simulate(cfg: ExperimentConfig, out: Path, deterministic: bool) -> dic
 
 
 def stage_learn(cfg: ExperimentConfig, out: Path) -> dict:
-    _require(cfg, "learning", "io")
-    truth, _ = _read_sized(out / "x_true.spim", "training image (run 'simulate' first)")
+    _require(cfg, "learn")
+    truth_path = out / "x_true.spim"
+    truth, _ = _read_sized(truth_path, "training image (run 'simulate' first)")
     lc = cfg.learning
+    if lc.patch.patch_side > min(truth.shape):
+        raise ConfigurationError(f"learning.v: patch side {lc.patch.patch_side} exceeds the "
+                                 f"{truth.shape} image in {truth_path}")
     patches = extract_patches(truth, lc.patch)
     n_avail = patches.shape[1]
     rng = np.random.Generator(np.random.Philox(key=[cfg.io.seed, 1]))
@@ -121,8 +134,6 @@ def _fbp(cfg: ExperimentConfig, l_tilde) -> np.ndarray:
 
 
 def _reconstruct_ep(cfg: ExperimentConfig, l_tilde, w_stat) -> np.ndarray:
-    if cfg.recon.ep is None:
-        raise ConfigurationError("recon.beta_ep must be set to run the edge-preserving method")
     geom = cfg.geometry
     if geom.beam_kind == "parallel":  # the solver clips the start to the box
         x0 = _fbp(cfg, l_tilde)
@@ -132,7 +143,7 @@ def _reconstruct_ep(cfg: ExperimentConfig, l_tilde, w_stat) -> np.ndarray:
 
 
 def stage_reconstruct(cfg: ExperimentConfig, out: Path, method: str) -> dict:
-    _require(cfg, "geometry", "model", "recon", "io")
+    _require(cfg, "reconstruct")
     if method not in METHODS:
         raise ConfigurationError(f"unknown method {method!r}; choose from {METHODS}")
     geom = cfg.geometry
@@ -163,10 +174,16 @@ def stage_reconstruct(cfg: ExperimentConfig, out: Path, method: str) -> dict:
             if not tr_path.exists():
                 raise MissingArtifact(f"transform file not found (run 'learn' first): {tr_path}")
             union = load_transforms(tr_path)
-            if union.v != cfg.recon.patch.v:
-                raise ConfigurationError(
-                    f"recon.v: {cfg.recon.patch.v} does not match the learned transforms "
-                    f"(v = {union.v} in {tr_path})")
+            side, stride = math.isqrt(union.v), cfg.recon.patch_stride
+            if side * side != union.v:
+                raise ConfigurationError(f"{tr_path}: v = {union.v} is not a perfect square "
+                                         f"(side^2), so its transforms fit no square patch")
+            if side > min(geom.image_dims):
+                raise ConfigurationError(f"{tr_path}: patch side {side} exceeds "
+                                         f"geometry.image_dims {geom.image_dims}")
+            if stride > side:
+                raise ConfigurationError(f"recon.stride: must be <= the patch side ({side}) "
+                                         f"of {tr_path}, got {stride}")
             ep_path = out / "x_pwls_ep.spim"
             if ep_path.exists():  # the PWLS-EP initializer, cached on disk
                 x0, _ = _read_sized(ep_path, "edge-preserving initializer", geom.image_dims)
@@ -200,7 +217,7 @@ def _eval_rois(cfg: ExperimentConfig, dims, spacing) -> list[RoiMask]:
 
 
 def stage_evaluate(cfg: ExperimentConfig, out: Path) -> dict:
-    _require(cfg, "io")
+    _require(cfg, "evaluate")
     # the spacing stored with the truth, since [geometry] may be absent here
     truth, spacing = _read_sized(out / "x_true.spim", "truth (run 'simulate' first)",
                                  cfg.geometry.image_dims if cfg.geometry else None)
@@ -247,9 +264,16 @@ def _methods(cfg: ExperimentConfig, method: str | None) -> list[str]:
 
 def run_pipeline(cfg: ExperimentConfig, subcommand: str, method: str | None = None,
                  deterministic: bool = False) -> int:
-    """Execute one stage (or the whole chain) and return a process exit code."""
-    if cfg.io is None:
-        log.error("config has no [io] section")
+    """Execute one stage (or the whole chain) and return a process exit code.
+    The sections every stage reads are checked before the first one runs."""
+    if subcommand != "all" and subcommand not in _SECTIONS:
+        log.error("unknown subcommand %r", subcommand)
+        return EXIT_ERROR
+    stages = list(_SECTIONS) if subcommand == "all" else [subcommand]
+    try:
+        _require(cfg, *stages)
+    except ConfigurationError as err:
+        log.error("%s", err)
         return EXIT_ERROR
     out = Path(cfg.io.out_dir)
     try:
@@ -260,24 +284,16 @@ def run_pipeline(cfg: ExperimentConfig, subcommand: str, method: str | None = No
 
     try:
         artifacts = {}
-        if subcommand == "simulate":
-            artifacts.update(stage_simulate(cfg, out, deterministic))
-        elif subcommand == "learn":
-            artifacts.update(stage_learn(cfg, out))
-        elif subcommand == "reconstruct":
-            for m in _methods(cfg, method):
-                artifacts.update(stage_reconstruct(cfg, out, m))
-        elif subcommand == "evaluate":
-            artifacts.update(stage_evaluate(cfg, out))
-        elif subcommand == "all":
-            artifacts.update(stage_simulate(cfg, out, deterministic))
-            artifacts.update(stage_learn(cfg, out))
-            for m in _methods(cfg, method):
-                artifacts.update(stage_reconstruct(cfg, out, m))
-            artifacts.update(stage_evaluate(cfg, out))
-        else:
-            log.error("unknown subcommand %r", subcommand)
-            return EXIT_ERROR
+        for stage in stages:
+            if stage == "simulate":
+                artifacts.update(stage_simulate(cfg, out, deterministic))
+            elif stage == "learn":
+                artifacts.update(stage_learn(cfg, out))
+            elif stage == "reconstruct":
+                for m in _methods(cfg, method):
+                    artifacts.update(stage_reconstruct(cfg, out, m))
+            else:
+                artifacts.update(stage_evaluate(cfg, out))
         _update_manifest(cfg, out, artifacts)
     except MissingArtifact as err:
         log.error("%s", err)

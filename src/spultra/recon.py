@@ -11,6 +11,7 @@ their data term fixed.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -60,7 +61,7 @@ class ReconConfig:
     n_subsets: int = 1
     alpha: float = 1.999
     x_max: float = 0.1
-    patch: PatchConfig = field(default_factory=lambda: PatchConfig(8, 1))
+    patch_stride: int = 1  # the patch side is the transforms'
     ep: EpParams | None = None
 
     def __post_init__(self):
@@ -469,14 +470,16 @@ def _ultra_outer_loop(value, quadratic, system: SubsetSystem, w_stat: np.ndarray
     projects the image once, runs one ordered-subsets image update at fixed
     codes and labels, then re-codes and re-clusters the patches in one pass
     that also scores the codes before and after (the regularizer terms of
-    the trace). A numerical abort carries the partial trace as ``err.trace``.
+    the trace). Patches have the transforms' side and ``cfg.patch_stride``.
+    A numerical abort carries the partial trace as ``err.trace``.
     """
     geom = system.geom
     dims = geom.image_dims
-    tau = patch_weights(compute_kappa(geom, w_stat), cfg.patch)
+    patch = PatchConfig(math.isqrt(union.v), cfg.patch_stride)
+    tau = patch_weights(compute_kappa(geom, w_stat), patch)
     x = np.clip(x0.reshape(-1), 0.0, cfg.x_max)
-    state = sparse_code_and_cluster(x.reshape(dims), union, cfg.gamma_c, tau, cfg.patch)
-    quad = UltraQuadReg(union, state, cfg.beta, cfg.patch, dims)
+    state = sparse_code_and_cluster(x.reshape(dims), union, cfg.gamma_c, tau, patch)
+    quad = UltraQuadReg(union, state, cfg.beta, patch, dims)
     everywhere = RoiMask(np.ones(dims, dtype=bool), "all")
 
     def rmse(x_flat):
@@ -501,7 +504,7 @@ def _ultra_outer_loop(value, quadratic, system: SubsetSystem, w_stat: np.ndarray
             l = system.matrix @ x_new
             data = value(l)
             state = sparse_code_and_cluster(x_new.reshape(dims), union, cfg.gamma_c, tau,
-                                            cfg.patch, prev=state)
+                                            patch, prev=state)
             reg_pre = cfg.beta * float(np.sum(state.tau * state.prev_cost))
             reg = cfg.beta * float(np.sum(state.tau * state.cost))
             ms = (time.perf_counter() - t0) * 1e3

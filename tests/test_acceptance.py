@@ -265,8 +265,7 @@ def run7():
     sino = simulate_prelog(truth, model, geom, 11)
     l_t, w_t = post_log_convert(sino.ravel(), model)
 
-    patch = PatchConfig(8, 1)
-    tp = extract_patches(truth, patch)
+    tp = extract_patches(truth, PatchConfig(8, 1))
     rng = np.random.Generator(np.random.Philox(key=1))
     sel = rng.choice(tp.shape[1], 3000, replace=False)
     sel.sort()
@@ -274,8 +273,7 @@ def run7():
 
     x_fbp = fbp_reconstruct(l_t.reshape(geom.n_views, geom.n_detectors), geom)
     x0 = np.clip(x_fbp, 0, 0.1)
-    cfg = ReconConfig(beta=1e4, gamma_c=4e-4, n_outer=50, n_inner=4, n_subsets=6,
-                      x_max=0.1, patch=patch)
+    cfg = ReconConfig(beta=1e4, gamma_c=4e-4, n_outer=50, n_inner=4, n_subsets=6, x_max=0.1)
     t0 = time.perf_counter()
     img, trace = spultra_reconstruct(sino, model, union, geom, cfg, x0, truth=truth)
     elapsed = time.perf_counter() - t0
@@ -322,8 +320,7 @@ def run9():
     sino = simulate_prelog(truth, model, geom, 21)
     l_t, w_t = post_log_convert(sino.ravel(), model)
 
-    patch_learn = PatchConfig(8, 1)
-    tp = extract_patches(truth, patch_learn)
+    tp = extract_patches(truth, PatchConfig(8, 1))
     rng = np.random.Generator(np.random.Philox(key=1))
     sel = rng.choice(tp.shape[1], 8000, replace=False)
     sel.sort()
@@ -331,14 +328,13 @@ def run9():
 
     x_fbp = fbp_reconstruct(l_t.reshape(geom.n_views, geom.n_detectors), geom)
     x_fbp = np.clip(x_fbp, 0, 0.1)
-    cfg_ep = ReconConfig(beta=0, gamma_c=1, n_outer=1, n_inner=4, n_subsets=12,
-                         x_max=0.1, patch=patch_learn,
+    cfg_ep = ReconConfig(beta=0, gamma_c=1, n_outer=1, n_inner=4, n_subsets=12, x_max=0.1,
                          ep=EpParams(beta_ep=3000.0, delta=10 * 0.02 / 1000,
                                      potential_kind="lange", iters=60))
     x_ep = pwls_ep_reconstruct(l_t, w_t, geom, cfg_ep, x_fbp)
 
     cfg = ReconConfig(beta=3e5, gamma_c=4e-4, n_outer=200, n_inner=4, n_subsets=12,
-                      x_max=0.1, patch=PatchConfig(8, 2))
+                      x_max=0.1, patch_stride=2)
     img_pw, tr_pw = pwls_ultra_reconstruct(l_t, w_t, union, geom, cfg, x_ep, truth=truth)
     img_sp, tr_sp = spultra_reconstruct(sino, model, union, geom, cfg, x_ep, truth=truth)
     elapsed = time.perf_counter() - t0

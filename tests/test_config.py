@@ -9,6 +9,7 @@ import pytest
 from spultra.config import IoConfig, parse_config
 from spultra.errors import ValidationError
 from spultra.metrics import ssim, to_hu
+from spultra.recon import ReconConfig
 from spultra.sim import POISSON_MEAN_MAX, Ellipse
 from spultra.spstats import post_log_convert, second_derivative_at_zero
 from spultra.ultra import PatchConfig
@@ -48,18 +49,18 @@ def test_minimal_config_defaults(tmp_path):
 
 
 def test_misspelled_key_named(tmp_path):
-    text = MINIMAL + "\n[recon]\nbeta = 1\ngamma_C = 0.1\nN = 5\nv = 16\n"
+    text = MINIMAL + "\n[recon]\nbeta = 1\ngamma_C = 0.1\nN = 5\nbeta_ep = 1\n"
     with pytest.raises(ValidationError) as err:
         parse_config(write(tmp_path, text))
     assert any("recon.gamma_C" in e and "unknown" in e for e in err.value.errors)
 
 
 def test_alpha_upper_bound_rejected(tmp_path):
-    text = MINIMAL + "\n[recon]\nbeta = 1\ngamma_c = 0.1\nN = 5\nv = 16\nalpha = 2.0\n"
+    text = MINIMAL + "\n[recon]\nbeta = 1\ngamma_c = 0.1\nN = 5\nbeta_ep = 1\nalpha = 2.0\n"
     with pytest.raises(ValidationError) as err:
         parse_config(write(tmp_path, text))
     assert any("recon.alpha" in e for e in err.value.errors)
-    ok = MINIMAL + "\n[recon]\nbeta = 1\ngamma_c = 0.1\nN = 5\nv = 16\nalpha = 1.999\n"
+    ok = MINIMAL + "\n[recon]\nbeta = 1\ngamma_c = 0.1\nN = 5\nbeta_ep = 1\nalpha = 1.999\n"
     cfg = parse_config(write(tmp_path, ok))
     assert cfg.recon.alpha == 1.999
 
@@ -149,7 +150,7 @@ out_dir = out
     assert any("geometry" in e for e in err.value.errors)
 
 
-def test_recon_v_falls_back_to_learning(tmp_path):
+def test_recon_takes_the_patch_side_from_the_transforms(tmp_path):
     text = MINIMAL + """
 [learning]
 K = 2
@@ -161,10 +162,13 @@ lambda0 = 0.1
 beta = 1
 gamma_c = 0.05
 N = 3
+beta_ep = 10
+stride = 2
 """
     cfg = parse_config(write(tmp_path, text))
-    assert cfg.recon.patch.patch_side == 4
     assert cfg.learning.patch == PatchConfig(4, 1)
+    # the reconstruction's patch side is that of the transforms it is given
+    assert cfg.recon.patch_stride == 2 and "patch" not in ReconConfig.__dataclass_fields__
 
 
 def test_ep_delta_converted_from_hu(tmp_path):
@@ -173,7 +177,6 @@ def test_ep_delta_converted_from_hu(tmp_path):
 beta = 1
 gamma_c = 0.05
 N = 3
-v = 16
 beta_ep = 10
 delta = 10
 """
@@ -225,7 +228,7 @@ def test_seed_out_of_range_rejected(tmp_path, seed, msg):
 
 def test_more_subsets_than_views_rejected(tmp_path):
     # MINIMAL has 8 views; 9 subsets would leave one of them empty
-    recon = "\n[recon]\nbeta = 1\ngamma_c = 0.05\nN = 3\nv = 16\nM = {}\n"
+    recon = "\n[recon]\nbeta = 1\ngamma_c = 0.05\nN = 3\nbeta_ep = 1\nM = {}\n"
     with pytest.raises(ValidationError) as err:
         parse_config(write(tmp_path, MINIMAL + recon.format(9)))
     assert any(e.startswith("recon.M:") and "n_views" in e for e in err.value.errors)
@@ -241,7 +244,7 @@ def test_stride_longer_than_patch_side_rejected(tmp_path):
         parse_config(write(tmp_path, MINIMAL + LEARNING.format(5)))
     assert [e for e in err.value.errors if e.startswith("learning.")] \
         == ["learning.stride: must be <= the patch side (4), got 5"]
-    recon = "\n[recon]\nbeta = 1\ngamma_c = 0.05\nN = 3\nstride = 5\n"
+    recon = "\n[recon]\nbeta = 1\ngamma_c = 0.05\nN = 3\nbeta_ep = 1\nstride = 5\n"
     with pytest.raises(ValidationError) as err:
         parse_config(write(tmp_path, MINIMAL + LEARNING.format(1) + recon))
     assert err.value.errors == ["recon.stride: must be <= the patch side (4), got 5"]
@@ -254,12 +257,8 @@ def test_patch_larger_than_image_rejected(tmp_path):
     with pytest.raises(ValidationError) as err:
         parse_config(write(tmp_path, small + LEARNING.format(1)))
     assert err.value.errors == ["learning.v: patch side 4 exceeds geometry.image_dims (3, 6)"]
-    recon = "\n[recon]\nbeta = 1\ngamma_c = 0.05\nN = 3\nv = 16\n"
-    with pytest.raises(ValidationError) as err:
-        parse_config(write(tmp_path, small + recon))
-    assert err.value.errors == ["recon.v: patch side 4 exceeds geometry.image_dims (3, 6)"]
-    cfg = parse_config(write(tmp_path, small + recon.replace("v = 16", "v = 9")))
-    assert cfg.recon.patch.patch_side == 3
+    cfg = parse_config(write(tmp_path, small + LEARNING.format(1).replace("v = 16", "v = 9")))
+    assert cfg.learning.patch == PatchConfig(3, 1)
 
 
 VALID = MINIMAL + LEARNING.format(1) + """

@@ -1,12 +1,16 @@
 import csv
 import json
+import math
 import re
 import shutil
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spultra.config import parse_config
 from spultra.errors import ValidationError
@@ -14,7 +18,7 @@ from spultra.io import read_manifest, read_spim, sha256_file, write_spim
 from spultra.pipeline import (EXIT_ERROR, EXIT_MISSING_INPUT, EXIT_NUMERICAL, EXIT_OK, METHODS,
                               run_pipeline)
 from spultra import recon
-from spultra.ultra import initial_transform
+from spultra.ultra import TransformUnion, initial_transform, save_transforms
 
 from conftest import assert_clean_stderr, run_cli
 
@@ -293,7 +297,8 @@ def test_cli_seed_without_io_section_exits_1(tmp_path):
     cwd = tmp_path / "cwd"
     cwd.mkdir()
     r = run_cli("simulate", "--config", str(cfg_path), "--seed", "3", cwd=cwd)
-    assert _one_error(r, EXIT_ERROR) == "ERROR spultra.pipeline: config has no [io] section"
+    assert _one_error(r, EXIT_ERROR) == \
+        "ERROR spultra.pipeline: config sections required for simulate: ['io']"
     assert list(cwd.iterdir()) == []
 
 
@@ -527,20 +532,129 @@ def test_partial_trace_replaces_a_complete_one(stale_run, tmp_path, caplog, monk
     assert len(trace.read_text().splitlines()) == 2
 
 
-def test_recon_v_mismatch_with_transforms_exits_1(tmp_path, caplog):
-    out = tmp_path / "vmis"
-    cfg = parse_config(write_config(tmp_path, out))
-    assert run_pipeline(cfg, "simulate") == EXIT_OK
-    assert run_pipeline(cfg, "learn") == EXIT_OK  # learns v = 16
-    p = tmp_path / "v9.ini"
-    p.write_text(CONFIG.replace("PLACEHOLDER", str(out))
-                 .replace("[recon]\n", "[recon]\nv = 9\n"))
-    cfg9 = parse_config(p)
-    assert cfg9.recon.patch.v == 9
-    with caplog.at_level("ERROR"):
-        assert run_pipeline(cfg9, "reconstruct", method="pwls-ultra") == EXIT_ERROR
-    assert any("recon.v" in r.message for r in caplog.records)
-    assert not (out / "x_pwls_ultra.spim").exists()
+@pytest.mark.parametrize("v, error", [
+    (10, "{ult}: v = 10 is not a perfect square (side^2), so its transforms fit no square "
+         "patch"),
+    (33 * 33, "{ult}: patch side 33 exceeds geometry.image_dims (32, 32)"),
+    (1, "recon.stride: must be <= the patch side (1) of {ult}, got 2"),
+])
+def test_cli_transforms_that_do_not_fit_exit_1_naming_the_file(stale_run, tmp_path, v, error):
+    # the reconstruction takes its patch side from the transforms, and CONFIG
+    # steps its patches by 2 over a 32x32 image
+    out = tmp_path / "run"
+    shutil.copytree(stale_run, out)
+    ult = out / "transforms.ult"
+    save_transforms(ult, TransformUnion(np.eye(v)[None]))
+    p = tmp_path / "exp.ini"
+    p.write_text(_quick(CONFIG).replace("PLACEHOLDER", str(out)))
+    r = run_cli("reconstruct", "--config", str(p), "--method", "pwls-ultra")
+    assert _one_error(r, EXIT_ERROR) == "ERROR spultra.pipeline: " + error.format(ult=ult)
+    for name in ("x_pwls_ultra.spim", "trace_pwls_ultra.csv"):
+        assert (out / name).read_bytes() == (stale_run / name).read_bytes()
+
+
+def test_cli_learning_patch_larger_than_the_training_image_exits_1(stale_run, tmp_path):
+    # without [geometry], validation cannot compare v with the image
+    out = tmp_path / "run"
+    shutil.copytree(stale_run, out)
+    p = tmp_path / "learn.ini"
+    p.write_text(CONFIG[CONFIG.index("[learning]"):CONFIG.index("[recon]")]
+                 .replace("v = 16", "v = 10000") + f"[io]\nout_dir = {out}\n")
+    r = run_cli("learn", "--config", str(p))
+    assert _one_error(r, EXIT_ERROR) == (
+        f"ERROR spultra.pipeline: learning.v: patch side 100 exceeds the (32, 32) image in "
+        f"{out / 'x_true.spim'}")
+    assert (out / "transforms.ult").read_bytes() == (stale_run / "transforms.ult").read_bytes()
+
+
+@pytest.mark.parametrize("edit", ["learning", "recon", "phantom", "model", "beta_ep", "v"])
+def test_cli_all_rejects_a_config_it_cannot_finish_before_any_stage(tmp_path, edit):
+    # a section removed, beta_ep removed, or a patch size set for the reconstruction
+    path = _one_iteration_waterdisk64(tmp_path)
+    text = path.read_text()
+    if edit == "beta_ep":
+        text = re.sub(r"(?m)^beta_ep = .*\n", "", text)
+    elif edit == "v":
+        text = text.replace("[recon]\n", "[recon]\nv = 16\n")
+    else:
+        text, n = re.subn(rf"(?ms)^\[{edit}\]\n.*?(?=^\[)", "", text)
+        assert n == 1
+    path.write_text(text)
+    r = run_cli("all", "--config", str(path))
+    if edit in ("beta_ep", "v"):
+        assert r.returncode == EXIT_ERROR
+        assert_clean_stderr(r)
+        key = {"beta_ep": "recon.beta_ep: required key missing", "v": "recon.v: unknown key"}
+        assert r.stderr.splitlines() == ["error: invalid configuration:", f"  - {key[edit]}"]
+    else:
+        assert _one_error(r, EXIT_ERROR) == (
+            "ERROR spultra.pipeline: config sections required for simulate, learn, "
+            f"reconstruct, evaluate: ['{edit}']")
+    assert not (tmp_path / "out").exists()
+
+
+PATCH_KEYS = """
+[geometry]
+n_detectors = {detectors}
+n_views = 12
+detector_spacing = 1.0
+image_dims = {side} {side}
+
+[model]
+I0 = 10000
+
+[phantom]
+shapes =
+    0 0 {radius} {radius} 0 0.02
+
+[learning]
+K = 2
+v = {v}
+stride = {learn_stride}
+gamma_c = 0.0004
+lambda0 = 0.031
+iters = 1
+
+[recon]
+beta = 1000
+gamma_c = 0.0004
+N = 1
+P = 1
+M = 2
+stride = {recon_stride}
+beta_ep = 100
+ep_iters = 1
+
+[io]
+out_dir = {out}
+"""
+
+
+@settings(deadline=None, max_examples=250, derandomize=True)
+@given(side=st.integers(4, 12),
+       v=st.integers(1, 13).map(lambda s: s * s) | st.integers(1, 170),
+       learn_stride=st.integers(1, 5), recon_stride=st.integers(1, 5))
+def test_patch_keys_are_rejected_at_validation_or_run_all(tmp_path_factory, side, v,
+                                                          learn_stride, recon_stride):
+    root = tmp_path_factory.mktemp("patch_keys")
+    p = root / "exp.ini"
+    p.write_text(PATCH_KEYS.format(detectors=2 * side, side=side, radius=side / 3, v=v,
+                                   learn_stride=learn_stride, recon_stride=recon_stride,
+                                   out=root / "out"))
+    patch_side = math.isqrt(v)
+    fits = patch_side ** 2 == v and max(learn_stride, recon_stride) <= patch_side <= side
+    try:
+        cfg = parse_config(p)
+    except ValidationError as err:
+        assert not fits, err.errors
+        assert all(e.startswith(("learning.", "recon.stride: ")) for e in err.errors), err.errors
+        return
+    assert fits
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_pipeline(cfg, "all", deterministic=True) == EXIT_OK
+    assert caught == []
+    assert (root / "out" / "metrics.csv").exists()
 
 
 def test_rerun_in_other_environment_warns(tmp_path, caplog, monkeypatch):
@@ -778,7 +892,7 @@ def test_all_on_image_narrower_than_ssim_window(tmp_path):
     p = tmp_path / "tiny.ini"
     p.write_text(text.replace("PLACEHOLDER", str(out)))
     cfg = parse_config(p)
-    assert cfg.geometry.image_dims == (6, 6) and cfg.recon.patch.v == 16
+    assert cfg.geometry.image_dims == (6, 6) and cfg.learning.patch.v == 16
     assert run_pipeline(cfg, "all") == EXIT_OK
     text = (out / "metrics.csv").read_text()
     for method in ("fbp", "pwls-ep", "pwls-ultra", "spultra"):

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import math
 import tracemalloc
 import weakref
 
@@ -38,7 +39,7 @@ class ZeroReg:
 
 def wls_cfg(n_inner, m=1, x_max=0.1):
     return ReconConfig(beta=0.0, gamma_c=1.0, n_outer=1, n_inner=n_inner,
-                       n_subsets=m, x_max=x_max, patch=PatchConfig(1, 1))
+                       n_subsets=m, x_max=x_max)
 
 
 def test_rho_schedule_values():
@@ -129,7 +130,7 @@ def test_os_lalm_one_step_matches_hand_transcription():
 
     system = SubsetSystem(geom, 1)
     cfg = ReconConfig(beta=0.0, gamma_c=1.0, n_outer=1, n_inner=1, n_subsets=1,
-                      alpha=alpha, x_max=x_max, patch=PatchConfig(1, 1))
+                      alpha=alpha, x_max=x_max)
     got = os_lalm_image_update(x0.copy(), system, w, y, system.gram_diag(w),
                                ZeroReg(), cfg)
     assert np.max(np.abs(got - x1)) <= 1e-14
@@ -198,7 +199,7 @@ def test_os_lalm_matches_reference_loop_bitwise(kind):
     kappa = compute_kappa(geom, w).reshape(-1)
     ep = EpParams(beta_ep=0.7, delta=0.004, potential_kind=kind, iters=2)
     cfg = ReconConfig(beta=0.0, gamma_c=1.0, n_outer=1, n_inner=2, n_subsets=3,
-                      x_max=0.05, patch=PatchConfig(1, 1), ep=ep)
+                      x_max=0.05, ep=ep)
     reg = EdgePreservingReg(kappa, ep, geom.image_dims)
     d_a = system.gram_diag(w)
     x0 = rng.uniform(-0.01, 0.06, geom.n_pixels)  # leaves the box on both sides
@@ -296,7 +297,7 @@ def test_pwls_ep_leaves_subset_blocks_unbuilt(monkeypatch):
     w = np.ones(geom.n_rays)
     l = np.full(geom.n_rays, 0.1)
     cfg = ReconConfig(beta=0.0, gamma_c=1.0, n_outer=1, n_inner=1, n_subsets=4,
-                      x_max=0.1, patch=PatchConfig(1, 1),
+                      x_max=0.1,
                       ep=EpParams(beta_ep=1.0, delta=0.01, iters=2))
     pwls_ep_reconstruct(l, w, geom, cfg, np.zeros((6, 6)))
     assert len(systems) == 1
@@ -382,7 +383,7 @@ def test_pwls_ep_reduces_to_wls_when_beta_zero():
     l = a @ x_true
     w = np.ones(geom.n_rays)
     cfg = ReconConfig(beta=0.0, gamma_c=1.0, n_outer=1, n_inner=4000, n_subsets=1,
-                      x_max=0.1, patch=PatchConfig(1, 1),
+                      x_max=0.1,
                       ep=EpParams(beta_ep=0.0, delta=0.01, iters=4000))
     x0 = np.zeros((3, 3))
     img = pwls_ep_reconstruct(l, w, geom, cfg, x0)
@@ -429,6 +430,12 @@ def test_fbp_rejects_fan():
         fbp_reconstruct(np.zeros((8, 8)), geom)
 
 
+def _patch(union, cfg):
+    """The patches an ULTRA reconstruction with ``cfg`` codes: the side of
+    the transforms, stepped by the configured stride."""
+    return PatchConfig(math.isqrt(union.v), cfg.patch_stride)
+
+
 def _tiny_setup(seed=0, i0=2000.0):
     geom = small_parallel(rows=16, cols=16, n_det=24, n_views=18)
     model = SpModel(i0=i0, sigma2=25.0)
@@ -437,7 +444,7 @@ def _tiny_setup(seed=0, i0=2000.0):
     sino = simulate_prelog(truth, model, geom, seed)
     union = TransformUnion(initial_transform(16)[None, :, :])
     cfg = ReconConfig(beta=5.0, gamma_c=1e-3, n_outer=6, n_inner=2, n_subsets=2,
-                      x_max=0.1, patch=PatchConfig(4, 2))
+                      x_max=0.1, patch_stride=2)
     return geom, model, truth, sino, union, cfg
 
 
@@ -469,17 +476,18 @@ def test_majorizer_overflow_is_a_configuration_error(reg):
         with pytest.raises(ConfigurationError, match=r"^recon\.beta_ep: 1e\+308 makes "):
             EdgePreservingReg(np.ones(geom.n_pixels), ep, geom.image_dims)
         return
-    tau = np.ones(cfg.patch.n_patches(geom.image_dims))
-    state = sparse_code_and_cluster(truth, union, cfg.gamma_c, tau, cfg.patch)
+    patch = _patch(union, cfg)
+    tau = np.ones(patch.n_patches(geom.image_dims))
+    state = sparse_code_and_cluster(truth, union, cfg.gamma_c, tau, patch)
     with pytest.raises(ConfigurationError, match=r"^recon\.beta: 1e\+308 makes "):
-        UltraQuadReg(union, state, 1e308, cfg.patch, geom.image_dims)
+        UltraQuadReg(union, state, 1e308, patch, geom.image_dims)
 
 
 def test_spultra_zero_outer_returns_x0():
     geom, model, truth, sino, union, cfg = _tiny_setup()
     cfg0 = ReconConfig(beta=cfg.beta, gamma_c=cfg.gamma_c, n_outer=0,
                        n_inner=cfg.n_inner, n_subsets=cfg.n_subsets,
-                       x_max=cfg.x_max, patch=cfg.patch)
+                       x_max=cfg.x_max, patch_stride=cfg.patch_stride)
     x0 = np.full((16, 16), 0.01)
     img, trace = spultra_reconstruct(sino, model, union, geom, cfg0, x0)
     assert np.array_equal(img, x0)
@@ -514,7 +522,7 @@ def test_trace_records_clustering_diagnostics(tmp_path, method):
     else:
         l_t, w_t = post_log_convert(sino.ravel(), model)
         _, trace = pwls_ultra_reconstruct(l_t, w_t, union, geom, cfg, x0)
-    n_patches = cfg.patch.n_patches(geom.image_dims)
+    n_patches = _patch(union, cfg).n_patches(geom.image_dims)
     changed, nonzero = trace.columns["labels_changed"], trace.columns["nonzero_frac"]
     assert changed[0] is None and nonzero[0] is None
     assert len(changed) == len(nonzero) == cfg.n_outer + 1
@@ -551,7 +559,7 @@ def test_pwls_ultra_beta_zero_is_constrained_wls():
     w = np.ones(geom.n_rays)
     union = TransformUnion(initial_transform(4)[None, :, :])
     cfg = ReconConfig(beta=0.0, gamma_c=1e-3, n_outer=1, n_inner=4000, n_subsets=1,
-                      x_max=0.1, patch=PatchConfig(2, 1))
+                      x_max=0.1)
     x0 = np.zeros((3, 3))
     img, _ = pwls_ultra_reconstruct(l, w, union, geom, cfg, x0)
     dense = np.linalg.lstsq(a, l, rcond=None)[0]
@@ -568,7 +576,7 @@ def test_noiseless_consistent_recovery():
     sino = simulate_prelog(truth, model, geom, 0, deterministic=True)
     union = TransformUnion(initial_transform(16)[None, :, :])
     cfg = ReconConfig(beta=1e-6, gamma_c=5e-5, n_outer=120, n_inner=10, n_subsets=4,
-                      x_max=0.1, patch=PatchConfig(4, 1))
+                      x_max=0.1)
     x0 = np.full((32, 32), 0.01)
     img_sp, _ = spultra_reconstruct(sino, model, union, geom, cfg, x0)
     l_t, w_t = post_log_convert(sino.ravel(), model)
@@ -608,7 +616,7 @@ def objective_value(x: np.ndarray, state: SparseState, y_raw: np.ndarray, model:
     counts = np.maximum(y_raw.ravel() + model.sigma2, 0.0)
     l = forward_project(x, geom).ravel()
     data = neg_log_likelihood(l, counts, model)
-    return data + regularizer_value(x, state, union, cfg.beta, cfg.gamma_c, cfg.patch)
+    return data + regularizer_value(x, state, union, cfg.beta, cfg.gamma_c, _patch(union, cfg))
 
 
 def test_objective_value_beta_zero_and_additivity():
@@ -616,16 +624,17 @@ def test_objective_value_beta_zero_and_additivity():
     x = np.clip(truth, 0, 0.1)
     counts = np.maximum(sino.ravel() + model.sigma2, 0.0)
     l_t, w_t = post_log_convert(sino.ravel(), model)
-    tau = patch_weights(compute_kappa(geom, w_t), cfg.patch)
-    state = sparse_code_and_cluster(x, union, cfg.gamma_c, tau, cfg.patch)
+    patch = _patch(union, cfg)
+    tau = patch_weights(compute_kappa(geom, w_t), patch)
+    state = sparse_code_and_cluster(x, union, cfg.gamma_c, tau, patch)
 
-    cfg0 = ReconConfig(beta=0.0, gamma_c=cfg.gamma_c, n_outer=1, patch=cfg.patch)
+    cfg0 = ReconConfig(beta=0.0, gamma_c=cfg.gamma_c, n_outer=1, patch_stride=cfg.patch_stride)
     g0 = objective_value(x, state, sino, model, union, cfg0, geom)
     l = forward_project(x, geom).ravel()
     assert g0 == pytest.approx(neg_log_likelihood(l, counts, model), rel=1e-14)
 
     g1 = objective_value(x, state, sino, model, union, cfg, geom)
-    cfg2 = ReconConfig(beta=2 * cfg.beta, gamma_c=cfg.gamma_c, n_outer=1, patch=cfg.patch)
+    cfg2 = dataclasses.replace(cfg0, beta=2 * cfg.beta)
     g2 = objective_value(x, state, sino, model, union, cfg2, geom)
     # differences of large objective values carry cancellation noise ~eps*|G|
     assert g2 - g1 == pytest.approx(g1 - g0, abs=1e-12 * abs(g1))
@@ -637,10 +646,11 @@ def test_objective_lower_bound():
     counts = np.maximum(sino.ravel() + model.sigma2, 0.0)
     bound = geom.n_rays * model.sigma2 - counts.sum() * np.log(model.i0 + model.sigma2)
     l_t, w_t = post_log_convert(sino.ravel(), model)
-    tau = patch_weights(compute_kappa(geom, w_t), cfg.patch)
+    patch = _patch(union, cfg)
+    tau = patch_weights(compute_kappa(geom, w_t), patch)
     for _ in range(10):
         x = rng.uniform(0, 0.1, geom.image_dims)
-        state = sparse_code_and_cluster(x, union, cfg.gamma_c, tau, cfg.patch)
+        state = sparse_code_and_cluster(x, union, cfg.gamma_c, tau, patch)
         g = objective_value(x, state, sino, model, union, cfg, geom)
         assert g >= bound - 1e-9 * abs(bound)
 
@@ -700,14 +710,15 @@ def test_ultra_abort_carries_partial_trace(monkeypatch, method):
 @pytest.mark.parametrize("method", ["spultra", "pwls-ultra"])
 def test_ultra_reconstruction_keeps_one_regularizer(monkeypatch, method, n_outer, stride):
     geom, model, truth, sino, union, cfg = _tiny_setup(seed=6)
-    cfg = dataclasses.replace(cfg, n_outer=n_outer, patch=PatchConfig(4, stride))
-    events = []
+    cfg = dataclasses.replace(cfg, n_outer=n_outer, patch_stride=stride)
+    events, patches = [], []
     real_init, real_update = UltraQuadReg.__init__, UltraQuadReg.update
     real_diag = recon.regularizer_majorizer_diag
 
-    def init(self, *args):
-        real_init(self, *args)
+    def init(self, union, state, beta, patch, dims):
+        real_init(self, union, state, beta, patch, dims)
         events.append("made")
+        patches.append(patch)
 
     def update(self, state):
         events.append("update")
@@ -729,21 +740,24 @@ def test_ultra_reconstruction_keeps_one_regularizer(monkeypatch, method, n_outer
     # one regularizer whose constructor computes the majorizer and forms H,
     # then one update per later outer iteration: N builds of H in all
     assert events == ["diag", "update", "made"] + ["update"] * (n_outer - 1)
+    # the side of the v = 16 transforms, stepped by the configured stride
+    assert patches == [PatchConfig(4, stride)]
 
 
 def test_spultra_initial_objective_is_reference_objective():
     geom, model, truth, sino, union, cfg = _tiny_setup(seed=3)
     cfg0 = ReconConfig(beta=cfg.beta, gamma_c=cfg.gamma_c, n_outer=0,
                        n_inner=cfg.n_inner, n_subsets=cfg.n_subsets,
-                       x_max=cfg.x_max, patch=cfg.patch)
+                       x_max=cfg.x_max, patch_stride=cfg.patch_stride)
     # x0 leaves the box on both sides, so the start point is the clipped image
     x0 = truth * 6.0 - 0.02
     _, trace = spultra_reconstruct(sino, model, union, geom, cfg0, x0)
 
     _, w_t = post_log_convert(sino.ravel(), model)
-    tau = patch_weights(compute_kappa(geom, w_t), cfg.patch)
+    patch = _patch(union, cfg)
+    tau = patch_weights(compute_kappa(geom, w_t), patch)
     x = np.clip(x0, 0.0, cfg.x_max)
-    state = sparse_code_and_cluster(x, union, cfg.gamma_c, tau, cfg.patch)
+    state = sparse_code_and_cluster(x, union, cfg.gamma_c, tau, patch)
     assert trace.columns["objective"][0] == objective_value(x, state, sino, model, union,
                                                              cfg, geom)
 
