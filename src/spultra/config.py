@@ -367,13 +367,18 @@ def parse_config(path) -> ExperimentConfig:
         if alpha is not None and not (1.0 <= alpha < 2.0):
             errors.append(f"recon.alpha: must satisfy 1 <= alpha < 2, got {alpha}")
             alpha = None
+        if delta is not None:  # in mm^-1, where a few 1e-320 HU underflow to 0
+            delta_hu, delta = delta, delta * cfg.metrics.mu_water / 1000.0
+            if not delta > 0:
+                errors.append(f"recon.delta: {delta_hu} HU is 0 mm^-1 at metrics.mu_water "
+                              f"{cfg.metrics.mu_water}; must be larger")
+                delta = None
         # stage_reconstruct checks the stride again, against the transforms
         if None not in (stride, patch_side) and stride > patch_side:
             errors.append(f"recon.stride: must be <= the patch side ({patch_side}), got {stride}")
         if None not in (beta, gamma_c, n_outer, n_inner, n_sub, alpha, x_max, stride, beta_ep,
                         delta, potential, ep_iters):
-            ep = EpParams(beta_ep=beta_ep, delta=delta * cfg.metrics.mu_water / 1000.0,
-                          potential_kind=potential, iters=ep_iters)
+            ep = EpParams(beta_ep=beta_ep, delta=delta, potential_kind=potential, iters=ep_iters)
             try:
                 cfg.recon = ReconConfig(beta=beta, gamma_c=gamma_c, n_outer=n_outer,
                                         n_inner=n_inner, n_subsets=n_sub, alpha=alpha,

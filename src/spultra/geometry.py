@@ -294,13 +294,12 @@ class SystemMatrix:
     so that every ray, which runs within 45 degrees of the columns, reads
     nearly consecutive addresses, and a view reads the image in its kind's
     frame (``_IN_FRAME``); otherwise the pixels are numbered along the
-    rows and read as they are. ``view_rows[v]`` is ``(indptr slice, kind)``;
-    the subset pass and :meth:`block` read the stored arrays through it, with
-    scipy's compiled CSR and CSC kernels. ``@`` and :meth:`rmatvec` take the
-    views in stored order, kind by kind and then by traced block, one kernel
-    call per kind's run of consecutive blocks, so on a geometry where every
-    view maps to itself they give the products of the plain CSR matrix bit
-    for bit.
+    rows and read as they are. ``view_rows[v]`` is ``(indptr slice, kind)``,
+    and every product reads the stored arrays through it, one view at a
+    time, with scipy's compiled CSR and CSC kernels. :meth:`rmatvec` takes
+    the views in stored order, kind by kind and then by traced block, so on
+    a geometry where every view maps to itself ``@`` and :meth:`rmatvec`
+    give the products of the plain CSR matrix bit for bit.
     """
 
     def __init__(self, geom: SystemGeometry, data, indices, indptr, view_block, view_kind):
@@ -316,13 +315,7 @@ class SystemMatrix:
         det = np.arange(nd)
         self._rays = (np.arange(view_kind.size)[:, None] * nd
                       + np.where(view_kind[:, None] > 0, det[::-1], det))
-        # the stored order in runs of one kind over consecutive traced blocks:
-        # (indptr slice, kind, views) of each run
-        stored = np.lexsort((view_block, view_kind))
-        key = view_kind[stored] * (view_block.size + 1) + view_block[stored]
-        self._runs = [(indptr[view_block[v[0]] * nd:(view_block[v[-1]] + 1) * nd + 1],
-                       int(view_kind[v[0]]), v)
-                      for v in np.split(stored, np.flatnonzero(np.diff(key) != 1) + 1)]
+        self._stored = np.lexsort((view_block, view_kind))
 
     @property
     def nnz(self) -> int:
@@ -350,23 +343,31 @@ class SystemMatrix:
             raise ValueError(f"{name} has shape {v.shape}, expected ({n},)")
         return v
 
-    def _frames(self, x: np.ndarray) -> list:
-        """The flat image ``x`` in each kind's frame, each formed by at most
-        one copy: a transpose for kind 0 and flips of columns for kinds 2
-        and 3."""
-        if not self.symmetric:
-            return [x]
-        x0, x2, x3 = np.empty((3, x.size))
-        return [_switch(x, None, 0, x0), x, _switch(x, None, 2, x2), _switch(x0, 0, 3, x3)]
+    def _ray_sums(self, views, x: np.ndarray) -> np.ndarray:
+        """The ray sums of ``views`` for the flat image ``x``, one row per
+        view with its detectors in the order of its traced rows. Each view
+        reads the image in its kind's frame, each frame formed by at most one
+        copy: a transpose for kind 0 and flips of columns for kinds 2 and 3."""
+        frames = [x]
+        if self.symmetric:
+            x0, x2, x3 = np.empty((3, x.size))
+            frames = [_switch(x, None, 0, x0), x, _switch(x, None, 2, x2), _switch(x0, 0, 3, x3)]
+        nd, n_pixels, indices, data = self.n_detectors, self.shape[1], self.indices, self.data
+        res = np.zeros((len(views), nd))
+        for v, r in zip(views, res):
+            ptr, kind = self.view_rows[v]
+            csr_matvec(nd, n_pixels, ptr, indices, data, frames[kind], r)
+        return res
 
-    def _accumulate(self, rows, vectors) -> np.ndarray:
-        """The image ``sum A_R^T r`` over ``rows`` of ``(indptr slice, kind)``
-        and their ``vectors`` r, accumulated in the given order by the CSC
-        kernel into a sum held in the current rows' frame, which switches
+    def _accumulate(self, views, vectors) -> np.ndarray:
+        """The image ``sum A_v^T r`` over ``views`` and their ``vectors`` r
+        (in traced-row order), accumulated in the given order by the CSC
+        kernel into a sum held in the current view's frame, which switches
         where the kind changes."""
         n_pixels, indices, data = self.shape[1], self.indices, self.data
         g, spare, frame = np.zeros(n_pixels), np.empty(n_pixels), 0
-        for (ptr, kind), r in zip(rows, vectors):
+        for v, r in zip(views, vectors):
+            ptr, kind = self.view_rows[v]
             if kind != frame:
                 g, spare, frame = _switch(g, frame, kind, spare), g, kind
             csc_matvec(n_pixels, r.size, ptr, indices, data, r, g)
@@ -374,45 +375,36 @@ class SystemMatrix:
 
     def __matmul__(self, x) -> np.ndarray:
         """``A x`` for a flat image ``x``."""
-        frames = self._frames(self._vector(x, self.shape[1], "x"))
+        x = self._vector(x, self.shape[1], "x")
         y = np.empty(self.shape[0])
-        for ptr, kind, views in self._runs:
-            r = np.zeros(ptr.size - 1)
-            csr_matvec(r.size, self.shape[1], ptr, self.indices, self.data, frames[kind], r)
-            y[self._rays[views]] = r.reshape(views.size, -1)
+        y[self._rays] = self._ray_sums(range(self.view_kind.size), x)
         return y
 
     def rmatvec(self, y) -> np.ndarray:
-        """``A^T y`` for a flat sinogram ``y``."""
+        """``A^T y`` for a flat sinogram ``y``, the views in stored order."""
         y = self._vector(y, self.shape[0], "y")
-        return self._accumulate([run[:2] for run in self._runs],
-                                [y.take(self._rays[run[2]]).reshape(-1) for run in self._runs])
+        return self._accumulate(self._stored, y.take(self._rays[self._stored]))
 
     def residual_backprojection(self, views, x, w, y_tilde) -> np.ndarray:
         """``A_V^T (w_V (A_V x - y_V))`` over the rows of ``views``.
 
-        The CSR kernel forms the ray sums view by view, each view reading
-        the image in its kind's frame; the residuals are weighted in one
-        step, a mapped view's weights and targets read with its detectors
-        reversed; then :meth:`_accumulate` back-projects them view by view
-        in the given order. So every ray's sum and the order of
-        accumulation are those of a product with :meth:`block` of ``views``,
-        its rows taken in the order the pass reads them, bit for bit.
+        The residuals of :meth:`_ray_sums` are weighted in one step, a
+        mapped view's weights and targets read with its detectors reversed,
+        and :meth:`_accumulate` back-projects them in the given order. So
+        every ray's sum and the order of accumulation are those of a
+        product with :meth:`block` of ``views``, its rows taken in the
+        order the pass reads them, bit for bit.
         """
         n_rays, n_pixels = self.shape
-        frames = self._frames(self._vector(x, n_pixels, "x"))
+        x = self._vector(x, n_pixels, "x")
         w = self._vector(w, n_rays, "w")
         y_tilde = self._vector(y_tilde, n_rays, "y_tilde")
         views = np.asarray(views, dtype=np.intp)
-        rows = [self.view_rows[v] for v in views.tolist()]
-        nd, indices, data = self.n_detectors, self.indices, self.data
-        res = np.zeros((views.size, nd))
-        for (ptr, kind), r in zip(rows, res):
-            csr_matvec(nd, n_pixels, ptr, indices, data, frames[kind], r)
+        res = self._ray_sums(views, x)
         rays = self._rays[views]
         res -= y_tilde.take(rays)
         res *= w.take(rays)
-        return self._accumulate(rows, res)
+        return self._accumulate(views, res)
 
     def block(self, views) -> sp.csr_matrix:
         """The rows of ``views`` (view by view, detectors in order) gathered

@@ -10,7 +10,6 @@ mismatches against an existing manifest are reported.
 from __future__ import annotations
 
 import logging
-import math
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,7 @@ from .config import ExperimentConfig, roi_mask
 from .errors import ConfigurationError, NumericalError
 from .metrics import RoiMask, rmse_roi, roi_stats, ssim, to_hu
 from .recon import (fbp_reconstruct, pwls_ep_reconstruct, pwls_ultra_reconstruct,
-                    spultra_reconstruct)
+                    spultra_reconstruct, union_patch)
 from .sim import make_phantom, nonpositive_fraction, simulate_prelog
 from .spstats import post_log_convert
 from .ultra import extract_patches, learn_transforms, load_transforms, save_transforms
@@ -174,16 +173,7 @@ def stage_reconstruct(cfg: ExperimentConfig, out: Path, method: str) -> dict:
             if not tr_path.exists():
                 raise MissingArtifact(f"transform file not found (run 'learn' first): {tr_path}")
             union = load_transforms(tr_path)
-            side, stride = math.isqrt(union.v), cfg.recon.patch_stride
-            if side * side != union.v:
-                raise ConfigurationError(f"{tr_path}: v = {union.v} is not a perfect square "
-                                         f"(side^2), so its transforms fit no square patch")
-            if side > min(geom.image_dims):
-                raise ConfigurationError(f"{tr_path}: patch side {side} exceeds "
-                                         f"geometry.image_dims {geom.image_dims}")
-            if stride > side:
-                raise ConfigurationError(f"recon.stride: must be <= the patch side ({side}) "
-                                         f"of {tr_path}, got {stride}")
+            union_patch(union, geom.image_dims, cfg.recon.patch_stride, str(tr_path))
             ep_path = out / "x_pwls_ep.spim"
             if ep_path.exists():  # the PWLS-EP initializer, cached on disk
                 x0, _ = _read_sized(ep_path, "edge-preserving initializer", geom.image_dims)
@@ -253,10 +243,15 @@ def stage_evaluate(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def _methods(cfg: ExperimentConfig, method: str | None) -> list[str]:
-    """``method`` alone, or by default every method the geometry allows."""
+    """``method`` alone, or by default every method the geometry allows; a
+    ConfigurationError for FBP asked for on a fan beam."""
+    fan = cfg.geometry.beam_kind == "fan"
+    if method == "fbp" and fan:
+        raise ConfigurationError("geometry.beam: method fbp needs parallel-beam data, "
+                                 "got 'fan'")
     if method:
         return [method]
-    if cfg.geometry is not None and cfg.geometry.beam_kind == "fan":
+    if fan:
         log.info("skipping fbp: filtered backprojection needs parallel-beam data")
         return [m for m in METHODS if m != "fbp"]
     return list(METHODS)
@@ -265,13 +260,15 @@ def _methods(cfg: ExperimentConfig, method: str | None) -> list[str]:
 def run_pipeline(cfg: ExperimentConfig, subcommand: str, method: str | None = None,
                  deterministic: bool = False) -> int:
     """Execute one stage (or the whole chain) and return a process exit code.
-    The sections every stage reads are checked before the first one runs."""
+    The sections every stage reads, and the methods the geometry allows, are
+    checked before the first stage runs."""
     if subcommand != "all" and subcommand not in _SECTIONS:
         log.error("unknown subcommand %r", subcommand)
         return EXIT_ERROR
     stages = list(_SECTIONS) if subcommand == "all" else [subcommand]
     try:
         _require(cfg, *stages)
+        methods = _methods(cfg, method) if "reconstruct" in stages else []
     except ConfigurationError as err:
         log.error("%s", err)
         return EXIT_ERROR
@@ -290,7 +287,7 @@ def run_pipeline(cfg: ExperimentConfig, subcommand: str, method: str | None = No
             elif stage == "learn":
                 artifacts.update(stage_learn(cfg, out))
             elif stage == "reconstruct":
-                for m in _methods(cfg, method):
+                for m in methods:
                     artifacts.update(stage_reconstruct(cfg, out, m))
             else:
                 artifacts.update(stage_evaluate(cfg, out))

@@ -457,6 +457,23 @@ class ConvergenceTrace:
         write_csv(path, TRACE_COLUMNS, zip(*self.columns.values()))
 
 
+def union_patch(union: TransformUnion, dims, stride: int,
+                source: str = "the transforms") -> PatchConfig:
+    """The patches of ``union``'s side stepped by ``stride``; a
+    ConfigurationError naming ``source`` unless they fit a ``dims`` image."""
+    side = math.isqrt(union.v)
+    if side * side != union.v:
+        raise ConfigurationError(f"{source}: v = {union.v} is not a perfect square "
+                                 f"(side^2), so its transforms fit no square patch")
+    if side > min(dims):
+        raise ConfigurationError(f"{source}: patch side {side} exceeds "
+                                 f"geometry.image_dims {dims}")
+    if stride > side:
+        raise ConfigurationError(f"recon.stride: must be <= the patch side ({side}) "
+                                 f"of {source}, got {stride}")
+    return PatchConfig(side, stride)
+
+
 def _ultra_outer_loop(value, quadratic, system: SubsetSystem, w_stat: np.ndarray,
                       union: TransformUnion, cfg: ReconConfig, x0: np.ndarray,
                       truth: np.ndarray | None, mu_water: float,
@@ -475,7 +492,7 @@ def _ultra_outer_loop(value, quadratic, system: SubsetSystem, w_stat: np.ndarray
     """
     geom = system.geom
     dims = geom.image_dims
-    patch = PatchConfig(math.isqrt(union.v), cfg.patch_stride)
+    patch = union_patch(union, dims, cfg.patch_stride)
     tau = patch_weights(compute_kappa(geom, w_stat), patch)
     x = np.clip(x0.reshape(-1), 0.0, cfg.x_max)
     state = sparse_code_and_cluster(x.reshape(dims), union, cfg.gamma_c, tau, patch)

@@ -307,6 +307,9 @@ INVALID_NUMBERS = [
     ("recon", "x_max", "inf", f"recon.x_max: {_FINITE} inf"),
     ("recon", "x_max", "nan", f"recon.x_max: {_FINITE} nan"),
     ("recon", "delta", "inf", f"recon.delta: {_FINITE} inf"),
+    # delta * mu_water / 1000 underflows to 0 mm^-1
+    ("recon", "delta", "1e-320",
+     "recon.delta: 1e-320 HU is 0 mm^-1 at metrics.mu_water 0.02; must be larger"),
     ("metrics", "mu_water", "inf", f"metrics.mu_water: {_FINITE} inf"),
     ("metrics", "mu_water", "1e-200", "metrics.mu_water: must be >= 1e-06, got 1e-200"),
     ("metrics", "mu_water", "1e-100", "metrics.mu_water: must be >= 1e-06, got 1e-100"),

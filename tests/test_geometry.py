@@ -386,14 +386,19 @@ def test_mapped_views_match_a_trace_of_every_view(geom):
 _FAN = SystemGeometry("fan", n_detectors=24, n_views=36, detector_spacing=2.0,
                       angular_range=np.pi, image_dims=(16, 16), pixel_spacing=(1.0, 1.0),
                       source_to_iso=40.0, source_to_detector=80.0)
+_NON_SQUARE = SystemGeometry("parallel", n_detectors=24, n_views=36, detector_spacing=1.0,
+                             angular_range=np.pi, image_dims=(16, 15), pixel_spacing=(1.0, 1.0))
+_ODD_VIEWS = SystemGeometry("parallel", n_detectors=21, n_views=35, detector_spacing=1.0,
+                            angular_range=np.pi, image_dims=(16, 16), pixel_spacing=(1.0, 1.0))
 
 
-@pytest.mark.parametrize("geom", _BENCHMARK_GEOMETRIES + [_FAN], ids=["128x128", "64x64", "fan"])
+@pytest.mark.parametrize("geom", _BENCHMARK_GEOMETRIES + [_FAN, _NON_SQUARE, _ODD_VIEWS],
+                         ids=["128x128", "64x64", "fan", "non-square", "odd-views"])
 def test_whole_products_match_the_gathered_rows_bitwise(geom):
     # A x sums each row's entries in stored order; A^T y accumulates the rays
     # view by view in stored order (kind by kind, then by traced block), a
     # mapped view's detectors in reverse: the summation order that the
-    # reconstructions' bytes depend on
+    # reconstructions' bytes depend on, with and without mapped views
     mat = system_matrix(geom)
     rng = np.random.default_rng(0)
     x, y = rng.random(geom.n_pixels), rng.random(geom.n_rays)
@@ -484,11 +489,8 @@ def test_one_index_row_matches_the_four_row_layout_bitwise(geom):
     assert got.tobytes() == ref.residual_backprojection(views, x, w, y).tobytes()
 
 
-@pytest.mark.parametrize("geom", [
-    _FAN,
-    SystemGeometry("parallel", n_detectors=24, n_views=36, detector_spacing=1.0,
-                   angular_range=np.pi, image_dims=(16, 15), pixel_spacing=(1.0, 1.0)),
-], ids=["fan", "non-square"])
+@pytest.mark.parametrize("geom", [_FAN, _NON_SQUARE, _ODD_VIEWS],
+                         ids=["fan", "non-square", "odd-views"])
 def test_geometry_without_the_symmetry_traces_every_view(geom):
     mat = geometry._build_matrix(geom)
     views = np.arange(geom.n_views)

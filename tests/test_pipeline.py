@@ -567,24 +567,30 @@ def test_cli_learning_patch_larger_than_the_training_image_exits_1(stale_run, tm
     assert (out / "transforms.ult").read_bytes() == (stale_run / "transforms.ult").read_bytes()
 
 
-@pytest.mark.parametrize("edit", ["learning", "recon", "phantom", "model", "beta_ep", "v"])
+@pytest.mark.parametrize("edit", ["learning", "recon", "phantom", "model", "beta_ep", "v",
+                                  "delta"])
 def test_cli_all_rejects_a_config_it_cannot_finish_before_any_stage(tmp_path, edit):
-    # a section removed, beta_ep removed, or a patch size set for the reconstruction
+    # a section removed, beta_ep removed, a patch size set for the reconstruction,
+    # or a delta that underflows to 0 mm^-1
     path = _one_iteration_waterdisk64(tmp_path)
     text = path.read_text()
     if edit == "beta_ep":
         text = re.sub(r"(?m)^beta_ep = .*\n", "", text)
     elif edit == "v":
         text = text.replace("[recon]\n", "[recon]\nv = 16\n")
+    elif edit == "delta":
+        text = re.sub(r"(?m)^delta = .*$", "delta = 1e-320", text)
     else:
         text, n = re.subn(rf"(?ms)^\[{edit}\]\n.*?(?=^\[)", "", text)
         assert n == 1
     path.write_text(text)
     r = run_cli("all", "--config", str(path))
-    if edit in ("beta_ep", "v"):
+    if edit in ("beta_ep", "v", "delta"):
         assert r.returncode == EXIT_ERROR
         assert_clean_stderr(r)
-        key = {"beta_ep": "recon.beta_ep: required key missing", "v": "recon.v: unknown key"}
+        key = {"beta_ep": "recon.beta_ep: required key missing", "v": "recon.v: unknown key",
+               "delta": "recon.delta: 1e-320 HU is 0 mm^-1 at metrics.mu_water 0.02; "
+                        "must be larger"}
         assert r.stderr.splitlines() == ["error: invalid configuration:", f"  - {key[edit]}"]
     else:
         assert _one_error(r, EXIT_ERROR) == (
@@ -754,9 +760,15 @@ def test_all_on_fan_beam_skips_fbp(tmp_path, caplog):
     assert ",fbp," not in text
     for method in ("pwls-ep", "pwls-ultra", "spultra"):
         assert f",{method},rmse_hu," in text
+    # asked for by name, FBP is rejected before any stage runs or writes
+    fresh = tmp_path / "fresh"
+    caplog.clear()
     with caplog.at_level("ERROR"):
-        assert run_pipeline(cfg, "all", method="fbp") == EXIT_ERROR
-    assert any("parallel-beam" in r.message for r in caplog.records)
+        assert run_pipeline(cfg.with_overrides(out_dir=fresh), "all",
+                            method="fbp") == EXIT_ERROR
+    assert [r.message for r in caplog.records] == [
+        "geometry.beam: method fbp needs parallel-beam data, got 'fan'"]
+    assert not fresh.exists()
 
 
 def _quick(text: str) -> str:

@@ -448,6 +448,26 @@ def _tiny_setup(seed=0, i0=2000.0):
     return geom, model, truth, sino, union, cfg
 
 
+@pytest.mark.parametrize("v, stride, error", [
+    (10, 1, "the transforms: v = 10 is not a perfect square (side^2), so its transforms fit "
+            "no square patch"),
+    (17 * 17, 1, "the transforms: patch side 17 exceeds geometry.image_dims (16, 16)"),
+    (9, 4, "recon.stride: must be <= the patch side (3) of the transforms, got 4"),
+], ids=["not-square", "too-large", "stride"])
+def test_ultra_drivers_reject_transforms_that_do_not_fit(v, stride, error):
+    geom, model, _, sino, _, cfg = _tiny_setup()
+    union = TransformUnion(np.eye(v)[None])
+    cfg = dataclasses.replace(cfg, n_outer=1, patch_stride=stride)
+    l_t, w_t = post_log_convert(sino.ravel(), model)
+    x0 = np.full(geom.image_dims, 0.015)
+    with pytest.raises(ConfigurationError) as err:
+        spultra_reconstruct(sino, model, union, geom, cfg, x0)
+    assert str(err.value) == error
+    with pytest.raises(ConfigurationError) as err:
+        pwls_ultra_reconstruct(l_t, w_t, union, geom, cfg, x0)
+    assert str(err.value) == error
+
+
 def test_images_are_float64_arrays_of_image_dims():
     geom, model, truth, sino, union, cfg = _tiny_setup()
     cfg = dataclasses.replace(cfg, n_outer=1, ep=EpParams(beta_ep=1.0, delta=0.01, iters=1))
