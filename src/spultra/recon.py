@@ -24,14 +24,13 @@ from .geometry import (SystemGeometry, compute_kappa, pixel_centres, system_matr
 from .io import write_csv
 from .metrics import DEFAULT_MU_WATER, RoiMask, rmse_roi
 from .spstats import SpModel, neg_log_likelihood, post_log_convert, surrogate_at
-from .ultra import (PatchConfig, SparseState, TransformUnion, accumulate_patches,
-                    classwise_apply, extract_patches, largest_gram_eigenvalue,
+from .ultra import (PatchConfig, SparseState, TransformUnion, largest_gram_eigenvalue,
                     patch_coverage, patch_weights, regularizer_majorizer_diag,
                     sparse_code_and_cluster)
 # unused here, kept importable as recon.<name>: the benchmark's tracer wraps them
 from .geometry import forward_project  # noqa: F401
 from .spstats import build_surrogate  # noqa: F401
-from .ultra import regularizer_value  # noqa: F401
+from .ultra import accumulate_patches, extract_patches, regularizer_value  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -275,9 +274,22 @@ class UltraQuadReg:
     offset o is that of -o shifted right by o. The first o entries of that
     row lie outside H; they stay zero from the allocation. At stride
     >= 2 the band measured faster to apply but slow to build, and it raised
-    the peak memory of a 128x128 run by 6-60%, so there H extracts the
-    patches, applies the per-class Gram matrices (formed once here) and
-    scatter-adds them back.
+    the peak memory of a 128x128 run by 6-60%, so there H applies the
+    per-class Gram matrices (formed once here) to the patches.
+
+    Each update sorts the patches by class (a stable sort). A class sum,
+    ``H x`` at stride >= 2 or ``b``, gathers each class's patches once,
+    Fortran-ordered like a column gather of the patch matrix (a C-ordered
+    block changes the GEMM's last bits), applies the class's matrix, scales
+    by tau into a class-sorted (v, N) buffer and adds it into the image with
+    one ``bincount``. Read row-major, the buffer reaches each pixel in
+    ascending patch-entry order from 0.0, as in :func:`accumulate_patches`,
+    so the sums are the extract-apply-accumulate ones bit for bit. The
+    buffer and its index are a workspace that the gradients after an update
+    reuse (fresh pages in every call cost a 128x128 gradient more than its
+    GEMMs) and that :meth:`release` frees. The ULTRA loop calls that before
+    each coding pass: kept through coding, the workspace raised a 128x128
+    run's peak memory by 5-6%.
     """
 
     def __init__(self, union: TransformUnion, state: SparseState, beta: float,
@@ -302,17 +314,28 @@ class UltraQuadReg:
                                 shape=(self.n, self.n))
         else:
             self._grams = [t.T @ t for t in union.transforms]
+        # flat image index of each patch's top-left corner (raster order) and
+        # of each patch entry from its corner (row-major within the patch)
+        nr, nc = patch.grid(dims)
+        self._raster = patch.stride * (np.arange(nr)[:, None] * dims[1] + np.arange(nc)).ravel()
+        side = patch.patch_side
+        self._pix = (np.arange(side)[:, None] * dims[1] + np.arange(side)).ravel()
         self.update(state)
 
     def update(self, state: SparseState):
         """Re-form b, and at stride 1 rebuild the band in place, for ``state``'s
         codes and labels (its tau must be the constructor's)."""
+        self.release()  # the workspace's index follows the patch order
+        # kept for the heap layout alone: dropped, the previous codes are freed
+        # right after each coding pass, which raised a 64x64 run's peak RSS by 1.4 MiB
         self._state = state
-        code_back = classwise_apply(self._back, state.labels, state.z)
-        code_back *= state.tau
-        self._b = accumulate_patches(code_back, self.dims, self.patch).reshape(-1)
+        order = np.argsort(state.labels, kind="stable")
+        self._corners, self._tau = self._raster[order], state.tau[order]
+        self._bounds = np.searchsorted(state.labels[order], np.arange(len(self._back) + 1))
+        self._b = self._class_sum(self._back, lambda lo, hi: state.z[:, order[lo:hi]])
         if self.patch.stride != 1:
             return
+        self.release()  # freed before the band's scratch, which sets the peak
         s, (rows, cols), m, n = self.patch.patch_side, self.dims, self.m, self.n
         nr, nc = self.patch.grid(self.dims)
         k = self._grams.shape[1] // self.patch.v
@@ -328,15 +351,31 @@ class UltraQuadReg:
         for i, o in enumerate(self.h.offsets[m + 1:], start=1):
             band[m + i, o:] = band[m - i, :n - o]
 
-    def _patch_apply(self, x_flat: np.ndarray) -> np.ndarray:
-        state = self._state
-        out = classwise_apply(self._grams, state.labels,
-                              extract_patches(x_flat.reshape(self.dims), self.patch))
-        out *= state.tau
-        return accumulate_patches(out, self.dims, self.patch).reshape(-1)
+    def release(self):
+        """Free the class sums' workspace; the next class sum allocates it."""
+        self._work = None
+
+    def _class_sum(self, mats, block) -> np.ndarray:
+        """``sum_j tau_j P_j^T mats[k_j] c_j`` as a flat image, where
+        ``block(lo, hi)`` gives the columns c_j of the class-sorted patches
+        ``lo..hi-1`` as a Fortran-ordered (v, hi - lo) array."""
+        if self._work is None:
+            self._work = (self._pix[:, None] + self._corners,
+                          np.empty((self.patch.v, self._corners.size)))
+        index, buf = self._work
+        for k, (lo, hi) in enumerate(zip(self._bounds[:-1], self._bounds[1:])):
+            if hi > lo:
+                np.multiply(mats[k] @ block(lo, hi), self._tau[lo:hi], out=buf[:, lo:hi])
+        return np.bincount(index.ravel(), weights=buf.ravel(), minlength=self.n)
 
     def grad(self, x_flat: np.ndarray) -> np.ndarray:
-        hx = self.h @ x_flat if self.patch.stride == 1 else self._patch_apply(x_flat)
+        if x_flat.shape != (self.n,):
+            raise ValueError(f"x has shape {x_flat.shape}, expected ({self.n},)")
+        if self.patch.stride == 1:
+            hx = self.h @ x_flat
+        else:
+            hx = self._class_sum(self._grams, lambda lo, hi:
+                                 x_flat.take(self._corners[lo:hi, None] + self._pix).T)
         return 2.0 * self.beta * (hx - self._b)
 
 
@@ -517,6 +556,7 @@ def _ultra_outer_loop(value, quadratic, system: SubsetSystem, w_stat: np.ndarray
             if n:  # the constructor formed H and b for the first codes
                 quad.update(state)
             x_new = os_lalm_image_update(x, system, w, y_tilde, d_a, quad, cfg)
+            quad.release()  # the coding pass sets the peak memory
             # the data term is unchanged by the coding step
             l = system.matrix @ x_new
             data = value(l)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spultra import recon
+from spultra import recon, ultra
 from spultra.errors import ConfigurationError, NumericalError
 from spultra.geometry import (SystemGeometry, back_project, compute_kappa, forward_project,
                               system_matrix, weighted_gram_diag)
@@ -22,8 +22,8 @@ from spultra.recon import (TRACE_COLUMNS, ConvergenceTrace, EdgePreservingReg, E
 from spultra.sim import Ellipse, make_phantom, simulate_prelog
 from spultra.spstats import SpModel, neg_log_likelihood, post_log_convert
 from spultra.ultra import (PatchConfig, SparseState, TransformUnion, accumulate_patches,
-                           extract_patches, initial_transform, patch_weights,
-                           regularizer_value, sparse_code_and_cluster)
+                           classwise_apply, extract_patches, initial_transform,
+                           patch_weights, regularizer_value, sparse_code_and_cluster)
 
 from conftest import dense_system, small_fan, small_parallel
 
@@ -764,6 +764,44 @@ def test_ultra_reconstruction_keeps_one_regularizer(monkeypatch, method, n_outer
     assert patches == [PatchConfig(4, stride)]
 
 
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("method", ["spultra", "pwls-ultra"])
+def test_ultra_loop_codes_without_the_class_sum_workspace(monkeypatch, method, stride):
+    # the gradients reuse the (v, N) index and buffer of the class sums; the
+    # loop frees them before each coding pass, whose working set sets the peak
+    geom, model, truth, sino, union, cfg = _tiny_setup(seed=6)
+    cfg = dataclasses.replace(cfg, n_outer=3, patch_stride=stride)
+    regs, held, after_grad = [], [], []
+    real_init, real_grad = UltraQuadReg.__init__, UltraQuadReg.grad
+    real_code = recon.sparse_code_and_cluster
+
+    def init(self, *args):
+        real_init(self, *args)
+        regs.append(self)
+
+    def grad(self, x):
+        out = real_grad(self, x)
+        after_grad.append(self._work is not None)
+        return out
+
+    def code(*args, **kwargs):
+        held.append([reg._work is not None for reg in regs])
+        return real_code(*args, **kwargs)
+
+    monkeypatch.setattr(UltraQuadReg, "__init__", init)
+    monkeypatch.setattr(UltraQuadReg, "grad", grad)
+    monkeypatch.setattr(recon, "sparse_code_and_cluster", code)
+    x0 = np.full((16, 16), 0.015)
+    if method == "spultra":
+        spultra_reconstruct(sino, model, union, geom, cfg, x0)
+    else:
+        l_t, w_t = post_log_convert(sino.ravel(), model)
+        pwls_ultra_reconstruct(l_t, w_t, union, geom, cfg, x0)
+    assert held == [[]] + [[False]] * 3
+    # the banded gradient of stride 1 needs no workspace
+    assert after_grad == [stride != 1] * (3 * cfg.n_inner * cfg.n_subsets)
+
+
 def test_spultra_initial_objective_is_reference_objective():
     geom, model, truth, sino, union, cfg = _tiny_setup(seed=3)
     cfg0 = ReconConfig(beta=cfg.beta, gamma_c=cfg.gamma_c, n_outer=0,
@@ -837,23 +875,74 @@ def test_banded_gradient_matches_patch_gradient(side, k, extra_rows, extra_cols,
             assert not np.any(reg.h.data[reg.m + i, :o])
 
 
+def _extract_apply_accumulate_gradient(union, state, beta, patch, dims, x):
+    """Reference: the gradient as extract -> per-class product -> times tau ->
+    accumulate, for both H x (with the Grams) and b (with the transposes)."""
+    def class_sum(mats, cols):
+        out = classwise_apply(mats, state.labels, cols)
+        out *= state.tau
+        return accumulate_patches(out, dims, patch).reshape(-1)
+
+    b = class_sum(union.transforms.transpose(0, 2, 1), state.z)
+    hx = class_sum([t.T @ t for t in union.transforms],
+                   extract_patches(x.reshape(dims), patch))
+    return 2.0 * beta * (hx - b)
+
+
+@settings(deadline=None, max_examples=60)
+@given(side=st.integers(1, 5), k=st.integers(1, 4), extra_rows=st.integers(0, 9),
+       extra_cols=st.integers(0, 9), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_class_sorted_gradient_matches_extract_apply_accumulate_bitwise(
+        side, k, extra_rows, extra_cols, seed, data):
+    # at stride >= 2 the whole gradient; at stride 1 the gradient at x = 0,
+    # which is -2 beta b, so the code backprojection of every stride is pinned
+    stride = data.draw(st.integers(1, side), label="stride")
+    dims = (side + extra_rows, side + extra_cols)
+    rng = np.random.default_rng(seed)
+    union, patch, state, x = _random_reg_problem(rng, k, side, stride, dims)
+    if stride == 1:
+        x = np.zeros_like(x)
+    reg = UltraQuadReg(union, state, 1.7, patch, dims)
+    assert np.array_equal(reg.grad(x),
+                          _extract_apply_accumulate_gradient(union, state, 1.7, patch, dims, x))
+
+
+def test_class_sorted_gradient_is_bitwise_at_128_stride_2():
+    # K = 5 uneven classes (about 110 to 1300 patches of 3721), v = 64: a
+    # class block gathered C-ordered changes the Gram products' last bits here
+    rng = np.random.default_rng(71)
+    dims = (128, 128)
+    union, patch, state, x = _random_reg_problem(rng, 5, 8, 2, dims)
+    state.labels[:] = rng.choice(5, state.labels.size, p=[0.03, 0.06, 0.25, 0.3, 0.36])
+    reg = UltraQuadReg(union, state, 0.9, patch, dims)
+    for scale in (1.0, 3.5):
+        assert np.array_equal(reg.grad(scale * x), _extract_apply_accumulate_gradient(
+            union, state, 0.9, patch, dims, scale * x))
+
+
 @pytest.mark.parametrize("stride", [1, 2, 3])
 def test_banded_gradient_makes_no_patch_products(monkeypatch, stride):
+    # the band is one multiply at stride 1, and at stride >= 2 a gradient
+    # gathers each class from the image and sums with one bincount: no
+    # gradient extracts or accumulates patches
     rng = np.random.default_rng(40 + stride)
     dims = (9, 10)
     union, patch, state, x = _random_reg_problem(rng, 2, 3, stride, dims)
     reg = UltraQuadReg(union, state, 1.1, patch, dims)
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return extract_patches(*args)
+    def counted(name):
+        def call(*args):
+            calls.append(name)
+        return call
 
-    monkeypatch.setattr("spultra.recon.extract_patches", counted)
+    for name in ("extract_patches", "accumulate_patches"):
+        monkeypatch.setattr(recon, name, counted(name))
+    for name in ("extract_patches", "accumulate_patches", "classwise_apply"):
+        monkeypatch.setattr(ultra, name, counted(name))
     reg.grad(x)
     reg.grad(x)
-    # the band is applied as one multiply; without it each gradient extracts once
-    assert len(calls) == (0 if stride == 1 else 2)
+    assert calls == []
 
 
 @pytest.mark.parametrize("stride", [1, 2])
@@ -868,6 +957,8 @@ def test_regularizer_is_freed_without_the_cyclic_collector(stride):
     refs = [weakref.ref(reg)]
     if stride == 1:  # the operator and the band it multiplies by in place
         refs += [weakref.ref(reg.h), weakref.ref(reg.h.data)]
+    else:  # the class sums' index and buffer, which the gradients reuse
+        refs += [weakref.ref(a) for a in reg._work]
     gc.disable()
     try:
         del reg
@@ -876,14 +967,16 @@ def test_regularizer_is_freed_without_the_cyclic_collector(stride):
         gc.enable()
 
 
-@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("stride", [1, 2, 3])
 def test_regularizer_gradient_rejects_a_wrong_length(stride):
+    # at strides 2 and 3 the last column is uncovered, so a gather would
+    # accept the image one pixel short as well as one pixel long
     rng = np.random.default_rng(60 + stride)
     dims = (9, 10)
     union, patch, state, x = _random_reg_problem(rng, 2, 3, stride, dims)
     reg = UltraQuadReg(union, state, 1.1, patch, dims)
-    for bad in (x[:-1], np.append(x, 0.0)):
-        with pytest.raises(ValueError):
+    for bad in (x[:-1], np.append(x, 0.0), x.reshape(dims)):
+        with pytest.raises(ValueError, match=r"x has shape .*, expected \(90,\)"):
             reg.grad(bad)
 
 

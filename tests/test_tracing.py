@@ -17,9 +17,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 # the layer spans each pipeline stage must record in a traced ``all`` run; the
-# tracer also wraps callables that this stride-1 run does not reach
-# (``recon.build_surrogate``, ``recon.regularizer_value``, the patch helpers of
-# the stride-2 gradient), and installing it checks that those names exist
+# tracer also wraps names that ``recon`` keeps importable but never calls
+# (``recon.build_surrogate``, ``recon.regularizer_value``,
+# ``recon.extract_patches``, ``recon.accumulate_patches``), and installing it
+# checks that those names exist
 _ULTRA = ("geometry.compute_kappa", "recon.SubsetSystem.init",
           "recon.SubsetSystem.subset_gradient", "recon.SubsetSystem.gram_diag",
           "recon.UltraQuadReg.grad", "recon.os_lalm_image_update",
