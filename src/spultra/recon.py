@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,7 +148,11 @@ def os_lalm_image_update(x0: np.ndarray, system: SubsetSystem, w: np.ndarray,
     Runs ``n_passes`` (default cfg.n_inner) ordered-subsets passes of the
     five-line relaxed recursion; the relaxation parameter is refreshed from
     :func:`rho_schedule` at every inner step. ``reg`` provides ``grad(x)``
-    and a diagonal Hessian majorizer ``diag``.
+    and a diagonal Hessian majorizer ``diag``; a regularizer that also has
+    ``start_grad(x)`` and ``drop_grad()`` (:class:`UltraQuadReg`) is told,
+    once each step's x is final, to start the next step's gradient, which
+    then runs beside that step's subset pass. Nothing it started outlives
+    this call.
 
     The iterates s, x, zeta, g and eta are the rows of one (5, n) workspace,
     updated in place with the operations, and in the order, of the recursion
@@ -158,6 +164,8 @@ def os_lalm_image_update(x0: np.ndarray, system: SubsetSystem, w: np.ndarray,
     """
     passes = cfg.n_inner if n_passes is None else n_passes
     m, alpha = system.m, cfg.alpha
+    n_steps = passes * m
+    start = getattr(reg, "start_grad", None) if n_steps else None
     d_r = reg.diag
     # rho > 0, so the pixels where rho d_a + d_r > 0 (NaN is not) are those
     # of rho = 1; elsewhere x keeps its value
@@ -167,47 +175,54 @@ def os_lalm_image_update(x0: np.ndarray, system: SubsetSystem, w: np.ndarray,
     s, x, zeta, g, eta = state
     dax, step, denom = np.empty((3, x0.size))
     np.clip(x0, 0.0, cfg.x_max, out=x)
-    zeta[:] = system.subset_gradient(system.order[-1], x, w, y_tilde)
-    g[:] = zeta
-    np.multiply(d_a, x, out=dax)
-    np.subtract(dax, zeta, out=eta)
-
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for t in range(passes * m):
-            rho = rho_schedule(t, alpha)
-            # s = rho (d_a x - eta) + (1 - rho) g
-            np.subtract(dax, eta, out=s)
-            s *= rho
-            np.multiply(g, 1.0 - rho, out=step)
-            s += step
-            # x = clip(x - (s + grad) / (rho d_a + d_r), 0, x_max)
-            np.multiply(d_a, rho, out=denom)
-            denom += d_r
-            denom[frozen] = 1.0
-            np.add(s, reg.grad(x), out=step)
-            step /= denom
-            step[frozen] = 0.0
-            x -= step
-            np.clip(x, 0.0, cfg.x_max, out=x)
-            zeta[:] = system.subset_gradient(system.order[t % m], x, w, y_tilde)
-            # g = rho / (rho + 1) (alpha zeta + (1 - alpha) g) + g / (rho + 1),
-            # with denom and step as scratch
-            np.multiply(zeta, alpha, out=denom)
-            np.multiply(g, 1.0 - alpha, out=step)
-            denom += step
-            denom *= rho / (rho + 1.0)
-            g /= rho + 1.0
-            g += denom
-            # eta = alpha (d_a x - zeta) + (1 - alpha) eta
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if start is not None:
+                start(x)
+            zeta[:] = system.subset_gradient(system.order[-1], x, w, y_tilde)
+            g[:] = zeta
             np.multiply(d_a, x, out=dax)
-            np.subtract(dax, zeta, out=step)
-            step *= alpha
-            eta *= 1.0 - alpha
-            eta += step
-            if not np.isfinite(state).all():
-                for name, vec in zip(("s", "x", "zeta", "g", "eta"), state):
-                    if not np.isfinite(vec).all():
-                        raise NumericalError(name, t)
+            np.subtract(dax, zeta, out=eta)
+            for t in range(n_steps):
+                rho = rho_schedule(t, alpha)
+                # s = rho (d_a x - eta) + (1 - rho) g
+                np.subtract(dax, eta, out=s)
+                s *= rho
+                np.multiply(g, 1.0 - rho, out=step)
+                s += step
+                # x = clip(x - (s + grad) / (rho d_a + d_r), 0, x_max)
+                np.multiply(d_a, rho, out=denom)
+                denom += d_r
+                denom[frozen] = 1.0
+                np.add(s, reg.grad(x), out=step)
+                step /= denom
+                step[frozen] = 0.0
+                x -= step
+                np.clip(x, 0.0, cfg.x_max, out=x)
+                if start is not None and t + 1 < n_steps:
+                    start(x)  # x stays as it is until the next step's grad
+                zeta[:] = system.subset_gradient(system.order[t % m], x, w, y_tilde)
+                # g = rho / (rho + 1) (alpha zeta + (1 - alpha) g) + g / (rho + 1),
+                # with denom and step as scratch
+                np.multiply(zeta, alpha, out=denom)
+                np.multiply(g, 1.0 - alpha, out=step)
+                denom += step
+                denom *= rho / (rho + 1.0)
+                g /= rho + 1.0
+                g += denom
+                # eta = alpha (d_a x - zeta) + (1 - alpha) eta
+                np.multiply(d_a, x, out=dax)
+                np.subtract(dax, zeta, out=step)
+                step *= alpha
+                eta *= 1.0 - alpha
+                eta += step
+                if not np.isfinite(state).all():
+                    for name, vec in zip(("s", "x", "zeta", "g", "eta"), state):
+                        if not np.isfinite(vec).all():
+                            raise NumericalError(name, t)
+    finally:
+        if start is not None:
+            reg.drop_grad()
     return x.copy()
 
 
@@ -246,6 +261,37 @@ def gram_bands(union: TransformUnion, patch: PatchConfig, dims):
     gathered = np.zeros((offsets.size, rows.shape[1]))
     np.add.at(gathered, which, rows)
     return offsets, gathered
+
+
+_grad_worker: ThreadPoolExecutor | None = None
+
+
+def _gradient_worker() -> ThreadPoolExecutor | None:
+    """The process-wide thread that computes early regularizer gradients,
+    started on first use; None when the process may use one CPU only, where
+    a handoff to it overlaps nothing: pinned to one CPU, it made a 128x128
+    ULTRA stage 9% slower. Where the OS has no affinity call, every CPU
+    counts as usable."""
+    global _grad_worker
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    if cpus < 2:
+        return None
+    if _grad_worker is None:
+        _grad_worker = ThreadPoolExecutor(1, thread_name_prefix="spultra-grad")
+    return _grad_worker
+
+
+def _run_early(job: list) -> np.ndarray:
+    """``fn(x)`` for ``job = [fn, x, err]``, under the numpy error state
+    ``err`` (a new thread starts at numpy's defaults). The job is emptied
+    first, so the worker holds nothing of the regularizer once it returns."""
+    fn, x, err = job
+    job.clear()
+    with np.errstate(**err):
+        return fn(x)
 
 
 class UltraQuadReg:
@@ -289,7 +335,20 @@ class UltraQuadReg:
     reuse (fresh pages in every call cost a 128x128 gradient more than its
     GEMMs) and that :meth:`release` frees. The ULTRA loop calls that before
     each coding pass: kept through coding, the workspace raised a 128x128
-    run's peak memory by 5-6%.
+    run's peak memory by 5-6%. The workspace also holds, at the size of the
+    largest class, the product block and, at stride >= 2, the gathered
+    patches and their index, so that a gradient on the worker thread (see
+    below) allocates no block: freed there, blocks stay in that thread's
+    malloc arena through the coding pass, which raised a 128x128 run's
+    peak memory by 2-3 MiB.
+
+    At stride >= 2 the image update has :meth:`start_grad` compute the next
+    step's gradient on the process-wide worker thread, beside its subset
+    pass (the two were about 40% each of a 128x128 stage); :meth:`grad`
+    hands the result back on the calling thread, so tracing wrappers and
+    errors stay there. The worker runs the same sums, so the bytes do not
+    change. The stride-1 band multiply runs inline: on the worker it
+    measured -3% to +6% at 128x128 and +25% at 64x64.
     """
 
     def __init__(self, union: TransformUnion, state: SparseState, beta: float,
@@ -320,6 +379,7 @@ class UltraQuadReg:
         self._raster = patch.stride * (np.arange(nr)[:, None] * dims[1] + np.arange(nc)).ravel()
         side = patch.patch_side
         self._pix = (np.arange(side)[:, None] * dims[1] + np.arange(side)).ravel()
+        self._early = None  # (x, future) of the gradient start_grad started
         self.update(state)
 
     def update(self, state: SparseState):
@@ -352,31 +412,77 @@ class UltraQuadReg:
             band[m + i, o:] = band[m - i, :n - o]
 
     def release(self):
-        """Free the class sums' workspace; the next class sum allocates it."""
+        """Free the class sums' workspace, once no started gradient reads it;
+        the next class sum allocates it."""
+        self.drop_grad()
         self._work = None
 
     def _class_sum(self, mats, block) -> np.ndarray:
         """``sum_j tau_j P_j^T mats[k_j] c_j`` as a flat image, where
         ``block(lo, hi)`` gives the columns c_j of the class-sorted patches
         ``lo..hi-1`` as a Fortran-ordered (v, hi - lo) array."""
+        v = self.patch.v
         if self._work is None:
+            size = v * np.diff(self._bounds).max()
+            gather = (np.empty(size, dtype=np.intp), np.empty(size)) \
+                if self.patch.stride != 1 else ()
             self._work = (self._pix[:, None] + self._corners,
-                          np.empty((self.patch.v, self._corners.size)))
-        index, buf = self._work
+                          np.empty((v, self._corners.size)), np.empty(size), *gather)
+        index, buf, product = self._work[:3]
         for k, (lo, hi) in enumerate(zip(self._bounds[:-1], self._bounds[1:])):
             if hi > lo:
-                np.multiply(mats[k] @ block(lo, hi), self._tau[lo:hi], out=buf[:, lo:hi])
+                out = product[:v * (hi - lo)].reshape(v, hi - lo)
+                np.matmul(mats[k], block(lo, hi), out=out)
+                np.multiply(out, self._tau[lo:hi], out=buf[:, lo:hi])
         return np.bincount(index.ravel(), weights=buf.ravel(), minlength=self.n)
 
-    def grad(self, x_flat: np.ndarray) -> np.ndarray:
+    def _patches(self, x_flat: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """The class-sorted patches ``lo..hi-1`` of the image, gathered into
+        the workspace as a Fortran-ordered (v, hi - lo) block. The index is
+        in range for an image of the checked shape; ``mode="clip"`` spares
+        the copy of ``out`` that numpy makes with ``mode="raise"``."""
+        shape = (hi - lo, self.patch.v)
+        index, patches = (a[:shape[0] * shape[1]].reshape(shape) for a in self._work[3:])
+        np.add(self._corners[lo:hi, None], self._pix, out=index)
+        return x_flat.take(index, mode="clip", out=patches).T
+
+    def _check(self, x_flat: np.ndarray):
         if x_flat.shape != (self.n,):
             raise ValueError(f"x has shape {x_flat.shape}, expected ({self.n},)")
+
+    def start_grad(self, x_flat: np.ndarray):
+        """Start ``grad(x_flat)`` on the gradient worker where that pays: at
+        stride >= 2, with a CPU to spare. The next :meth:`grad` of this same
+        array, which the caller leaves unchanged until then, returns it."""
+        worker = None if self.patch.stride == 1 else _gradient_worker()
+        if worker is None:
+            return
+        self._check(x_flat)
+        self.drop_grad()
+        self._early = (x_flat, worker.submit(_run_early, [self._grad, x_flat, np.geterr()]))
+
+    def drop_grad(self):
+        """Wait for the gradient :meth:`start_grad` started, if any, and drop it."""
+        if self._early is not None:
+            self._early[1].exception()
+            self._early = None
+
+    def grad(self, x_flat: np.ndarray) -> np.ndarray:
+        if self._early is not None and self._early[0] is x_flat:
+            job, self._early = self._early[1], None
+            return job.result()
+        self.drop_grad()  # a job for another array shares the workspace
+        self._check(x_flat)
+        return self._grad(x_flat)
+
+    def _grad(self, x_flat: np.ndarray) -> np.ndarray:
         if self.patch.stride == 1:
             hx = self.h @ x_flat
         else:
-            hx = self._class_sum(self._grams, lambda lo, hi:
-                                 x_flat.take(self._corners[lo:hi, None] + self._pix).T)
-        return 2.0 * self.beta * (hx - self._b)
+            hx = self._class_sum(self._grams, lambda lo, hi: self._patches(x_flat, lo, hi))
+        hx -= self._b
+        hx *= 2.0 * self.beta
+        return hx
 
 
 def ep_potential(t, delta: float, kind: str):

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +29,15 @@ def assert_clean_stderr(run):
     """A CLI run reported through its log lines only: no traceback and no
     numpy (or other) warning on stderr."""
     assert "Traceback" not in run.stderr and "Warning" not in run.stderr, run.stderr
+
+
+def with_recon_stride(text: str, stride: int) -> str:
+    """Config ``text`` with the ``[recon]`` stride set to ``stride`` (the
+    ``[learning]`` section has a stride key too)."""
+    head, recon = text.split("\n[recon]\n")
+    recon, n = re.subn(r"(?m)^stride\s*=.*$", f"stride = {stride}", recon)
+    assert n == 1
+    return f"{head}\n[recon]\n{recon}"
 
 
 def small_parallel(rows=8, cols=8, n_det=12, n_views=10):

@@ -20,7 +20,7 @@ from spultra.pipeline import (EXIT_ERROR, EXIT_MISSING_INPUT, EXIT_NUMERICAL, EX
 from spultra import recon
 from spultra.ultra import TransformUnion, initial_transform, save_transforms
 
-from conftest import assert_clean_stderr, run_cli
+from conftest import assert_clean_stderr, run_cli, with_recon_stride
 
 CONFIG = """
 [geometry]
@@ -382,18 +382,27 @@ def _one_iteration_waterdisk64(tmp_path, **values) -> Path:
     return path
 
 
-def _nan_gradient(reg: str) -> str:
-    """Child-process code that makes the regularizer class ``reg`` return a
-    NaN gradient: no accepted config overflows an inner step any more."""
-    return (f"import numpy as np\nfrom spultra import recon\n"
-            f"recon.{reg}.grad = lambda self, x: np.full_like(x, np.nan)")
+def _nan_gradient(reg: str, method: str = "grad") -> str:
+    """Child-process code that makes ``method`` of the regularizer class
+    ``reg`` return a NaN gradient, through an overflow and inf * 0, of which
+    numpy warns unless the call runs under the image update's error state:
+    no accepted config overflows an inner step any more. Two usable CPUs
+    let ULTRA's stride-2 gradient run on the worker thread on any host."""
+    return (f"import os\nimport numpy as np\nfrom spultra import recon\n"
+            f"os.sched_getaffinity = lambda pid: {{0, 1}}\n"
+            f"recon.{reg}.{method} = lambda self, x: np.full_like(x, 1e308) * 10.0 * 0.0")
 
 
-@pytest.mark.parametrize("reg, method", [("UltraQuadReg", "pwls-ultra"),
-                                         ("EdgePreservingReg", "pwls-ep")])
-def test_cli_numerical_abort_exits_3_and_names_the_method(tmp_path, reg, method):
-    r = run_cli("all", "--config", str(_one_iteration_waterdisk64(tmp_path)),
-                prelude=_nan_gradient(reg))
+@pytest.mark.parametrize("reg, method, stride", [
+    pytest.param("UltraQuadReg", "pwls-ultra", 1, id="UltraQuadReg-pwls-ultra"),
+    # the worker thread computes the NaN gradient that the image update reads
+    pytest.param("UltraQuadReg", "pwls-ultra", 2, id="UltraQuadReg-pwls-ultra-stride-2"),
+    pytest.param("EdgePreservingReg", "pwls-ep", 1, id="EdgePreservingReg-pwls-ep")])
+def test_cli_numerical_abort_exits_3_and_names_the_method(tmp_path, reg, method, stride):
+    path = _one_iteration_waterdisk64(tmp_path)
+    path.write_text(with_recon_stride(path.read_text(), stride))
+    r = run_cli("all", "--config", str(path),
+                prelude=_nan_gradient(reg, "_grad" if stride != 1 else "grad"))
     assert r.returncode == EXIT_NUMERICAL
     assert_clean_stderr(r)  # the abort is reported by its log line only
     errors = [line for line in r.stderr.splitlines() if line.startswith("ERROR")]

@@ -1,8 +1,11 @@
 import dataclasses
 import gc
 import math
+import sys
+import threading
 import tracemalloc
 import weakref
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -946,31 +949,47 @@ def test_banded_gradient_makes_no_patch_products(monkeypatch, stride):
 
 
 @pytest.mark.parametrize("stride", [1, 2])
-def test_regularizer_is_freed_without_the_cyclic_collector(stride):
+def test_regularizer_is_freed_without_the_cyclic_collector(monkeypatch, worker, stride):
     # one regularizer holds a reconstruction's band; a reference cycle would
-    # keep it alive into the next reconstruction
+    # keep it alive into the next reconstruction, and neither may the worker
+    # thread once it has handed back a gradient: it keeps its job until it
+    # returns from setting the result, which is held up here
     rng = np.random.default_rng(50 + stride)
     dims = (9, 10)
     union, patch, state, x = _random_reg_problem(rng, 2, 3, stride, dims)
     reg = UltraQuadReg(union, state, 1.1, patch, dims)
     reg.grad(x)
-    refs = [weakref.ref(reg)]
-    if stride == 1:  # the operator and the band it multiplies by in place
-        refs += [weakref.ref(reg.h), weakref.ref(reg.h.data)]
-    else:  # the class sums' index and buffer, which the gradients reuse
-        refs += [weakref.ref(a) for a in reg._work]
-    gc.disable()
+    set_result, handed_back = Future.set_result, threading.Event()
+
+    def set_and_linger(future, result):
+        set_result(future, result)
+        handed_back.wait(30)
+
+    monkeypatch.setattr(Future, "set_result", set_and_linger)
     try:
-        del reg
-        assert [ref() for ref in refs] == [None] * len(refs)
+        reg.start_grad(x)
+        reg.grad(x)
+        assert len(worker) == (stride != 1)
+        refs = [weakref.ref(reg)]
+        if stride == 1:  # the operator and the band it multiplies by in place
+            refs += [weakref.ref(reg.h), weakref.ref(reg.h.data)]
+        else:  # the class sums' index and buffer, which the gradients reuse
+            refs += [weakref.ref(a) for a in reg._work]
+        gc.disable()
+        try:
+            del reg
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
     finally:
-        gc.enable()
+        handed_back.set()
 
 
 @pytest.mark.parametrize("stride", [1, 2, 3])
-def test_regularizer_gradient_rejects_a_wrong_length(stride):
+def test_regularizer_gradient_rejects_a_wrong_length(worker, stride):
     # at strides 2 and 3 the last column is uncovered, so a gather would
-    # accept the image one pixel short as well as one pixel long
+    # accept the image one pixel short as well as one pixel long; the error
+    # is raised on the calling thread, also with a gradient started early
     rng = np.random.default_rng(60 + stride)
     dims = (9, 10)
     union, patch, state, x = _random_reg_problem(rng, 2, 3, stride, dims)
@@ -978,6 +997,14 @@ def test_regularizer_gradient_rejects_a_wrong_length(stride):
     for bad in (x[:-1], np.append(x, 0.0), x.reshape(dims)):
         with pytest.raises(ValueError, match=r"x has shape .*, expected \(90,\)"):
             reg.grad(bad)
+        if stride != 1:
+            with pytest.raises(ValueError, match=r"x has shape .*, expected \(90,\)"):
+                reg.start_grad(bad)
+        reg.start_grad(x)
+        with pytest.raises(ValueError, match=r"x has shape .*, expected \(90,\)"):
+            reg.grad(bad)
+        assert reg._early is None  # the early gradient was waited for and dropped
+    assert worker == ["spultra-grad_0"] * 3 * (stride != 1)
 
 
 def test_stride2_gradient_matches_finite_differences():
@@ -1013,3 +1040,198 @@ def test_ultra_gradient_zero_at_exact_codes(stride):
     reg = UltraQuadReg(union, state, 1.3, patch, dims)
     scale = np.max(np.abs(_patch_gradient(union, state, 1.3, patch, dims, np.zeros_like(x))))
     assert np.max(np.abs(reg.grad(x))) <= 1e-12 * scale
+
+
+def _cpus(monkeypatch, n):
+    """Let the process see ``n`` usable CPUs: with two, ULTRA's stride >= 2
+    gradient runs on the worker thread; with one, inline."""
+    monkeypatch.setattr(recon.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.fixture
+def worker(monkeypatch):
+    """Two usable CPUs; the list of the threads that ran an early gradient."""
+    _cpus(monkeypatch, 2)
+    threads = []
+    real = recon._run_early
+
+    def run(job):
+        threads.append(threading.current_thread().name)
+        return real(job)
+
+    monkeypatch.setattr(recon, "_run_early", run)
+    return threads
+
+
+def _ultra_run(method, geom, model, sino, union, cfg, x0):
+    if method == "spultra":
+        return spultra_reconstruct(sino, model, union, geom, cfg, x0)
+    l_t, w_t = post_log_convert(sino.ravel(), model)
+    return pwls_ultra_reconstruct(l_t, w_t, union, geom, cfg, x0)
+
+
+def _three_class_union(seed):
+    rng = np.random.default_rng(seed)
+    return TransformUnion(np.stack([np.eye(16) * 2 + 0.3 * rng.standard_normal((16, 16))
+                                    for _ in range(3)]))
+
+
+@pytest.mark.parametrize("stride", [2, 3])
+@pytest.mark.parametrize("method", ["spultra", "pwls-ultra"])
+def test_worker_gradient_matches_inline_bitwise(monkeypatch, worker, method, stride):
+    # the worker runs the inline sums, so image and trace keep their bytes
+    geom, model, _, sino, _, cfg = _tiny_setup(seed=7)
+    cfg = dataclasses.replace(cfg, n_outer=3, patch_stride=stride)
+    union = _three_class_union(8)
+    runs = []
+    for cpus in (2, 1):
+        _cpus(monkeypatch, cpus)
+        img, trace = _ultra_run(method, geom, model, sino, union, cfg,
+                                np.full(geom.image_dims, 0.015))
+        del trace.columns["wall_ms"]
+        runs.append((img.tobytes(), trace.columns))
+    assert runs[0] == runs[1]
+    # every gradient of the two-CPU run came from the worker, none of the other's
+    assert worker == ["spultra-grad_0"] * (cfg.n_outer * cfg.n_inner * cfg.n_subsets)
+
+
+def _early_problem(seed):
+    """A 9x7 WLS problem, M = 3, with a stride-2 ULTRA regularizer."""
+    geom = small_parallel(9, 7, 11, 20)
+    system = SubsetSystem(geom, 3)
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.2, 2.0, geom.n_rays)
+    y = rng.uniform(0.0, 0.4, geom.n_rays)
+    union, patch, state, _ = _random_reg_problem(rng, 3, 3, 2, geom.image_dims)
+    reg = UltraQuadReg(union, state, 0.05, patch, geom.image_dims)
+    cfg = ReconConfig(beta=0.05, gamma_c=1.0, n_outer=1, n_inner=2, n_subsets=3, x_max=0.05)
+    x0 = rng.uniform(-0.01, 0.06, geom.n_pixels)  # leaves the box on both sides
+    return system, w, y, system.gram_diag(w), reg, cfg, x0
+
+
+def test_os_lalm_matches_reference_loop_with_a_worker_gradient(worker):
+    # a short switch interval interleaves the two threads as finely as it can
+    system, w, y, d_a, reg, cfg, x0 = _early_problem(23)
+    want = _os_lalm_reference(x0, system, w, y, d_a, reg, cfg, passes=2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = os_lalm_image_update(x0, system, w, y, d_a, reg, cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got.tobytes() == want.tobytes()
+    assert worker == ["spultra-grad_0"] * (2 * 3)
+    assert reg._early is None
+
+
+@pytest.mark.parametrize("poison", ["gradient", "subset pass"])
+def test_worker_path_aborts_like_inline(monkeypatch, poison):
+    # the fifth gradient, or the fifth subset pass (step 3), turns NaN through
+    # an overflow and inf - inf: numpy warns of both unless the worker runs
+    # under the image update's error state, and pytest makes a warning an error
+    system, w, y, d_a, reg, cfg, x0 = _early_problem(24)
+    calls, running = [], []
+    real_grad, real_subset = UltraQuadReg._grad, SubsetSystem.subset_gradient
+
+    def nan_from_call_5(out, n):
+        if n >= 5:
+            out[:] = 1e308
+            out *= 10.0
+            out -= out
+        return out
+
+    def grad(self, x):
+        running.append(threading.current_thread().name)
+        calls.append(running[-1])
+        try:
+            out = real_grad(self, x)
+            return nan_from_call_5(out, len(calls)) if poison == "gradient" else out
+        finally:
+            running.pop()
+
+    subset_calls = []
+
+    def subset_gradient(self, s, x, w, y_tilde):
+        subset_calls.append(s)
+        out = real_subset(self, s, x, w, y_tilde)
+        return nan_from_call_5(out, len(subset_calls)) if poison == "subset pass" else out
+
+    monkeypatch.setattr(UltraQuadReg, "_grad", grad)
+    monkeypatch.setattr(SubsetSystem, "subset_gradient", subset_gradient)
+    errors = []
+    for cpus in (2, 1):
+        _cpus(monkeypatch, cpus)
+        calls.clear()
+        subset_calls.clear()
+        with pytest.raises(NumericalError) as err:
+            os_lalm_image_update(x0, system, w, y, d_a, reg, cfg)
+        errors.append((err.value.quantity, err.value.step))
+        # no gradient job is pending or running, and none starts later
+        assert running == [] and reg._early is None
+        started = len(calls)
+        recon._grad_worker.submit(int).result(timeout=30)  # made by the 2-CPU run
+        assert len(calls) == started
+        if cpus == 2:
+            assert set(calls) == {"spultra-grad_0"}
+    assert errors == [("x", 4) if poison == "gradient" else ("zeta", 3)] * 2
+
+
+def test_release_waits_for_a_running_gradient(worker, monkeypatch):
+    # a job still running when the workspace is released would allocate it
+    # again and keep it through the coding pass
+    rng = np.random.default_rng(70)
+    dims = (9, 10)
+    union, patch, state, x = _random_reg_problem(rng, 2, 3, 2, dims)
+    reg = UltraQuadReg(union, state, 1.1, patch, dims)
+    real = UltraQuadReg._grad
+
+    def slow(self, x):
+        threading.Event().wait(0.05)
+        return real(self, x)
+
+    monkeypatch.setattr(UltraQuadReg, "_grad", slow)
+    reg.release()
+    reg.start_grad(x)  # allocates the workspace again after its wait
+    reg.release()
+    recon._gradient_worker().submit(int).result(timeout=30)
+    assert worker == ["spultra-grad_0"]
+    assert reg._early is None and reg._work is None
+
+
+@pytest.mark.parametrize("case", ["stride 1", "pwls-ep", "one cpu", "stride 2"])
+def test_only_a_stride_2_ultra_gradient_starts_the_worker(monkeypatch, case):
+    # the worker thread is made on first use, once per process, and only by
+    # ULTRA at stride >= 2 in a process that may use more than one CPU
+    monkeypatch.setattr(recon, "_grad_worker", None)
+    _cpus(monkeypatch, 1 if case == "one cpu" else 2)
+    geom, model, _, sino, union, cfg = _tiny_setup(seed=4)
+    cfg = dataclasses.replace(cfg, n_outer=2, patch_stride=1 if case == "stride 1" else 2,
+                              ep=EpParams(beta_ep=0.5, delta=0.004, iters=2))
+    l_t, w_t = post_log_convert(sino.ravel(), model)
+    x0 = np.full(geom.image_dims, 0.015)
+    threads = threading.active_count()
+    try:
+        for _ in range(2):
+            if case == "pwls-ep":
+                pwls_ep_reconstruct(l_t, w_t, geom, cfg, x0)
+            else:
+                pwls_ultra_reconstruct(l_t, w_t, union, geom, cfg, x0)
+        assert threading.active_count() == threads + (case == "stride 2")
+        assert (recon._grad_worker is None) == (case != "stride 2")
+    finally:
+        if recon._grad_worker is not None:
+            recon._grad_worker.shutdown()
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 2])
+def test_worker_counts_every_cpu_without_an_affinity_call(monkeypatch, cpus):
+    # some platforms have no os.sched_getaffinity; os.cpu_count stands in
+    monkeypatch.setattr(recon, "_grad_worker", None)
+    monkeypatch.delattr(recon.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(recon.os, "cpu_count", lambda: cpus)
+    worker = recon._gradient_worker()
+    try:
+        assert (worker is not None) == (cpus == 2)
+    finally:
+        if worker is not None:
+            worker.shutdown()
