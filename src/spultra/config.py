@@ -24,35 +24,6 @@ from .sim import POISSON_MEAN_MAX, Ellipse
 from .spstats import SpModel
 from .ultra import PatchConfig
 
-_REQUIRED = object()
-# the signed 64-bit range: the seed becomes a Philox key word, and larger
-# values overflow (from 2**64) or go through a lossy cast on the way
-_SEED_BOUNDS = dict(minimum=0, maximum=2 ** 63 - 1)
-# the coding threshold is squared (a Python float raises OverflowError past
-# about 1.3e154), and the square is summed over patches and multiplied by beta
-_GAMMA_C_MAX = 1e150
-# the transform update floors the Gram eigenvalues at lambda0 ||X_k||^2 1e-15:
-# from a lambda0 of about 1e-155 the learned transforms overflow within a few
-# rounds (probed on a 16x16 copy of configs/waterdisk64.ini)
-_LAMBDA0_MIN = 1e-100
-# HU images are 1000 mu / mu_water, and SSIM multiplies fourth powers of them:
-# at the lower bound an attenuation of 1 mm^-1 is 1e9 HU, and SSIM stays
-# finite up to about 1e76 HU; from a mu_water of about 1e80 those products
-# underflow and SSIM divides 0 by 0
-_MU_WATER_BOUNDS = dict(minimum=1e-6, maximum=1e6)
-# a scan past one turn repeats its views
-_ANGULAR_RANGE_MAX = 2 * math.pi
-# the filtered backprojection's ramp filter scales with 1 / detector_spacing
-# and overflows at about 1e-300 mm
-_DETECTOR_SPACING_MIN = 1e-6
-# phantoms and ROI masks square pixel coordinates, which overflow at 1e300 mm
-# pixels, and a run at 1e150 mm already ends with a non-finite image
-_PIXEL_SPACING_MAX = 1e6
-# s1 and I0 + sigma2 are squared as Python floats (OverflowError past about
-# 1.3e154), and the post-log line integrals (about log(I0 / y) / s1) and
-# their weights (which scale with s1^2) must stay finite at any I0 and s2
-_S1_BOUNDS = dict(minimum=1e-6, maximum=1e6)
-_SIGMA2_MAX = 1e150
 # what the plain converters expect, for their error message
 _EXPECTED = {int: "an integer", float: "a number"}
 
@@ -115,8 +86,7 @@ class ExperimentConfig:
         seed raises :class:`ValidationError`, as it would in the INI file."""
         if seed is not None:
             errors = []
-            seed = _Section("io", {"seed": str(seed)}, errors).get("seed", int, **_SEED_BOUNDS)
-            if errors:
+            if (seed := _value("io", "seed", str(seed), errors)) is None:
                 raise ValidationError(errors)
         cfg = ExperimentConfig(**self.__dict__)
         if self.io is not None or out_dir is not None:  # else there is no output directory
@@ -126,56 +96,147 @@ class ExperimentConfig:
         return cfg
 
 
-class _Section:
-    """Typed accessor over one INI section that records errors instead of raising."""
+# section -> INI key -> (the field its value fills, reader, default (unconverted)
+# or _REQUIRED, bounds); the sections are read in this order. Every number
+# read, each of a pair's too, must be finite and within its row's bounds:
+# ``minimum``, ``maximum``, ``above`` (an exclusive minimum); a string must be
+# one of ``choices``, and a multi-line value is bounded where its lines are read.
+_REQUIRED = object()
+_KEYS = {
+    "geometry": {
+        "beam": ("beam_kind", str, "parallel", dict(choices={"parallel", "fan"})),
+        "n_detectors": ("n_detectors", int, _REQUIRED, dict(minimum=1)),
+        "n_views": ("n_views", int, _REQUIRED, dict(minimum=1)),
+        # the filtered backprojection's ramp filter scales with 1 / detector_spacing
+        # and overflows at about 1e-300 mm
+        "detector_spacing": ("detector_spacing", float, _REQUIRED, dict(minimum=1e-6)),
+        # a scan past one turn repeats its views
+        "angular_range": ("angular_range", float, np.pi, dict(above=0.0, maximum=2 * math.pi)),
+        "source_to_iso": ("source_to_iso", float, SystemGeometry.source_to_iso, {}),
+        "source_to_detector": ("source_to_detector", float,
+                               SystemGeometry.source_to_detector, {}),
+        "image_dims": ("image_dims", _pair(int), _REQUIRED, dict(minimum=1)),
+        # phantoms and ROI masks square pixel coordinates, which overflow at 1e300
+        # mm pixels, and a run at 1e150 mm already ends with a non-finite image
+        "pixel_spacing": ("pixel_spacing", _pair(float), SystemGeometry.pixel_spacing,
+                          dict(above=0.0, maximum=1e6)),
+    },
+    "model": {
+        "I0": ("i0", float, _REQUIRED, dict(above=0.0, maximum=POISSON_MEAN_MAX)),
+        # s1 and I0 + sigma2 are squared as Python floats (OverflowError past about
+        # 1.3e154), and the post-log line integrals (about log(I0 / y) / s1) and
+        # their weights (which scale with s1^2) must stay finite at any I0 and s2
+        "sigma2": ("sigma2", float, SpModel.sigma2, dict(minimum=0.0, maximum=1e150)),
+        "s1": ("s1", float, SpModel.s1, dict(minimum=1e-6, maximum=1e6)),
+        "s2": ("s2", float, SpModel.s2, {}),
+    },
+    "phantom": {
+        # each line's attenuation (mm^-1), as physical a bound as mu_water's and
+        # s1's: learning from a truth image of 1e200 ends in a LinAlgError, and
+        # the HU images of one of 1e100 overflow in to_hu and SSIM
+        "shapes": ("phantom", _lines, _REQUIRED, dict(maximum=1e6)),
+    },
+    "learning": {  # v and stride fill the patch, as PatchConfig(sqrt(v), stride)
+        "K": ("k", int, _REQUIRED, dict(minimum=1)),
+        "v": ("v", int, _REQUIRED, dict(minimum=1)),
+        "stride": ("stride", int, PatchConfig.stride, dict(minimum=1)),
+        # the coding threshold is squared (a Python float raises OverflowError past
+        # about 1.3e154), and the square is summed over patches and multiplied by beta
+        "gamma_c": ("gamma_c", float, _REQUIRED, dict(above=0.0, maximum=1e150)),
+        # the transform update floors the Gram eigenvalues at lambda0 ||X_k||^2 1e-15:
+        # from a lambda0 of about 1e-155 the learned transforms overflow within a few
+        # rounds (probed on a 16x16 copy of configs/waterdisk64.ini); at 1e300 and an
+        # attenuation of 1e3, lambda0 ||X_k||^2 overflows and its product with eye(v)
+        # turns the Gram matrix NaN (inf * 0)
+        "lambda0": ("lambda0", float, _REQUIRED, dict(minimum=1e-100, maximum=1e100)),
+        "iters": ("iters", int, LearningConfig.iters, dict(minimum=1)),
+        "n_patches": ("n_patches", int, LearningConfig.n_patches, dict(minimum=1)),
+    },
+    "metrics": {
+        # HU images are 1000 mu / mu_water, and SSIM multiplies fourth powers of
+        # them: at the lower bound an attenuation of 1 mm^-1 is 1e9 HU, and SSIM
+        # stays finite up to about 1e76 HU; from a mu_water of about 1e80 those
+        # products underflow and SSIM divides 0 by 0
+        "mu_water": ("mu_water", float, MetricsConfig.mu_water,
+                     dict(minimum=1e-6, maximum=1e6)),
+        "window": ("window", _pair(float), MetricsConfig.window, {}),
+        "rois": ("rois", _lines, MetricsConfig.rois, {}),
+    },
+    "recon": {  # beta_ep, delta, potential and ep_iters fill the EpParams
+        "beta": ("beta", float, _REQUIRED, dict(minimum=0.0)),
+        "gamma_c": ("gamma_c", float, _REQUIRED, dict(above=0.0, maximum=1e150)),  # as learning's
+        "N": ("n_outer", int, _REQUIRED, dict(minimum=0)),
+        "P": ("n_inner", int, ReconConfig.n_inner, dict(minimum=1)),
+        "M": ("n_subsets", int, ReconConfig.n_subsets, dict(minimum=1)),
+        "alpha": ("alpha", float, ReconConfig.alpha, {}),
+        "x_max": ("x_max", float, ReconConfig.x_max, dict(above=0.0)),
+        "stride": ("patch_stride", int, ReconConfig.patch_stride, dict(minimum=1)),
+        "beta_ep": ("beta_ep", float, _REQUIRED, dict(minimum=0.0)),
+        # in HU, where EpParams.delta is in mm^-1
+        "delta": ("delta", float, 100.0, dict(above=0.0)),
+        "potential": ("potential_kind", str, EpParams.potential_kind,
+                      dict(choices={"lange", "hyperbola"})),
+        "ep_iters": ("iters", int, EpParams.iters, dict(minimum=1)),
+    },
+    "io": {
+        "out_dir": ("out_dir", str, _REQUIRED, {}),
+        # the signed 64-bit range: the seed becomes a Philox key word, and larger
+        # values overflow (from 2**64) or go through a lossy cast on the way
+        "seed": ("seed", int, IoConfig.seed, dict(minimum=0, maximum=2 ** 63 - 1)),
+    },
+}
 
-    def __init__(self, name, raw: dict, errors: list):
-        self.name = name
-        self.raw = dict(raw)
-        self.errors = errors
-        self.seen = set()
 
-    def get(self, key, conv=str, default=_REQUIRED, *, minimum=None, maximum=None,
-            above=None, choices=None):
-        """``key`` read by ``conv``, ``default`` (unconverted) when absent, or
-        None once the reason it is invalid is recorded. Every number read, each
-        of a pair's too, must be finite and within the bounds; ``above`` is an
-        exclusive minimum."""
-        self.seen.add(key)
-        if key not in self.raw:
-            if default is _REQUIRED:
-                self.errors.append(f"{self.name}.{key}: required key missing")
-                return None
-            return default
-        text = self.raw[key]
-        try:
-            val = conv(text)
-        except ValueError as err:
-            self.errors.append(f"{self.name}.{key}: " + (
-                f"expected {_EXPECTED[conv]}, got {text!r}" if conv in _EXPECTED else str(err)))
-            return None
-        for x in val if isinstance(val, tuple) else (val,):
-            if isinstance(x, float) and not math.isfinite(x):
-                problem = "must be a finite number"
-            elif minimum is not None and x < minimum:
-                problem = f"must be >= {minimum}"
-            elif maximum is not None and x > maximum:
-                problem = f"must be <= {maximum}"
-            elif above is not None and x <= above:
-                problem = f"must be > {above}"
-            else:
-                continue
-            self.errors.append(f"{self.name}.{key}: {problem}, got {x}")
-            return None
-        if choices is not None and val not in choices:
-            self.errors.append(f"{self.name}.{key}: must be one of {sorted(choices)}, got {val!r}")
-            return None
-        return val
+def _problem(x, minimum=None, maximum=None, above=None, choices=None):
+    """How the value ``x`` breaks its row's bounds, or None."""
+    if not isinstance(x, (int, float)):  # a string, or a multi-line value's lines
+        return None if choices is None or x in choices else f"must be one of {sorted(choices)}"
+    if isinstance(x, float) and not math.isfinite(x):
+        return "must be a finite number"
+    if minimum is not None and x < minimum:
+        return f"must be >= {minimum}"
+    if maximum is not None and x > maximum:
+        return f"must be <= {maximum}"
+    if above is not None and x <= above:
+        return f"must be > {above}"
+    return None
 
-    def finish(self):
-        for key in self.raw:
-            if key not in self.seen:
-                self.errors.append(f"{self.name}.{key}: unknown key")
+
+def _value(section, key, text, errors: list):
+    """``text`` read by the ``section.key`` row, or None once the reason it is
+    invalid is recorded in ``errors``."""
+    _, conv, _, bounds = _KEYS[section][key]
+    try:
+        val = conv(text)
+    except ValueError as err:
+        errors.append(f"{section}.{key}: " + (
+            f"expected {_EXPECTED[conv]}, got {text!r}" if conv in _EXPECTED else str(err)))
+        return None
+    for x in val if isinstance(val, tuple) else (val,):
+        if (problem := _problem(x, **bounds)) is not None:
+            errors.append(f"{section}.{key}: {problem}, got {x!r}")
+            return None
+    return val
+
+
+def _read(parser, section, errors: list) -> dict | None:
+    """``section`` of ``parser`` read through its rows, None without it: field
+    -> value, the row's default for an absent key, or None once the reason it
+    is missing or invalid is recorded in ``errors``; the section's unknown keys
+    are recorded after its known ones."""
+    if not parser.has_section(section):
+        return None
+    raw, values = parser[section], {}
+    for key, (field, _, default, _) in _KEYS[section].items():
+        if key in raw:
+            values[field] = _value(section, key, raw[key], errors)
+        elif default is _REQUIRED:
+            errors.append(f"{section}.{key}: required key missing")
+            values[field] = None
+        else:
+            values[field] = default
+    errors.extend(f"{section}.{key}: unknown key" for key in raw if key not in _KEYS[section])
+    return values
 
 
 def roi_mask(roi, dims, spacing) -> RoiMask:
@@ -208,9 +269,6 @@ def _learning_side(v, stride, geometry, errors: list):
     return side if len(errors) == n_errors else None
 
 
-_KNOWN_SECTIONS = ("geometry", "model", "phantom", "learning", "recon", "metrics", "io")
-
-
 def parse_config(path) -> ExperimentConfig:
     """Parse and fully validate an experiment file; raises ValidationError with
     the complete list of problems found."""
@@ -228,54 +286,22 @@ def parse_config(path) -> ExperimentConfig:
     except configparser.Error as err:
         raise ValidationError([str(err)]) from err
 
-    errors: list[str] = []
-    for section in parser.sections():
-        if section not in _KNOWN_SECTIONS:
-            errors.append(f"{section}: unknown section")
+    errors = [f"{section}: unknown section" for section in parser.sections()
+              if section not in _KEYS]
+    cfg = ExperimentConfig(config_hash=hashlib.sha256(text.encode("utf-8")).hexdigest())
 
-    cfg = ExperimentConfig()
-    cfg.config_hash = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    if (g := _read(parser, "geometry", errors)) is not None and None not in g.values():
+        try:
+            cfg.geometry = SystemGeometry(**g)
+        except ConfigurationError as err:
+            errors.append(f"geometry: {err}")
 
-    if parser.has_section("geometry"):
-        s = _Section("geometry", parser["geometry"], errors)
-        g = dict(beam_kind=s.get("beam", str, "parallel", choices={"parallel", "fan"}),
-                 n_detectors=s.get("n_detectors", int, minimum=1),
-                 n_views=s.get("n_views", int, minimum=1),
-                 detector_spacing=s.get("detector_spacing", float,
-                                        minimum=_DETECTOR_SPACING_MIN),
-                 angular_range=s.get("angular_range", float, np.pi, above=0.0,
-                                     maximum=_ANGULAR_RANGE_MAX),
-                 source_to_iso=s.get("source_to_iso", float, SystemGeometry.source_to_iso),
-                 source_to_detector=s.get("source_to_detector", float,
-                                          SystemGeometry.source_to_detector),
-                 image_dims=s.get("image_dims", _pair(int), minimum=1),
-                 pixel_spacing=s.get("pixel_spacing", _pair(float),
-                                     SystemGeometry.pixel_spacing, above=0.0,
-                                     maximum=_PIXEL_SPACING_MAX))
-        s.finish()
-        if None not in g.values():
-            try:
-                cfg.geometry = SystemGeometry(**g)
-            except ConfigurationError as err:
-                errors.append(f"geometry: {err}")
+    if (m := _read(parser, "model", errors)) is not None and None not in m.values():
+        cfg.model = SpModel(**m)
 
-    if parser.has_section("model"):
-        s = _Section("model", parser["model"], errors)
-        m = dict(i0=s.get("I0", float, above=0.0, maximum=POISSON_MEAN_MAX),
-                 sigma2=s.get("sigma2", float, SpModel.sigma2, minimum=0.0,
-                              maximum=_SIGMA2_MAX),
-                 s1=s.get("s1", float, SpModel.s1, **_S1_BOUNDS),
-                 s2=s.get("s2", float, SpModel.s2))
-        s.finish()
-        if None not in m.values():
-            cfg.model = SpModel(**m)
-
-    if parser.has_section("phantom"):
-        s = _Section("phantom", parser["phantom"], errors)
-        lines = s.get("shapes", _lines)
-        s.finish()
-        shapes = []
-        for line in lines or []:
+    if (ph := _read(parser, "phantom", errors)) is not None and ph["phantom"] is not None:
+        shapes, bounds = [], _KEYS["phantom"]["shapes"][3]  # the attenuation's
+        for line in ph["phantom"]:
             parts = line.split()
             if len(parts) != 6:
                 errors.append(f"phantom.shapes: expected 6 values per line, got {line!r}")
@@ -284,40 +310,29 @@ def parse_config(path) -> ExperimentConfig:
                 values = [float(p) for p in parts]
                 if not all(map(math.isfinite, values)):
                     raise ValueError("values must be finite")
+                if (problem := _problem(values[5], **bounds)) is not None:
+                    raise ValueError(f"attenuation {problem}")
                 shapes.append(Ellipse(*values))
             except ValueError as err:
                 errors.append(f"phantom.shapes: {err} in {line!r}")
-        if lines is not None:
-            if not parser.has_section("geometry"):
-                errors.append("phantom: requires a [geometry] section for the canvas")
-            cfg.phantom = tuple(shapes)
+        if not parser.has_section("geometry"):
+            errors.append("phantom: requires a [geometry] section for the canvas")
+        cfg.phantom = tuple(shapes)
 
     patch_side = None  # [learning]'s, which the learned transforms will have
-    if parser.has_section("learning"):
-        s = _Section("learning", parser["learning"], errors)
-        lc = dict(k=s.get("K", int, minimum=1), v=s.get("v", int, minimum=1),
-                  stride=s.get("stride", int, PatchConfig.stride, minimum=1),
-                  gamma_c=s.get("gamma_c", float, above=0.0, maximum=_GAMMA_C_MAX),
-                  lambda0=s.get("lambda0", float, minimum=_LAMBDA0_MIN),
-                  iters=s.get("iters", int, LearningConfig.iters, minimum=1),
-                  n_patches=s.get("n_patches", int, LearningConfig.n_patches, minimum=1))
-        s.finish()
+    if (lc := _read(parser, "learning", errors)) is not None:
         stride = lc.pop("stride")
         patch_side = _learning_side(lc.pop("v"), stride, cfg.geometry, errors)
         if None not in (patch_side, stride, *lc.values()):
             cfg.learning = LearningConfig(patch=PatchConfig(patch_side, stride), **lc)
 
-    if parser.has_section("metrics"):
-        s = _Section("metrics", parser["metrics"], errors)
-        mu = s.get("mu_water", float, MetricsConfig.mu_water, **_MU_WATER_BOUNDS)
-        window = s.get("window", _pair(float), MetricsConfig.window)
-        roi_lines = s.get("rois", _lines, MetricsConfig.rois)
-        s.finish()
+    if (mc := _read(parser, "metrics", errors)) is not None:
+        window = mc["window"]
         if window is not None and not window[1] > window[0]:
             errors.append(f"metrics.window: must satisfy hi > lo, got {window[0]} {window[1]}")
             window = None
         rois = []
-        for line in roi_lines:
+        for line in mc["rois"]:
             parts = line.split()
             if len(parts) != 4:
                 errors.append(f"metrics.rois: expected 'label cx cy radius', got {line!r}")
@@ -340,58 +355,37 @@ def parse_config(path) -> ExperimentConfig:
                     errors.append(str(err))
                     continue
             rois.append(roi)
-        if None not in (mu, window):
-            cfg.metrics = MetricsConfig(mu_water=mu, rois=tuple(rois), window=window)
+        if None not in (mc["mu_water"], window):
+            cfg.metrics = MetricsConfig(mu_water=mc["mu_water"], rois=tuple(rois), window=window)
 
-    if parser.has_section("recon"):
-        s = _Section("recon", parser["recon"], errors)
-        beta = s.get("beta", float, minimum=0.0)
-        gamma_c = s.get("gamma_c", float, above=0.0, maximum=_GAMMA_C_MAX)
-        n_outer = s.get("N", int, minimum=0)
-        n_inner = s.get("P", int, ReconConfig.n_inner, minimum=1)
-        n_sub = s.get("M", int, ReconConfig.n_subsets, minimum=1)
+    if (rc := _read(parser, "recon", errors)) is not None:
+        n_sub, alpha, delta = rc["n_subsets"], rc["alpha"], rc["delta"]
         if None not in (n_sub, cfg.geometry) and n_sub > cfg.geometry.n_views:
             errors.append(f"recon.M: must be <= geometry.n_views "
                           f"({cfg.geometry.n_views}), got {n_sub}")
-            n_sub = None
-        alpha = s.get("alpha", float, ReconConfig.alpha)
-        x_max = s.get("x_max", float, ReconConfig.x_max, above=0.0)
-        stride = s.get("stride", int, PatchConfig.stride, minimum=1)
-        beta_ep = s.get("beta_ep", float, minimum=0.0)
-        # in HU, where EpParams.delta is in mm^-1
-        delta = s.get("delta", float, 100.0, above=0.0)
-        potential = s.get("potential", str, EpParams.potential_kind,
-                          choices={"lange", "hyperbola"})
-        ep_iters = s.get("ep_iters", int, EpParams.iters, minimum=1)
-        s.finish()
+            rc["n_subsets"] = None
         if alpha is not None and not (1.0 <= alpha < 2.0):
             errors.append(f"recon.alpha: must satisfy 1 <= alpha < 2, got {alpha}")
-            alpha = None
+            rc["alpha"] = None
         if delta is not None:  # in mm^-1, where a few 1e-320 HU underflow to 0
-            delta_hu, delta = delta, delta * cfg.metrics.mu_water / 1000.0
-            if not delta > 0:
-                errors.append(f"recon.delta: {delta_hu} HU is 0 mm^-1 at metrics.mu_water "
+            rc["delta"] = delta * cfg.metrics.mu_water / 1000.0
+            if not rc["delta"] > 0:
+                errors.append(f"recon.delta: {delta} HU is 0 mm^-1 at metrics.mu_water "
                               f"{cfg.metrics.mu_water}; must be larger")
-                delta = None
+                rc["delta"] = None
         # stage_reconstruct checks the stride again, against the transforms
+        stride = rc["patch_stride"]
         if None not in (stride, patch_side) and stride > patch_side:
             errors.append(f"recon.stride: must be <= the patch side ({patch_side}), got {stride}")
-        if None not in (beta, gamma_c, n_outer, n_inner, n_sub, alpha, x_max, stride, beta_ep,
-                        delta, potential, ep_iters):
-            ep = EpParams(beta_ep=beta_ep, delta=delta, potential_kind=potential, iters=ep_iters)
+        if None not in rc.values():
+            ep = {f: rc.pop(f) for f in ("beta_ep", "delta", "potential_kind", "iters")}
             try:
-                cfg.recon = ReconConfig(beta=beta, gamma_c=gamma_c, n_outer=n_outer,
-                                        n_inner=n_inner, n_subsets=n_sub, alpha=alpha,
-                                        x_max=x_max, patch_stride=stride, ep=ep)
+                cfg.recon = ReconConfig(ep=EpParams(**ep), **rc)
             except ConfigurationError as err:
                 errors.append(f"recon: {err}")
 
-    if parser.has_section("io"):
-        s = _Section("io", parser["io"], errors)
-        io = dict(out_dir=s.get("out_dir"), seed=s.get("seed", int, IoConfig.seed, **_SEED_BOUNDS))
-        s.finish()
-        if None not in io.values():
-            cfg.io = IoConfig(**io)
+    if (io := _read(parser, "io", errors)) is not None and None not in io.values():
+        cfg.io = IoConfig(**io)
 
     if errors:
         raise ValidationError(errors)

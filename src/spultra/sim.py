@@ -50,7 +50,9 @@ def make_phantom(shapes, dims, spacing=(1.0, 1.0)) -> np.ndarray:
     for sh in shapes:
         xr = (xg - sh.cx) * np.cos(sh.theta) + (yg - sh.cy) * np.sin(sh.theta)
         yr = -(xg - sh.cx) * np.sin(sh.theta) + (yg - sh.cy) * np.cos(sh.theta)
-        inside = (xr / sh.a) ** 2 + (yr / sh.b) ** 2 <= 1.0
+        # a far centre or a thin semi-axis overflows to inf, outside the ellipse
+        with np.errstate(over="ignore"):
+            inside = (xr / sh.a) ** 2 + (yr / sh.b) ** 2 <= 1.0
         img[inside] = sh.mu
     return img
 

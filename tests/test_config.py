@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spultra.config import IoConfig, parse_config
+from spultra.config import _KEYS, IoConfig, parse_config
 from spultra.errors import ValidationError
 from spultra.metrics import ssim, to_hu
 from spultra.recon import ReconConfig
@@ -422,3 +422,76 @@ def test_metrics_roi_must_cover_a_pixel(tmp_path, roi, reason):
 def test_metrics_roi_covering_one_pixel_accepted(tmp_path):
     text = MINIMAL + "\n[metrics]\nrois =\n    one 0.5 0.5 0.1\n"
     assert parse_config(write(tmp_path, text)).metrics.rois == (("one", 0.5, 0.5, 0.1),)
+
+
+# a config that stays valid with any one key at either end of its bounds: a
+# 1-pixel patch fits a 1x1 image, the default M = 1 fits a 1-view scan, the fan
+# distances wait for beam = fan, and at the largest mu_water a delta just above
+# 0 HU is still above 0 mm^-1
+AT_BOUNDS = VALID.replace("v = 16", "v = 1") \
+    .replace("image_dims = 8 8", "image_dims = 8 8\nsource_to_iso = 50\nsource_to_detector = 100") \
+    .replace("[metrics]", "[metrics]\nmu_water = 1e6")
+
+
+def _bound_cases():
+    """(section, key, accepted values, [(rejected value, problem)]) for each
+    row of the key table that has a bound: a number at its bound and just
+    past it (an exclusive bound the other way round), each choice and one
+    that is not."""
+    for section, keys in _KEYS.items():
+        for key, (_, _, _, bounds) in keys.items():
+            ok, bad = [], []
+            for kind, bound in bounds.items():
+                if kind == "choices":
+                    ok += sorted(bound)
+                    bad.append(("bogus", f"must be one of {sorted(bound)}"))
+                    continue
+                sign = -1 if kind == "minimum" else 1
+                past = bound + sign if isinstance(bound, int) \
+                    else math.nextafter(bound, sign * math.inf)
+                if kind == "above":  # an exclusive minimum
+                    ok.append(past)
+                    bad.append((bound, f"must be > {bound}"))
+                else:
+                    ok.append(bound)
+                    bad.append((past, f"must be {'>=' if sign < 0 else '<='} {bound}"))
+            if bounds:
+                yield section, key, ok, bad
+
+
+BOUND_CASES = list(_bound_cases())
+
+
+def _with_bound_value(section, key, value):
+    """``AT_BOUNDS`` with ``section.key`` set to ``value`` (twice for a pair,
+    as the attenuation of a shape line): the value's text and the config."""
+    text = value if isinstance(value, str) else repr(value)
+    if key in ("image_dims", "pixel_spacing"):
+        text = f"{text} {text}"
+    elif key == "shapes":
+        text = f"0 0 3 3 0 {text}"
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
+    parser.read_string(AT_BOUNDS)
+    parser[section][key] = text
+    buf = io.StringIO()
+    parser.write(buf)
+    return text, buf.getvalue()
+
+
+@pytest.mark.parametrize("section,key,ok,bad", BOUND_CASES,
+                         ids=[f"{case[0]}.{case[1]}" for case in BOUND_CASES])
+def test_every_bound_in_the_key_table_accepts_its_end_and_rejects_past_it(tmp_path, section,
+                                                                          key, ok, bad):
+    parse_config(write(tmp_path, AT_BOUNDS))
+    for value in ok:
+        parse_config(write(tmp_path, _with_bound_value(section, key, value)[1]))
+    for value, problem in bad:
+        text, config = _with_bound_value(section, key, value)
+        with pytest.raises(ValidationError) as err:
+            parse_config(write(tmp_path, config))
+        # a shape line is bounded in its attenuation and named in full
+        msg = f"phantom.shapes: attenuation {problem} in {text!r}" if key == "shapes" \
+            else f"{section}.{key}: {problem}, got {value!r}"
+        assert err.value.errors == [msg]
+

@@ -435,6 +435,19 @@ def test_cli_run_at_a_geometry_or_metrics_bound_is_clean(tmp_path, key, value):
     assert (tmp_path / "out" / "metrics.csv").exists()
 
 
+def test_cli_run_at_the_attenuation_and_lambda0_bounds_is_clean(tmp_path):
+    # transforms learned with the largest lambda0 from a disk of the largest
+    # attenuation, whose HU images are largest at the smallest mu_water
+    path = _one_iteration_waterdisk64(tmp_path, lambda0="1e100", mu_water="1e-6")
+    text = path.read_text()
+    assert "    0 0 105 95 0 0.02\n" in text
+    path.write_text(text.replace("    0 0 105 95 0 0.02\n", "    0 0 105 95 0 1e6\n"))
+    r = run_cli("all", "--config", str(path))
+    assert r.returncode == EXIT_OK, r.stderr
+    assert_clean_stderr(r)
+    assert (tmp_path / "out" / "metrics.csv").exists()
+
+
 @pytest.fixture(scope="module")
 def waterdisk64_before_ultra(tmp_path_factory):
     """The output directory of a one-iteration ``configs/waterdisk64.ini``

@@ -1,8 +1,11 @@
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+from spultra.config import _KEYS
 
 from conftest import SRC, assert_clean_stderr
 
@@ -19,3 +22,27 @@ def test_readme_library_example_runs():
     assert r.returncode == 0, r.stderr
     assert_clean_stderr(r)
     assert re.search(r"(?m)^final RMSE \(HU\): ", r.stdout), r.stdout
+
+
+def _readme_bounds():
+    """``section.key`` -> bounds, as the Configuration section's table of
+    bounds states them."""
+    section = README.read_text().split("\n## Configuration\n")[1].split("\n## ")[0]
+    named = {"2 pi": 2 * math.pi, "2^63 - 1": 2 ** 63 - 1}
+    kinds = {">=": "minimum", "<=": "maximum", ">": "above"}
+    stated = {}
+    for key, cell in re.findall(r"(?m)^\| `(\w+\.\w+)` \| ([^|]*?) \|", section):
+        if cell.startswith("one of "):
+            stated[key] = {"choices": set(re.findall(r"`(\w+)`", cell))}
+            continue
+        stated[key] = {}
+        for item in cell.split(", "):
+            op, value = item.split(" ", 1)
+            stated[key][kinds[op]] = named[value] if value in named else float(value)
+    return stated
+
+
+def test_readme_states_every_bound_of_the_key_table():
+    bounded = {f"{section}.{key}": bounds for section, keys in _KEYS.items()
+               for key, (_, _, _, bounds) in keys.items() if bounds}
+    assert _readme_bounds() == bounded

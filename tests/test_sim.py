@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,20 @@ def test_phantom_rotation():
     # semi-major axis rotated onto the y axis
     assert img[6, 15] == 0.03 or img[6, 16] == 0.03
     assert img[15, 3] == 0.0
+
+
+def test_phantom_far_or_thin_shape_draws_without_warning():
+    # a centre 1e300 mm away and a semi-axis of 1e-300 mm square distances
+    # that overflow to inf, which lies outside the ellipse
+    a, b = 0.02, 0.05
+    shapes = (Ellipse(0, 0, 1.6, 1.6, 0, a), Ellipse(1e300, 0, 3, 3, 0.4, 0.5),
+              Ellipse(0.5, 0.5, 1e-300, 1e-300, 0, b), Ellipse(0, -1e300, 1e-300, 3, 0, 0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        img = make_phantom(shapes, (4, 4))
+    # pixel centres at x = -1.5 .. 1.5 along a row, y = 1.5 .. -1.5 down a column:
+    # the disk misses the corners, and the thin shape covers (0.5, 0.5) alone
+    np.testing.assert_array_equal(img, [[0, a, a, 0], [a, a, b, a], [a, a, a, a], [0, a, a, 0]])
 
 
 def test_phantom_on_the_grid_passed_in():
